@@ -258,6 +258,8 @@ def _run(args) -> int:
             raise UsageError(f"{name} must be positive")
 
     doc = sio.load_document(args.input)
+    if not isinstance(doc, dict):
+        raise UsageError(f"{args.input}: document root must be an object")
     system = rt = None
     if "inputs" in doc or "outputs" in doc or "treatments" in doc:
         system = sio.system_from_dict(doc)

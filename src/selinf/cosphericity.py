@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InapplicableError, UsageError
-from .model import JointPmf, Level, System, marginalize
+from .model import JointPmf, Level, System, marginalize, treatment_index
 from .report import CONSISTENT, INAPPLICABLE, RULED_OUT, TestReport
 
 EPS_TEST = 1e-6
@@ -78,25 +78,18 @@ class CosphericityResult:
 
 
 def _crossed_subdesigns(system: System):
-    """Yield (k, k', i, i', j, j') with all four treatments allowable."""
+    """Yield (k, k', i, i', j, j') with the first treatments of cells ij, ij', i'j, i'j'."""
     design = system.design
+    index = treatment_index(design)
     for k, k_prime in itertools.permutations(range(design.n), 2):
         for i, i_prime in itertools.combinations(design.inputs[k].levels, 2):
             for j, j_prime in itertools.combinations(design.inputs[k_prime].levels, 2):
-                cells = {}
-                ok = True
-                for a, b in itertools.product((i, i_prime), (j, j_prime)):
-                    found = [
-                        t
-                        for t in design.treatments
-                        if t[k] == a and t[k_prime] == b
-                    ]
-                    if not found:
-                        ok = False
-                        break
-                    cells[(a, b)] = found[0]
-                if ok:
-                    yield (k, k_prime, i, i_prime, j, j_prime), cells
+                found = [
+                    index.realizers((k, a), (k_prime, b))
+                    for a, b in itertools.product((i, i_prime), (j, j_prime))
+                ]
+                if all(found):
+                    yield (k, k_prime, i, i_prime, j, j_prime), [f[0] for f in found]
 
 
 def run_cosphericity(
@@ -116,17 +109,14 @@ def run_cosphericity(
         out_k, out_kp = design.outputs[k], design.outputs[k_prime]
         if not (out_k.has_numeric and out_kp.has_numeric):
             continue
+        coding = (out_k.numeric_value, out_kp.numeric_value)
         try:
-            rho = {}
-            for a, b in itertools.product((i, i_prime), (j, j_prime)):
-                pmf2 = marginalize(system.pmf(cells[(a, b)]), (k, k_prime))
-                rho[(a, b)] = correlation(
-                    pmf2, out_k.numeric_value, out_kp.numeric_value
-                )
+            r11, r12, r21, r22 = [
+                correlation(marginalize(system.pmf(t), (k, k_prime)), *coding)
+                for t in cells
+            ]
         except InapplicableError:
             continue
-        r11, r12 = rho[(i, j)], rho[(i, j_prime)]
-        r21, r22 = rho[(i_prime, j)], rho[(i_prime, j_prime)]
         lhs = abs(r11 * r12 - r21 * r22)
         rhs = math.sqrt(max(0.0, 1 - r11**2)) * math.sqrt(
             max(0.0, 1 - r12**2)

@@ -19,12 +19,14 @@ Two metric families are provided:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 from .errors import InapplicableError, UsageError
 from .marginal import check_marginal_selectivity
-from .model import Design, JointPmf, Level, System, Treatment, marginalize
+from .model import DESIGN_CACHE_SIZE, Design, JointPmf, Level, System, Treatment
+from .model import TreatmentIndex, marginalize, treatment_index
 from .report import CONSISTENT, INAPPLICABLE, RULED_OUT, TestReport
 
 MAX_SEQUENCE_LENGTH = 6
@@ -144,16 +146,6 @@ def pairwise_distance(
     return forward, backward
 
 
-def _realizing_treatments(
-    design: Design, a: SequenceElement, b: SequenceElement
-) -> list[Treatment]:
-    """All allowable treatments containing both (input, level) pairs."""
-    (k1, j1), (k2, j2) = a, b
-    return [
-        t for t in design.treatments if t[k1] == j1 and t[k2] == j2
-    ]
-
-
 def enumerate_test_sequences(
     design: Design, max_length: int = MAX_SEQUENCE_LENGTH
 ) -> list[tuple[tuple[SequenceElement, ...], tuple[Treatment, ...]]]:
@@ -167,46 +159,40 @@ def enumerate_test_sequences(
     housed in some allowable treatment).  Each sequence comes with its
     realizing treatments: closing first, then one per consecutive link, each
     the first matching treatment in declared order.
+
+    Chains are computed once per distinct (inputs, treatments, max_length)
+    and shared by every later call, battery members included; each call
+    returns a new list, which the caller owns.
     """
     if max_length < 3:
         raise UsageError("max_length must be at least 3")
-    n = design.n
+    index = treatment_index(design)
+    return list(_chains(index, design.is_fully_crossed(), max_length))
 
-    def first_realizer(a: SequenceElement, b: SequenceElement) -> Treatment | None:
-        found = _realizing_treatments(design, a, b)
-        return found[0] if found else None
+
+@functools.lru_cache(maxsize=DESIGN_CACHE_SIZE)
+def _chains(index: TreatmentIndex, fully_crossed: bool, max_length: int) -> tuple:
+    inputs = index.inputs
+
+    def realized(seq) -> tuple:
+        pairs = [(seq[0], seq[-1])] + list(zip(seq, seq[1:]))
+        return tuple(index.realizers(a, b)[0] for a, b in pairs)
 
     results = []
-    if design.is_fully_crossed():
-        if n < 2:
-            return []
-        for k, k_prime in itertools.permutations(range(n), 2):
-            levels_k = design.inputs[k].levels
-            levels_kp = design.inputs[k_prime].levels
-            for j1, j3 in itertools.permutations(levels_k, 2):
-                for j2, j4 in itertools.permutations(levels_kp, 2):
+    if fully_crossed:
+        for k, k_prime in itertools.permutations(range(len(inputs)), 2):
+            for j1, j3 in itertools.permutations(inputs[k].levels, 2):
+                for j2, j4 in itertools.permutations(inputs[k_prime].levels, 2):
                     seq = ((k, j1), (k_prime, j2), (k, j3), (k_prime, j4))
-                    links = [first_realizer(seq[i - 1], seq[i]) for i in range(1, 4)]
-                    closing = first_realizer(seq[0], seq[3])
-                    results.append((seq, (closing, *links)))
-        return results
+                    results.append((seq, realized(seq)))
+        return tuple(results)
 
-    elements = [
-        (k, level) for k in range(n) for level in design.inputs[k].levels
-    ]
-    edges: dict[SequenceElement, list[SequenceElement]] = {e: [] for e in elements}
-    for a, b in itertools.permutations(elements, 2):
-        if a[0] != b[0] and _realizing_treatments(design, a, b):
-            edges[a].append(b)
+    elements = [(k, level) for k in range(len(inputs)) for level in inputs[k].levels]
+    edges = {a: [b for b in elements if index.realizers(a, b)] for a in elements}
 
     def extend(seq: list[SequenceElement]):
-        if 3 <= len(seq) <= max_length and seq[0] != seq[-1]:
-            closing = first_realizer(seq[0], seq[-1])
-            if closing is not None:
-                links = tuple(
-                    first_realizer(seq[i - 1], seq[i]) for i in range(1, len(seq))
-                )
-                results.append((tuple(seq), (closing, *links)))
+        if 3 <= len(seq) <= max_length and index.realizers(seq[0], seq[-1]):
+            results.append((tuple(seq), realized(seq)))
         if len(seq) == max_length:
             return
         for nxt in edges[seq[-1]]:
@@ -216,7 +202,7 @@ def enumerate_test_sequences(
 
     for start in elements:
         extend([start])
-    return results
+    return tuple(results)
 
 
 def run_distance_test(
@@ -247,6 +233,7 @@ def run_distance_test(
     ms = check_marginal_selectivity(system, min(2, max(1, design.n - 1)))
     treatment_dependent = not ms.passed
 
+    index = treatment_index(design)
     cache: dict[tuple, float] = {}
 
     def dist(k_from: int, k_to: int, treatment: Treatment) -> float:
@@ -259,9 +246,7 @@ def run_distance_test(
     def link_distance(a: SequenceElement, b: SequenceElement, default: Treatment, best: str):
         if not treatment_dependent:
             return dist(a[0], b[0], default), default
-        values = [
-            (dist(a[0], b[0], t), t) for t in _realizing_treatments(design, a, b)
-        ]
+        values = [(dist(a[0], b[0], t), t) for t in index.realizers(a, b)]
         pick = max if best == "max" else min
         return pick(values, key=lambda v: v[0])
 

@@ -29,6 +29,34 @@ def _number(raw: Any, where: str) -> float:
         raise UsageError(f"{where}: cannot parse {raw!r} as a probability") from None
 
 
+def _list(raw: Any, where: str) -> list:
+    if not isinstance(raw, (list, tuple)):
+        raise UsageError(f"{where}: expected a list, got {raw!r}")
+    return raw
+
+
+def _object(raw: Any, where: str) -> dict:
+    if not isinstance(raw, dict):
+        raise UsageError(f"{where}: expected an object, got {raw!r}")
+    return raw
+
+
+def _labels(raw: Any, where: str) -> tuple:
+    """Declared labels: a list of JSON scalars (string, number, boolean or null)."""
+    for j, item in enumerate(_list(raw, where)):
+        if item is not None and not isinstance(item, (str, int, float)):
+            raise UsageError(
+                f"{where}[{j}]: expected a string, number, boolean or null, got {item!r}"
+            )
+    return tuple(raw)
+
+
+def _name(raw: Any, where: str) -> str:
+    if not isinstance(raw, str):
+        raise UsageError(f"{where}: expected a string, got {raw!r}")
+    return raw
+
+
 def resolve_label(candidates, raw, where: str):
     """Match a raw JSON label to a declared one, falling back to str equality."""
     if raw in candidates:
@@ -39,9 +67,10 @@ def resolve_label(candidates, raw, where: str):
     raise UsageError(f"{where}: unknown label {raw!r} (declared: {list(candidates)})")
 
 
-def _parse_output(entry: dict, where: str) -> OutputSpec:
+def _parse_output(entry: Any, where: str) -> OutputSpec:
+    _object(entry, where)
     values, numeric = [], []
-    for i, item in enumerate(entry.get("values", [])):
+    for i, item in enumerate(_list(entry.get("values", []), f"{where}.values")):
         if isinstance(item, dict):
             if "label" not in item:
                 raise UsageError(f"{where}.values[{i}]: missing 'label'")
@@ -55,7 +84,8 @@ def _parse_output(entry: dict, where: str) -> OutputSpec:
             values.append(item)
             numeric.append(None)
     payloads = tuple(numeric) if any(x is not None for x in numeric) else None
-    return OutputSpec(entry.get("name", ""), tuple(values), payloads)
+    name = _name(entry.get("name", ""), f"{where}.name")
+    return OutputSpec(name, _labels(values, f"{where}.values"), payloads)
 
 
 def system_from_dict(doc: dict) -> System:
@@ -67,23 +97,30 @@ def system_from_dict(doc: dict) -> System:
             raise UsageError(f"missing top-level key {key!r}")
 
     inputs = []
-    for i, entry in enumerate(doc["inputs"]):
-        if "name" not in entry or "levels" not in entry:
-            raise UsageError(f"inputs[{i}]: need 'name' and 'levels'")
-        inputs.append(InputSpec(entry["name"], tuple(entry["levels"])))
+    for i, entry in enumerate(_list(doc["inputs"], "inputs")):
+        where = f"inputs[{i}]"
+        if "name" not in _object(entry, where) or "levels" not in entry:
+            raise UsageError(f"{where}: need 'name' and 'levels'")
+        inputs.append(
+            InputSpec(
+                _name(entry["name"], f"{where}.name"),
+                _labels(entry["levels"], f"{where}.levels"),
+            )
+        )
     outputs = [
-        _parse_output(entry, f"outputs[{i}]") for i, entry in enumerate(doc["outputs"])
+        _parse_output(entry, f"outputs[{i}]")
+        for i, entry in enumerate(_list(doc["outputs"], "outputs"))
     ]
     if len(inputs) != len(outputs):
         raise UsageError("inputs and outputs must have equal length (index-paired)")
     names = [spec.name for spec in inputs]
 
     treatments, distributions = [], {}
-    for ti, entry in enumerate(doc["treatments"]):
+    for ti, entry in enumerate(_list(doc["treatments"], "treatments")):
         where = f"treatments[{ti}]"
-        if "levels" not in entry or "pmf" not in entry:
+        if "levels" not in _object(entry, where) or "pmf" not in entry:
             raise UsageError(f"{where}: need 'levels' and 'pmf'")
-        levels = entry["levels"]
+        levels = _object(entry["levels"], f"{where}.levels")
         if set(levels) != set(names):
             raise UsageError(
                 f"{where}.levels: must assign every input ({names}), got {sorted(levels)}"
@@ -93,12 +130,12 @@ def system_from_dict(doc: dict) -> System:
             for spec in inputs
         )
         table: dict[tuple, float] = {}
-        for ci, cell in enumerate(entry["pmf"]):
+        for ci, cell in enumerate(_list(entry["pmf"], f"{where}.pmf")):
             cwhere = f"{where}.pmf[{ci}]"
-            if "tuple" not in cell or "p" not in cell:
+            if "tuple" not in _object(cell, cwhere) or "p" not in cell:
                 raise UsageError(f"{cwhere}: need 'tuple' and 'p'")
-            if len(cell["tuple"]) != len(outputs):
-                raise UsageError(f"{cwhere}.tuple: expected {len(outputs)} labels")
+            if not isinstance(cell["tuple"], list) or len(cell["tuple"]) != len(outputs):
+                raise UsageError(f"{cwhere}.tuple: expected a list of {len(outputs)} labels")
             key = tuple(
                 resolve_label(out.values, raw, f"{cwhere}.tuple[{k}]")
                 for k, (out, raw) in enumerate(zip(outputs, cell["tuple"]))
@@ -146,26 +183,25 @@ def system_to_dict(system: System) -> dict:
 
 def rt_from_dict(doc: dict) -> RtSystem:
     """Parse the optional 'rt' block into an RtSystem."""
-    if "grid" not in doc or "cdfs" not in doc:
+    if "grid" not in _object(doc, "rt") or "cdfs" not in doc:
         raise UsageError("rt: need 'grid' and 'cdfs'")
     cdfs = {}
-    for key, values in doc["cdfs"].items():
+    for key, values in _object(doc["cdfs"], "rt.cdfs").items():
         parts = [p.strip() for p in str(key).split(",")]
         if len(parts) != 2 or not all(p in ("1", "2") for p in parts):
             raise UsageError(f"rt.cdfs: key {key!r} must be 'i,j' with i,j in 1..2")
         cdfs[(int(parts[0]), int(parts[1]))] = [
-            _number(v, f"rt.cdfs[{key}]") for v in values
+            _number(v, f"rt.cdfs[{key}]") for v in _list(values, f"rt.cdfs[{key}]")
         ]
     return RtSystem(
-        [_number(v, "rt.grid") for v in doc["grid"]],
+        [_number(v, "rt.grid") for v in _list(doc["grid"], "rt.grid")],
         cdfs,
     )
 
 
 def transforms_from_file(path: str, design: Design) -> list[TransformSpec]:
     """Parse a list of transform specs against a concrete design."""
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = load_document(path)
     if not isinstance(doc, list):
         raise UsageError("transforms file must contain a list of transform specs")
     by_name = {out.name: k for k, out in enumerate(design.outputs)}
@@ -173,11 +209,13 @@ def transforms_from_file(path: str, design: Design) -> list[TransformSpec]:
     for si, entry in enumerate(doc):
         where = f"transforms[{si}]"
         per_output: dict[int, OutputTransform] = {}
-        for oi, oentry in enumerate(entry.get("outputs", [])):
+        outputs = _list(_object(entry, where).get("outputs", []), f"{where}.outputs")
+        for oi, oentry in enumerate(outputs):
             owhere = f"{where}.outputs[{oi}]"
-            if oentry.get("output") not in by_name:
-                raise UsageError(f"{owhere}: unknown output {oentry.get('output')!r}")
-            k = by_name[oentry["output"]]
+            output = _object(oentry, owhere).get("output")
+            if not isinstance(output, str) or output not in by_name:
+                raise UsageError(f"{owhere}: unknown output {output!r}")
+            k = by_name[output]
             source = design.outputs[k]
             if "values" not in oentry:
                 raise UsageError(f"{owhere}: need 'values' (the target value set)")
@@ -185,7 +223,9 @@ def transforms_from_file(path: str, design: Design) -> list[TransformSpec]:
                 {"name": source.name, "values": oentry["values"]}, owhere
             )
             raw_maps = (
-                {None: oentry["map"]} if "map" in oentry else oentry.get("maps", {})
+                {None: oentry["map"]}
+                if "map" in oentry
+                else _object(oentry.get("maps", {}), f"{owhere}.maps")
             )
             if not raw_maps:
                 raise UsageError(f"{owhere}: need 'map' or 'maps'")
@@ -202,7 +242,7 @@ def transforms_from_file(path: str, design: Design) -> list[TransformSpec]:
                     resolve_label(source.values, old, f"{owhere}.map"): resolve_label(
                         target.values, new, f"{owhere}.map"
                     )
-                    for old, new in mapping.items()
+                    for old, new in _object(mapping, f"{owhere}.map").items()
                 }
             per_output[k] = OutputTransform(target, maps)
         missing = [k for k in range(design.n) if k not in per_output]
@@ -212,7 +252,7 @@ def transforms_from_file(path: str, design: Design) -> list[TransformSpec]:
         specs.append(
             TransformSpec(
                 tuple(per_output[k] for k in range(design.n)),
-                name=entry.get("name", f"transform-{si}"),
+                name=_name(entry.get("name", f"transform-{si}"), f"{where}.name"),
             )
         )
     return specs

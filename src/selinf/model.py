@@ -13,6 +13,7 @@ only the point masses are stored.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -22,6 +23,9 @@ from .errors import UsageError
 
 #: Default tolerance for probability-mass bookkeeping.
 EPS_PROB = 1e-9
+
+#: Distinct designs whose derived lookups (index, chains) are kept.
+DESIGN_CACHE_SIZE = 8
 
 Level = Hashable
 Value = Hashable
@@ -141,6 +145,38 @@ class Design:
     def outcome_tuples(self) -> Iterable[tuple[Value, ...]]:
         """All output-value tuples in lexicographic declared-value order."""
         return itertools.product(*(o.values for o in self.outputs))
+
+
+class TreatmentIndex:
+    """Allowable treatments by the (input, level) pairs they contain.
+
+    ``realizers(a, b)`` gives, in declared order, the treatments housing
+    both ``a = (k, level)`` and ``b = (k', level')`` with k != k'; empty
+    when none does.  Obtain one through ``treatment_index``.
+    """
+
+    def __init__(self, inputs: tuple[InputSpec, ...], treatments: tuple[Treatment, ...]):
+        self.inputs = inputs
+        self._pairs: dict[tuple, tuple[Treatment, ...]] = {}
+        for t in treatments:
+            for k, k_prime in itertools.permutations(range(len(inputs)), 2):
+                key = ((k, t[k]), (k_prime, t[k_prime]))
+                self._pairs[key] = self._pairs.get(key, ()) + (t,)
+
+    def realizers(self, a: tuple[int, Level], b: tuple[int, Level]) -> tuple[Treatment, ...]:
+        return self._pairs.get((a, b), ())
+
+
+def treatment_index(design: Design) -> TreatmentIndex:
+    """The index of ``design``, built once per distinct (inputs, treatments);
+    the key's repr keeps equal labels of different types (1, 1.0) apart."""
+    key = (design.inputs, design.treatments)
+    return _treatment_index(*key, repr(key))
+
+
+@functools.lru_cache(maxsize=DESIGN_CACHE_SIZE)
+def _treatment_index(inputs, treatments, _labels: str) -> TreatmentIndex:
+    return TreatmentIndex(inputs, treatments)
 
 
 @dataclass(frozen=True)

@@ -65,6 +65,39 @@ def test_malformed_json_exit_two_with_location(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+def _set(*path_and_value):
+    """Edit that sets doc[path...] = value, creating nothing."""
+    *path, key, value = path_and_value
+
+    def edit(doc):
+        for step in path:
+            doc = doc[step]
+        doc[key] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, where",
+    [
+        (_set("inputs", 5), "inputs"),
+        (_set("outputs", 0, "values", 5), "outputs[0].values"),
+        (_set("inputs", 0, "levels", [[1], [2]]), "inputs[0].levels[0]"),
+        (_set("inputs", 0, "name", ["l1"]), "inputs[0].name"),
+        (_set("rt", 5), "rt"),
+        (_set("rt", {"grid": [0, 1], "cdfs": [[0, 1]]}), "rt.cdfs"),
+        (_set("treatments", 0, "pmf", 0, "tuple", 5), "treatments[0].pmf[0].tuple"),
+    ],
+)
+def test_malformed_document_exit_two_with_path(tmp_path, capsys, edit, where):
+    doc = system_to_dict(feasible_binary_system())
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main([str(path)]) == 2
+    assert f"error: {where}: " in capsys.readouterr().err
+
+
 def test_unknown_test_name_exit_two(tmp_path, capsys):
     path = write_system(tmp_path, feasible_binary_system())
     assert main([path, "--tests", "nonsense"]) == 2

@@ -1,5 +1,7 @@
 """Correlation computation and the cosphericity inequality."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from fixtures import (
     random_selective_system,
     squash_five_transform,
 )
+from selinf.cosphericity import _crossed_subdesigns
 from selinf import (
     Design,
     InapplicableError,
@@ -105,6 +108,48 @@ class TestRunCosphericity:
         )
         assert run_cosphericity(system) == []
         assert cosphericity_report(system).verdict == "inapplicable"
+
+    def test_partial_3x3_design_matches_a_brute_force_scan(self):
+        rng = np.random.default_rng(3)
+        levels = (1, 2, 3)
+        dropped = {(1, 1), (3, 3)}
+        design = Design(
+            (InputSpec("l1", levels), InputSpec("l2", levels)),
+            (
+                OutputSpec("A1", (0, 1), (0.0, 1.0)),
+                OutputSpec("A2", (0, 1), (0.0, 1.0)),
+            ),
+            tuple(t for t in itertools.product(levels, levels) if t not in dropped),
+        )
+        keys = list(itertools.product((0, 1), (0, 1)))
+        system = System(
+            design,
+            {
+                t: JointPmf(2, dict(zip(keys, map(float, rng.dirichlet(np.ones(4))))))
+                for t in design.treatments
+            },
+        )
+        expected = []
+        for k, kp in itertools.permutations(range(2), 2):
+            for i, ip in itertools.combinations(levels, 2):
+                for j, jp in itertools.combinations(levels, 2):
+                    found = [
+                        [t for t in design.treatments if t[k] == a and t[kp] == b]
+                        for a, b in itertools.product((i, ip), (j, jp))
+                    ]
+                    if all(found):
+                        expected.append(((k, kp, i, ip, j, jp), [f[0] for f in found]))
+        assert expected and len(expected) < 2 * 3 * 3  # some sub-designs drop out
+        assert list(_crossed_subdesigns(system)) == expected
+        results = run_cosphericity(system)
+        assert [r.subdesign for r in results] == [sub for sub, _ in expected]
+        for r, (sub, cells) in zip(results, expected):
+            k, kp = sub[:2]
+            rho = tuple(
+                correlation(marginalize(system.pmf(t), (k, kp)), _ident, _ident)
+                for t in cells
+            )
+            assert r.rho == rho
 
     def test_affine_payload_changes_leave_verdicts_alone(self):
         base = cosphericity_system()

@@ -31,6 +31,17 @@ from selinf import (
 D1 = PowerMetric(1.0)
 
 
+def scan_realizers(design, a, b):
+    """Reference scan: allowable treatments housing both elements, in order."""
+    return [t for t in design.treatments if a[0] != b[0] and t[a[0]] == a[1] and t[b[0]] == b[1]]
+
+
+def assert_first_realizers(design, sequences):
+    for seq, realizers in sequences:
+        pairs = [(seq[0], seq[-1])] + list(zip(seq, seq[1:]))
+        assert list(realizers) == [scan_realizers(design, a, b)[0] for a, b in pairs]
+
+
 class TestPairwiseDistance:
     def test_d1_tables(self):
         system = d1_system()
@@ -184,12 +195,65 @@ class TestEnumerate:
         )
         sequences = enumerate_test_sequences(design, max_length=4)
         assert sequences
-        for seq, realizers in enumerate_test_sequences(design, max_length=4):
-            closing, *links = realizers
-            pairs = [(seq[0], seq[-1])] + list(zip(seq, seq[1:]))
-            for (a, b), t in zip(pairs, [closing] + links):
-                assert t in design.treatments
-                assert t[a[0]] == a[1] and t[b[0]] == b[1]
+        assert_first_realizers(design, sequences)
+        # Random designs, against a brute-force scan of the same conditions.
+        rng = np.random.default_rng(5)
+        partial = 0
+        while partial < 8:
+            design = random_selective_system(rng, allow_partial=True).design
+            sequences = enumerate_test_sequences(design, max_length=4)
+            assert_first_realizers(design, sequences)
+            if design.is_fully_crossed():
+                continue
+            partial += 1
+            # Every realizable sequence of length 3..4, each exactly once.
+            elements = [(k, j) for k in range(design.n) for j in design.inputs[k].levels]
+            expected = {
+                seq
+                for length in (3, 4)
+                for seq in itertools.product(elements, repeat=length)
+                if seq[0] != seq[-1]
+                and all(
+                    scan_realizers(design, a, b)
+                    for a, b in [(seq[0], seq[-1])] + list(zip(seq, seq[1:]))
+                )
+            }
+            assert len(sequences) == len(expected)
+            assert {seq for seq, _ in sequences} == expected
+
+    def test_returned_list_belongs_to_the_caller(self):
+        design = d1_system().design
+        first = enumerate_test_sequences(design)
+        expected = list(first)
+        first.clear()
+        first.append("junk")
+        again = enumerate_test_sequences(design)
+        assert again == expected and again is not first
+
+    @pytest.mark.parametrize("casts", [(int, float), (float, int)])
+    def test_equal_labels_of_another_type_get_their_own_results(self, casts):
+        # The grouped band system fails the p=1 test; the same system with
+        # levels 1.0, 2.0 compares equal label by label but must keep floats.
+        grouped = apply_transform(d1_system(), d1_grouping_transform())
+        for cast in casts:
+            design = grouped.design
+            relabeled = Design(
+                tuple(
+                    InputSpec(f"{spec.name}-{casts[0].__name__}", tuple(map(cast, spec.levels)))
+                    for spec in design.inputs
+                ),
+                design.outputs,
+                tuple(tuple(map(cast, t)) for t in design.treatments),
+            )
+            system = System(
+                relabeled,
+                {tuple(map(cast, t)): pmf for t, pmf in grouped.distributions.items()},
+            )
+            for seq, realizers in enumerate_test_sequences(relabeled):
+                assert {type(level) for _, level in seq} == {cast}
+                assert {type(level) for t in realizers for level in t} == {cast}
+            witness = run_distance_test(system, D1).witness
+            assert {type(level) for t in witness.treatments for level in t} == {cast}
 
     def test_max_length_below_three_is_usage_error(self):
         with pytest.raises(UsageError):
