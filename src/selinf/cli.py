@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Any
 
+from . import cosphericity, feasibility, marginal, model
 from . import io as sio
 from .architectures import classify_architecture, interaction_contrast
 from .cosphericity import cosphericity_report
@@ -26,6 +28,7 @@ from .transforms import generate_battery, run_battery
 
 SCHEMA = "selinf-report/1"
 TEST_ORDER = ("marginal", "lp", "fine", "distance", "cosphericity", "battery", "contrast")
+TOLERANCES = ("eps_prob", "eps_test", "eps_lp", "eps_cospherical")
 
 
 def parse_metric(raw: str, system: System | None) -> MetricSpec:
@@ -84,14 +87,10 @@ def _witness_json(report: TestReport) -> Any:
     if w is None:
         return None
     if hasattr(w, "q"):  # coupling witness
-        fs = report.details.get("fs")
         return {
             "residual": w.residual,
             "q": [
-                {
-                    "assignment": list(fs.col_labels[i]) if fs is not None else int(i),
-                    "p": float(v),
-                }
+                {"assignment": list(w.col_labels[i]), "p": float(v)}
                 for i, v in enumerate(w.q)
                 if v > 0
             ],
@@ -212,13 +211,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="distance metric: 'power:p=<x>' or 'class:<v,v|v;...>' (repeatable)",
     )
     parser.add_argument("--transforms", help="path to a JSON battery of transforms")
-    parser.add_argument("--eps-prob", type=float, default=1e-9)
-    parser.add_argument("--eps-test", type=float, default=1e-9)
-    parser.add_argument("--eps-lp", type=float, default=1e-8)
+    parser.add_argument("--eps-prob", type=float, default=model.EPS_PROB)
+    parser.add_argument("--eps-test", type=float, default=marginal.EPS_TEST)
+    parser.add_argument("--eps-lp", type=float, default=feasibility.EPS_LP)
     parser.add_argument(
         "--eps-cospherical",
         type=float,
-        default=1e-6,
+        default=cosphericity.EPS_TEST,
         help="tolerance for the correlation inequality",
     )
     parser.add_argument(
@@ -248,14 +247,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(args) -> int:
-    for name, value in (
-        ("--eps-prob", args.eps_prob),
-        ("--eps-test", args.eps_test),
-        ("--eps-lp", args.eps_lp),
-        ("--eps-cospherical", args.eps_cospherical),
-    ):
-        if value <= 0:
-            raise UsageError(f"{name} must be positive")
+    for name in TOLERANCES:
+        value = getattr(args, name)
+        if not (math.isfinite(value) and value > 0):
+            flag = "--" + name.replace("_", "-")
+            raise UsageError(f"{flag} must be positive and finite, got {value}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be non-negative, got {args.seed}")
 
     doc = sio.load_document(args.input)
     if not isinstance(doc, dict):
@@ -291,8 +289,11 @@ def _run(args) -> int:
         if system is None:
             raise UsageError("--dump-matrix needs a system input")
         fs = build_feasibility_system(system)
-        with open(args.dump_matrix, "w", encoding="utf-8") as fh:
-            fh.write(fs.format_grid() + "\n")
+        try:
+            with open(args.dump_matrix, "w", encoding="utf-8") as fh:
+                fh.write(fs.format_grid() + "\n")
+        except OSError as exc:
+            raise UsageError(f"{args.dump_matrix}: {exc.strerror}") from None
 
     reports = run_tests(args, system, rt)
     ruled_out = any(r.verdict == RULED_OUT for r in reports)
@@ -303,12 +304,7 @@ def _run(args) -> int:
             "schema": SCHEMA,
             "input": args.input,
             "seed": args.seed,
-            "tolerances": {
-                "eps_prob": args.eps_prob,
-                "eps_test": args.eps_test,
-                "eps_lp": args.eps_lp,
-                "eps_cospherical": args.eps_cospherical,
-            },
+            "tolerances": {name: getattr(args, name) for name in TOLERANCES},
             "tests": [
                 {
                     "name": r.test,

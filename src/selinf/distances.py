@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import InapplicableError, UsageError
-from .marginal import check_marginal_selectivity
+from .marginal import EPS_TEST, check_marginal_selectivity
 from .model import DESIGN_CACHE_SIZE, Design, JointPmf, Level, System, Treatment
 from .model import TreatmentIndex, marginalize, treatment_index
 from .report import CONSISTENT, INAPPLICABLE, RULED_OUT, TestReport
@@ -209,7 +209,7 @@ def run_distance_test(
     system: System,
     metric: MetricSpec,
     max_length: int = MAX_SEQUENCE_LENGTH,
-    eps_test: float = 1e-9,
+    eps_test: float = EPS_TEST,
 ) -> TestReport:
     """Check every enumerated chain inequality; report the worst violation.
 

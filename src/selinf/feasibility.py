@@ -13,6 +13,8 @@ purely from the design:
 
 The solver is a dense phase-I simplex (artificial variables, Bland's rule):
 the matrices are small, exactly 0/1, and robustness matters more than speed.
+A design whose float64 tableau, rows x (columns + rows + 1) x 8 bytes, would
+exceed ``TABLEAU_BYTE_CAP`` raises CapacityError: decompose the design.
 For the two-binary-inputs / two-binary-outputs design the same feasible set
 is described in closed form by the Bell/CHSH/Fine inequalities, implemented
 here as an independent cross-check of the solver.
@@ -21,18 +23,20 @@ here as an independent cross-check of the solver.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import CapacityError, SolverError, UsageError
-from .marginal import check_marginal_selectivity
+from .marginal import EPS_TEST, check_marginal_selectivity
 from .model import JointPmf, Level, System, Treatment, validate_system
 from .report import CONSISTENT, INAPPLICABLE, RULED_OUT, TestReport
 
 EPS_LP = 1e-8
 PIVOT_TOL = 1e-10
-COLUMN_CAP = 10**7
+#: Largest phase-I tableau, in bytes, that the solver will allocate.
+TABLEAU_BYTE_CAP = 2**30
 
 
 @dataclass(frozen=True)
@@ -109,10 +113,11 @@ class FeasibilitySystem:
 
 @dataclass(frozen=True)
 class CouplingWitness:
-    """A validated coupling pmf: q >= 0 (clipped), sums to 1, M q = p."""
+    """A validated coupling pmf over ``col_labels``: q >= 0 (clipped), sums to 1, M q = p."""
 
     q: np.ndarray
     residual: float
+    col_labels: tuple[tuple, ...] = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -122,10 +127,9 @@ class LpVerdict:
     iterations: int
 
 
-def build_feasibility_system(
-    system: System, column_cap: int = COLUMN_CAP
-) -> FeasibilitySystem:
-    """Construct M and p for ``system``; fails loudly above ``column_cap``."""
+def build_feasibility_system(system: System) -> FeasibilitySystem:
+    """Construct M and p for ``system``; CapacityError, raised before any
+    per-column array exists, when the tableau would exceed TABLEAU_BYTE_CAP."""
     violations = validate_system(system)
     if violations:
         raise UsageError("invalid system: " + "; ".join(violations[:3]))
@@ -137,41 +141,39 @@ def build_feasibility_system(
         for level in spec.levels
     )
     coord_values = [design.outputs[k].values for k, _ in coords]
-    n_cols = 1
-    for values in coord_values:
-        n_cols *= len(values)
-        if n_cols > column_cap:
-            raise CapacityError(
-                f"coupling space exceeds {column_cap} columns; decompose the "
-                "design (drop inputs or group output values) before testing"
-            )
+    grid = tuple(len(values) for values in coord_values)
+    outcome_shape = tuple(len(out.values) for out in design.outputs)
+    block = math.prod(outcome_shape)
+    n_rows = len(design.treatments) * block
+    tableau_bytes = n_rows * (math.prod(grid) + n_rows + 1) * 8
+    if tableau_bytes > TABLEAU_BYTE_CAP:
+        raise CapacityError(
+            f"phase-I tableau needs {tableau_bytes} bytes, over {TABLEAU_BYTE_CAP}; "
+            "decompose the design (drop inputs or group output values) before testing"
+        )
 
-    outcomes = list(design.outcome_tuples())
-    outcome_rank = {o: i for i, o in enumerate(outcomes)}
-    block = len(outcomes)
     row_labels = tuple(
-        (t, o) for t in design.treatments for o in outcomes
+        (t, o) for t in design.treatments for o in design.outcome_tuples()
     )
     p = np.array(
         [system.pmf(t).mass(o) for t, o in row_labels], dtype=np.float64
     )
 
-    coord_index = {c: i for i, c in enumerate(coords)}
-    selectors = [
-        [coord_index[(k, t[k])] for k in range(design.n)]
-        for t in design.treatments
-    ]
     col_labels = tuple(itertools.product(*coord_values))
-    matrix = np.zeros((len(row_labels), n_cols), dtype=np.int8)
-    for j, assignment in enumerate(col_labels):
-        for b, sel in enumerate(selectors):
-            induced = tuple(assignment[s] for s in sel)
-            matrix[b * block + outcome_rank[induced], j] = 1
+    # Columns are the coupling grid in C order; in column j, treatment t's
+    # block has its 1 at the outcome-grid position of t's coordinates' values.
+    value_index = dict(zip(coords, np.indices(grid, sparse=True)))
+    cols = np.arange(len(col_labels))
+    matrix = np.zeros((n_rows, len(col_labels)), dtype=np.int8)
+    for b, t in enumerate(design.treatments):
+        selected = [value_index[(k, level)] for k, level in enumerate(t)]
+        outcome = np.ravel_multi_index(selected, outcome_shape)
+        matrix[b * block + np.broadcast_to(outcome, grid).ravel(), cols] = 1
     return FeasibilitySystem(system, coords, row_labels, col_labels, matrix, p)
 
 
 def _phase1_simplex(
-    a: np.ndarray, b: np.ndarray, pivot_tol: float, max_iter: int
+    a: np.ndarray, b: np.ndarray, max_iter: int
 ) -> tuple[float, np.ndarray, int]:
     """Minimize the sum of artificials for a x = b, x >= 0.
 
@@ -180,23 +182,21 @@ def _phase1_simplex(
     iteration cap only guards against oversized instances.
     """
     m, n = a.shape
-    a = a.astype(np.float64, copy=True)
-    b = b.astype(np.float64, copy=True)
-    neg = b < 0
-    a[neg] *= -1.0
-    b[neg] *= -1.0
-
-    tableau = np.hstack([a, np.eye(m), b[:, None]])
+    tableau = np.zeros((m, n + m + 1))
+    tableau[:, :n] = a
+    tableau[:, -1] = b
+    tableau[b < 0] *= -1.0
+    tableau[np.arange(m), n + np.arange(m)] = 1.0
     basis = np.arange(n, n + m)
     # Reduced costs for min(sum of artificials) with the artificial basis.
     cost = np.zeros(n + m + 1)
-    cost[:n] = -a.sum(axis=0)
-    cost[-1] = -b.sum()
+    cost[:n] = -tableau[:, :n].sum(axis=0)
+    cost[-1] = -tableau[:, -1].sum()
 
     iterations = 0
     while True:
         # Bland: smallest eligible index enters; artificials never re-enter.
-        eligible = np.nonzero(cost[:n] < -pivot_tol)[0]
+        eligible = np.nonzero(cost[:n] < -PIVOT_TOL)[0]
         if eligible.size == 0:
             break
         entering = int(eligible[0])
@@ -205,12 +205,12 @@ def _phase1_simplex(
             raise SolverError(f"phase-I simplex exceeded {max_iter} iterations")
 
         col = tableau[:, entering]
-        rows = np.nonzero(col > pivot_tol)[0]
+        rows = np.nonzero(col > PIVOT_TOL)[0]
         if rows.size == 0:
             raise SolverError("phase-I objective unbounded; matrix is malformed")
         ratios = tableau[rows, -1] / col[rows]
         best = ratios.min()
-        ties = rows[ratios <= best + pivot_tol]
+        ties = rows[ratios <= best + PIVOT_TOL]
         leaving = int(ties[np.argmin(basis[ties])])
 
         pivot_row = tableau[leaving] / tableau[leaving, entering]
@@ -244,26 +244,24 @@ def make_witness(
     residual = float(np.abs(fs.matrix.astype(np.float64) @ q - fs.p).max())
     if residual > eps_lp:
         raise UsageError(f"witness residual {residual:.3g} exceeds {eps_lp}")
-    return CouplingWitness(q, residual)
+    return CouplingWitness(q, residual, fs.col_labels)
 
 
 def solve_feasibility(
     fs: FeasibilitySystem,
     eps_lp: float = EPS_LP,
-    pivot_tol: float = PIVOT_TOL,
     max_iter: int | None = None,
 ) -> LpVerdict:
     """Decide M q = p, q >= 0 by phase-I simplex; return a witness if feasible.
 
     Redundant rows are kept as-is; the artificial basis absorbs rank
-    deficiency.  Infeasible means the phase-I optimum exceeds eps_lp.
+    deficiency.  Infeasible means the phase-I optimum exceeds ``eps_lp``;
+    more than ``max_iter`` pivots (default 50 (rows + cols) + 1000) raise SolverError.
     """
     m, n = fs.matrix.shape
     if max_iter is None:
         max_iter = 50 * (m + n) + 1000
-    optimum, q, iterations = _phase1_simplex(
-        fs.matrix.astype(np.float64), fs.p, pivot_tol, max_iter
-    )
+    optimum, q, iterations = _phase1_simplex(fs.matrix, fs.p, max_iter)
     if optimum > eps_lp:
         return LpVerdict(False, None, iterations)
     return LpVerdict(True, make_witness(fs, q, eps_lp), iterations)
@@ -303,7 +301,7 @@ class FineViolation:
     excess: float
 
 
-def fine_inequality_check(system: System, eps_test: float = 1e-9) -> TestReport:
+def fine_inequality_check(system: System, eps_test: float = EPS_TEST) -> TestReport:
     """Closed-form feasibility check for the 2x2 binary fully crossed design.
 
     Evaluates 0 <= p(i.) + p(.j) + p(i'j') - p(ij) - p(ij') - p(i'j) <= 1
@@ -380,11 +378,11 @@ def lp_report(system: System, eps_lp: float = EPS_LP) -> TestReport:
             f"feasible in {verdict.iterations} iterations "
             f"(residual {verdict.witness.residual:.2g})",
             witness=verdict.witness,
-            details={"iterations": verdict.iterations, "fs": fs},
+            details={"iterations": verdict.iterations},
         )
     return TestReport(
         "lp",
         RULED_OUT,
         f"no nonnegative coupling pmf exists ({verdict.iterations} iterations)",
-        details={"iterations": verdict.iterations, "fs": fs},
+        details={"iterations": verdict.iterations},
     )

@@ -1,5 +1,6 @@
 """CLI contract: exit codes, report determinism, round-trips, parsing."""
 
+import itertools
 import json
 
 import pytest
@@ -104,9 +105,33 @@ def test_unknown_test_name_exit_two(tmp_path, capsys):
     assert "unknown tests" in capsys.readouterr().err
 
 
-def test_nonpositive_tolerance_exit_two(tmp_path, capsys):
-    path = write_system(tmp_path, feasible_binary_system())
-    assert main([path, "--eps-lp", "0"]) == 2
+@pytest.mark.parametrize(
+    "flag, value",
+    itertools.product(
+        ("--eps-prob", "--eps-test", "--eps-lp", "--eps-cospherical"),
+        ("0", "-1", "nan", "inf"),
+    ),
+    ids=lambda x: x,
+)
+def test_invalid_tolerance_exit_two(tmp_path, capsys, flag, value):
+    # The band fixture is ruled out, so a tolerance that slipped through
+    # would exit 1 rather than 2.
+    path = write_system(tmp_path, d1_system())
+    assert main([path, flag, value]) == 2
+    assert f"error: {flag} must be positive and finite" in capsys.readouterr().err
+
+
+def test_negative_seed_exit_two(tmp_path, capsys):
+    path = write_system(tmp_path, d1_system())
+    assert main([path, "--tests", "battery", "--seed", "-1"]) == 2
+    assert "error: --seed must be non-negative" in capsys.readouterr().err
+
+
+def test_dump_matrix_to_missing_directory_exit_two(tmp_path, capsys):
+    path = write_system(tmp_path, d1_system())
+    target = tmp_path / "missing" / "matrix.txt"
+    assert main([path, "--tests", "lp", "--dump-matrix", str(target)]) == 2
+    assert f"error: {target}: " in capsys.readouterr().err
 
 
 def test_round_trip_preserves_verdicts(tmp_path):

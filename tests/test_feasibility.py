@@ -1,6 +1,7 @@
 """Feasibility system construction, the simplex, and the closed-form check."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -31,7 +32,9 @@ from selinf import (
     apply_transform,
     build_feasibility_system,
     extract_coupling_marginals,
+    feasibility,
     fine_inequality_check,
+    lp_report,
     make_witness,
     marginalize,
     solve_feasibility,
@@ -68,6 +71,21 @@ def golden_matrix() -> np.ndarray:
     return np.array(
         [[1 if ch == "1" else 0 for ch in row] for row in GOLDEN_ROWS], dtype=np.int8
     )
+
+
+def uniform_system(design: Design) -> System:
+    """Every treatment spreads its mass evenly over all outcome tuples."""
+    outcomes = list(design.outcome_tuples())
+    return system_from_tables(
+        design, {t: {o: 1 / len(outcomes) for o in outcomes} for t in design.treatments}
+    )
+
+
+def crossed(levels, values) -> Design:
+    """Fully crossed design; input k has levels[k] levels, output k values[k] values."""
+    inputs = tuple(InputSpec(f"l{k + 1}", tuple(range(1, m + 1))) for k, m in enumerate(levels))
+    outputs = tuple(OutputSpec(f"A{k + 1}", tuple(range(v))) for k, v in enumerate(values))
+    return Design(inputs, outputs, tuple(itertools.product(*(i.levels for i in inputs))))
 
 
 class TestBuild:
@@ -107,9 +125,64 @@ class TestBuild:
         fs = build_feasibility_system(system)
         assert fs.p == pytest.approx(TRANSFORMED_P, abs=1e-12)
 
-    def test_column_cap(self):
+    def test_matrix_matches_its_definition(self):
+        """Entry ((t, o), j) is 1 exactly when column j's assignment,
+        restricted to the coordinates t selects, equals o; the columns are
+        the coupling grid in C order."""
+        rng = np.random.default_rng(22)
+        systems = [
+            random_selective_system(rng, column_cap=400, allow_partial=False)
+            for _ in range(6)
+        ]
+        partial = [
+            random_selective_system(rng, column_cap=400, allow_partial=True)
+            for _ in range(12)
+        ]
+        assert any(not s.design.is_fully_crossed() for s in partial)
+        single_level = Design(
+            (InputSpec("l1", (1,)), InputSpec("l2", ("a", "b", "c"))),
+            (OutputSpec("A1", ("x", "y")), OutputSpec("A2", (0, 1, 2))),
+            ((1, "a"), (1, "c")),
+        )
+        one_valued = Design(
+            (InputSpec("l1", (1, 2)), InputSpec("l2", (1, 2))),
+            (OutputSpec("A1", ("only",)), OutputSpec("A2", (0, 1))),
+            ((1, 1), (2, 1), (2, 2)),
+        )
+        systems += partial + [uniform_system(single_level), uniform_system(one_valued)]
+        for system in systems:
+            design = system.design
+            fs = build_feasibility_system(system)
+            grid = [design.outputs[k].values for k, _ in fs.coords]
+            assert fs.col_labels == tuple(itertools.product(*grid))
+            expected = np.zeros((len(fs.row_labels), len(fs.col_labels)), dtype=np.int8)
+            for r, (t, o) in enumerate(fs.row_labels):
+                selected = [fs.coords.index((k, level)) for k, level in enumerate(t)]
+                for j, assignment in enumerate(fs.col_labels):
+                    expected[r, j] = tuple(assignment[c] for c in selected) == o
+            assert fs.matrix.dtype == np.int8
+            assert np.array_equal(fs.matrix, expected)
+
+    def test_column_cap(self, monkeypatch):
+        # The 2x2 binary tableau is 16 x (16 + 16 + 1) float64 entries.
+        monkeypatch.setattr(feasibility, "TABLEAU_BYTE_CAP", 4224)
+        build_feasibility_system(feasible_binary_system())
+        monkeypatch.setattr(feasibility, "TABLEAU_BYTE_CAP", 4223)
         with pytest.raises(CapacityError, match="decompose"):
-            build_feasibility_system(feasible_binary_system(), column_cap=8)
+            build_feasibility_system(feasible_binary_system())
+
+    def test_tableau_cap_rejects_before_allocating(self):
+        """Two 5-level inputs, 5-valued outputs: 5**10 columns and 625 rows,
+        a 48.8 GB tableau, refused before M or the column labels exist."""
+        design = crossed((5, 5), (5, 5))
+        system = system_from_tables(design, {t: {(0, 0): 1.0} for t in design.treatments})
+        with pytest.raises(CapacityError, match="48831255000 bytes.*decompose"):
+            build_feasibility_system(system)
+
+    def test_tableau_cap_admits_the_3x3x3_ternary_design(self):
+        fs = build_feasibility_system(uniform_system(crossed((3, 3, 3), (3, 3, 3))))
+        assert fs.matrix.shape == (729, 19683)
+        assert np.array_equal(fs.matrix.sum(axis=0), np.full(19683, 27))
 
     def test_rank_bound_is_respected(self):
         fs = build_feasibility_system(feasible_binary_system())
@@ -201,6 +274,13 @@ class TestSolve:
         wrong[0], wrong[1] = wrong[1], wrong[0] + wrong[0]
         with pytest.raises(UsageError):
             make_witness(fs, wrong)
+
+    def test_witness_labels_and_json_safe_report_details(self):
+        fs = build_feasibility_system(feasible_binary_system())
+        assert solve_feasibility(fs).witness.col_labels is fs.col_labels
+        for system in (feasible_binary_system(), pr_box_system()):
+            report = lp_report(system)
+            assert json.loads(json.dumps(report.details)) == report.details
 
     def test_iteration_cap_raises_solver_error(self):
         from selinf import SolverError
