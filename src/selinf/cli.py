@@ -9,6 +9,7 @@ seed; the JSON format carries a versioned ``schema`` field.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -102,6 +103,13 @@ def _witness_json(report: TestReport) -> Any:
             "rhs": w.rhs,
             "treatments": [list(t) for t in w.treatments],
         }
+    if hasattr(w, "worst_pair"):  # marginal report
+        return {
+            "worst_subset": w.worst_subset,
+            "worst_pair": w.worst_pair,
+            "discrepancy": w.discrepancy,
+            "total_variation": w.total_variation,
+        }
     if hasattr(w, "excess"):  # fine violation
         return {
             "i": w.i, "i_prime": w.i_prime, "j": w.j, "j_prime": w.j_prime,
@@ -144,7 +152,7 @@ def run_tests(args, system: System | None, rt) -> list[TestReport]:
                 )
             reports.append(TestReport("marginal", verdict, summary, witness=report))
         elif name == "lp":
-            reports.append(lp_report(needs_system(name), args.eps_lp))
+            reports.append(lp_report(needs_system(name), args.eps_lp, args.eps_prob))
         elif name == "fine":
             reports.append(fine_inequality_check(needs_system(name), args.eps_test))
         elif name == "distance":
@@ -190,7 +198,9 @@ def run_tests(args, system: System | None, rt) -> list[TestReport]:
     return reports
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="selinf",
         description="Decide whether a family of joint output distributions is "
@@ -237,8 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return _run(args)
     except SelinfError as exc:
@@ -288,7 +297,7 @@ def _run(args) -> int:
     if args.dump_matrix:
         if system is None:
             raise UsageError("--dump-matrix needs a system input")
-        fs = build_feasibility_system(system)
+        fs = build_feasibility_system(system, args.eps_prob)
         try:
             with open(args.dump_matrix, "w", encoding="utf-8") as fh:
                 fh.write(fs.format_grid() + "\n")

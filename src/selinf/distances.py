@@ -23,9 +23,11 @@ import functools
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InapplicableError, UsageError
 from .marginal import EPS_TEST, check_marginal_selectivity
-from .model import DESIGN_CACHE_SIZE, Design, JointPmf, Level, System, Treatment
+from .model import DESIGN_CACHE_SIZE, Design, Level, System, Treatment
 from .model import TreatmentIndex, marginalize, treatment_index
 from .report import CONSISTENT, INAPPLICABLE, RULED_OUT, TestReport
 
@@ -102,9 +104,10 @@ class ChainViolation:
 
 
 def _directed_distance(
-    pmf2: JointPmf, system: System, metric: MetricSpec, k_from: int, k_to: int
+    system: System, metric: MetricSpec, treatment: Treatment, k_from: int, k_to: int
 ) -> float:
-    """Distance from output k_from to k_to given their 2-marginal (in order)."""
+    """Distance from output k_from to k_to under their 2-marginal at ``treatment``."""
+    pmf2 = marginalize(system.pmf(treatment), (k_from, k_to))
     if isinstance(metric, PowerMetric):
         out_from = system.design.outputs[k_from]
         out_to = system.design.outputs[k_to]
@@ -138,12 +141,8 @@ def pairwise_distance(
         raise UsageError("pairwise distance needs two distinct outputs")
     if isinstance(metric, ClassificationMetric):
         metric.validate(system.design)
-    pmf2 = marginalize(system.pmf(treatment), (k, k_prime))
-    forward = _directed_distance(pmf2, system, metric, k, k_prime)
-    backward = _directed_distance(
-        marginalize(system.pmf(treatment), (k_prime, k)), system, metric, k_prime, k
-    )
-    return forward, backward
+    forward = _directed_distance(system, metric, treatment, k, k_prime)
+    return forward, _directed_distance(system, metric, treatment, k_prime, k)
 
 
 def enumerate_test_sequences(
@@ -160,49 +159,54 @@ def enumerate_test_sequences(
     realizing treatments: closing first, then one per consecutive link, each
     the first matching treatment in declared order.
 
-    Chains are computed once per distinct (inputs, treatments, max_length)
-    and shared by every later call, battery members included; each call
-    returns a new list, which the caller owns.
+    Chains are compiled once per distinct (inputs, treatments, max_length)
+    into a table of their distinct links, shared by every later call, battery
+    members included; each call returns a new list, which the caller owns.
     """
-    if max_length < 3:
-        raise UsageError("max_length must be at least 3")
     index = treatment_index(design)
-    return list(_chains(index, design.is_fully_crossed(), max_length))
+    sequences, links, ids = _chains(index, design.is_fully_crossed(), max_length)
+    first = [index.realizers(a, b)[0] for a, b in links]
+    return [(s, tuple(first[i] for i in row[: len(s)])) for s, row in zip(sequences, ids.tolist())]
 
 
 @functools.lru_cache(maxsize=DESIGN_CACHE_SIZE)
 def _chains(index: TreatmentIndex, fully_crossed: bool, max_length: int) -> tuple:
+    """(sequences, links, ids): the chains, their distinct (a, b) links, and per chain
+    the closing link's id, then the consecutive links' ids, padded with id len(links)."""
+    if max_length < 3:
+        raise UsageError("max_length must be at least 3")
     inputs = index.inputs
-
-    def realized(seq) -> tuple:
-        pairs = [(seq[0], seq[-1])] + list(zip(seq, seq[1:]))
-        return tuple(index.realizers(a, b)[0] for a, b in pairs)
-
-    results = []
+    sequences = []
     if fully_crossed:
         for k, k_prime in itertools.permutations(range(len(inputs)), 2):
             for j1, j3 in itertools.permutations(inputs[k].levels, 2):
                 for j2, j4 in itertools.permutations(inputs[k_prime].levels, 2):
-                    seq = ((k, j1), (k_prime, j2), (k, j3), (k_prime, j4))
-                    results.append((seq, realized(seq)))
-        return tuple(results)
+                    sequences.append(((k, j1), (k_prime, j2), (k, j3), (k_prime, j4)))
+    else:
+        elements = [(k, level) for k in range(len(inputs)) for level in inputs[k].levels]
+        edges = {a: [b for b in elements if index.realizers(a, b)] for a in elements}
 
-    elements = [(k, level) for k in range(len(inputs)) for level in inputs[k].levels]
-    edges = {a: [b for b in elements if index.realizers(a, b)] for a in elements}
+        def extend(seq: list[SequenceElement]):
+            if 3 <= len(seq) <= max_length and index.realizers(seq[0], seq[-1]):
+                sequences.append(tuple(seq))
+            if len(seq) == max_length:
+                return
+            for nxt in edges[seq[-1]]:
+                seq.append(nxt)
+                extend(seq)
+                seq.pop()
 
-    def extend(seq: list[SequenceElement]):
-        if 3 <= len(seq) <= max_length and index.realizers(seq[0], seq[-1]):
-            results.append((tuple(seq), realized(seq)))
-        if len(seq) == max_length:
-            return
-        for nxt in edges[seq[-1]]:
-            seq.append(nxt)
-            extend(seq)
-            seq.pop()
+        for start in elements:
+            extend([start])
 
-    for start in elements:
-        extend([start])
-    return tuple(results)
+    link_ids: dict[tuple[SequenceElement, SequenceElement], int] = {}
+    ids = np.full((len(sequences), 4 if fully_crossed else max_length), -1, dtype=np.intp)
+    for c, seq in enumerate(sequences):
+        pairs = [(seq[0], seq[-1]), *zip(seq, seq[1:])]
+        ids[c, : len(seq)] = [link_ids.setdefault(pair, len(link_ids)) for pair in pairs]
+    ids[ids < 0] = len(link_ids)
+    ids.setflags(write=False)
+    return tuple(sequences), tuple(link_ids), ids
 
 
 def run_distance_test(
@@ -213,11 +217,13 @@ def run_distance_test(
 ) -> TestReport:
     """Check every enumerated chain inequality; report the worst violation.
 
-    Link distances are read off the first realizing treatment in declared
-    order; under marginal selectivity the choice cannot matter.  When the
-    2-marginal selectivity fails, the report flags it and the worst case
-    over all realizing treatments is taken instead (largest closing
-    distance against smallest link sum).
+    Each distinct link gets one distance, read off its first realizing treatment
+    in declared order; under marginal selectivity the choice cannot matter.
+    When the 2-marginal selectivity fails, the report flags it and the worst
+    case over all realizing treatments is taken instead (largest closing
+    distance against smallest link distances).  All chains are then checked at
+    once, link sums added in chain order; the worst has the largest lhs - rhs,
+    ties going to the smallest repr of its sequence.
     """
     name = "distance"
     design = system.design
@@ -232,52 +238,38 @@ def run_distance_test(
 
     ms = check_marginal_selectivity(system, min(2, max(1, design.n - 1)))
     treatment_dependent = not ms.passed
+    details = {"treatment_dependent_links": treatment_dependent}
 
     index = treatment_index(design)
-    cache: dict[tuple, float] = {}
-
-    def dist(k_from: int, k_to: int, treatment: Treatment) -> float:
-        key = (k_from, k_to, treatment)
-        if key not in cache:
-            pmf2 = marginalize(system.pmf(treatment), (k_from, k_to))
-            cache[key] = _directed_distance(pmf2, system, metric, k_from, k_to)
-        return cache[key]
-
-    def link_distance(a: SequenceElement, b: SequenceElement, default: Treatment, best: str):
+    sequences, links, ids = _chains(index, design.is_fully_crossed(), max_length)
+    closing, linking = [], []  # per link: (distance, treatment), largest and smallest
+    for a, b in links:
+        realizers = index.realizers(a, b)
         if not treatment_dependent:
-            return dist(a[0], b[0], default), default
-        values = [(dist(a[0], b[0], t), t) for t in index.realizers(a, b)]
-        pick = max if best == "max" else min
-        return pick(values, key=lambda v: v[0])
+            realizers = realizers[:1]
+        values = [(_directed_distance(system, metric, t, a[0], b[0]), t) for t in realizers]
+        closing.append(max(values, key=lambda v: v[0]))
+        linking.append(min(values, key=lambda v: v[0]))
 
-    worst: ChainViolation | None = None
-    for seq, realizers in enumerate_test_sequences(design, max_length):
-        lhs, closing = link_distance(seq[0], seq[-1], realizers[0], "max")
-        rhs = 0.0
-        used = [closing]
-        for i in range(1, len(seq)):
-            d, t = link_distance(seq[i - 1], seq[i], realizers[i], "min")
-            rhs += d
-            used.append(t)
-        if lhs > rhs + eps_test:
-            candidate = ChainViolation(seq, lhs, rhs, tuple(used))
-            if (
-                worst is None
-                or candidate.lhs - candidate.rhs > worst.lhs - worst.rhs
-                or (
-                    candidate.lhs - candidate.rhs == worst.lhs - worst.rhs
-                    and repr(candidate.sequence) < repr(worst.sequence)
-                )
-            ):
-                worst = candidate
-    details = {"treatment_dependent_links": treatment_dependent}
-    if worst is not None:
-        return TestReport(
-            name,
-            RULED_OUT,
-            f"chain inequality violated: {worst.lhs:.6g} > {worst.rhs:.6g} "
-            f"for sequence {worst.sequence}",
-            witness=worst,
-            details=details,
-        )
-    return TestReport(name, CONSISTENT, "all chain inequalities hold", details=details)
+    lhs = np.array([d for d, _ in closing])[ids[:, 0]]
+    link_values = np.array([d for d, _ in linking] + [0.0])
+    rhs = np.zeros(len(sequences))
+    for column in ids[:, 1:].T:
+        rhs += link_values[column]
+    violated = lhs > rhs + eps_test
+    if not violated.any():
+        return TestReport(name, CONSISTENT, "all chain inequalities hold", details=details)
+    gap = lhs - rhs
+    tied = np.flatnonzero(violated & (gap == gap[violated].max()))
+    c = min(tied, key=lambda i: repr(sequences[i]))
+    row = ids[c, : len(sequences[c])]
+    used = (closing[row[0]][1],) + tuple(linking[i][1] for i in row[1:])
+    worst = ChainViolation(sequences[c], float(lhs[c]), float(rhs[c]), used)
+    return TestReport(
+        name,
+        RULED_OUT,
+        f"chain inequality violated: {worst.lhs:.6g} > {worst.rhs:.6g} "
+        f"for sequence {worst.sequence}",
+        witness=worst,
+        details=details,
+    )

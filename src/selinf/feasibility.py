@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import CapacityError, SolverError, UsageError
 from .marginal import EPS_TEST, check_marginal_selectivity
-from .model import JointPmf, Level, System, Treatment, validate_system
+from .model import EPS_PROB, JointPmf, Level, System, Treatment, validate_system
 from .report import CONSISTENT, INAPPLICABLE, RULED_OUT, TestReport
 
 EPS_LP = 1e-8
@@ -127,10 +127,11 @@ class LpVerdict:
     iterations: int
 
 
-def build_feasibility_system(system: System) -> FeasibilitySystem:
-    """Construct M and p for ``system``; CapacityError, raised before any
+def build_feasibility_system(system: System, eps_prob: float = EPS_PROB) -> FeasibilitySystem:
+    """Construct M and p for ``system``, which must pass ``validate_system``
+    at ``eps_prob`` (UsageError otherwise); CapacityError, raised before any
     per-column array exists, when the tableau would exceed TABLEAU_BYTE_CAP."""
-    violations = validate_system(system)
+    violations = validate_system(system, eps_prob)
     if violations:
         raise UsageError("invalid system: " + "; ".join(violations[:3]))
     design = system.design
@@ -214,7 +215,12 @@ def _phase1_simplex(
         leaving = int(ties[np.argmin(basis[ties])])
 
         pivot_row = tableau[leaving] / tableau[leaving, entering]
-        tableau -= np.outer(tableau[:, entering], pivot_row)
+        # Rows with a zero in the entering column would only lose 0 * pivot_row;
+        # updating the rest 32 rows at a time keeps the temporaries small.
+        touched = np.flatnonzero(col)
+        for start in range(0, touched.size, 32):
+            block = touched[start : start + 32]
+            tableau[block] -= col[block, None] * pivot_row
         tableau[leaving] = pivot_row
         cost -= cost[entering] * pivot_row
         basis[leaving] = entering
@@ -367,9 +373,10 @@ def fine_inequality_check(system: System, eps_test: float = EPS_TEST) -> TestRep
     return TestReport(name, CONSISTENT, "all eight double inequalities hold")
 
 
-def lp_report(system: System, eps_lp: float = EPS_LP) -> TestReport:
-    """Run the full feasibility test and wrap the verdict as a TestReport."""
-    fs = build_feasibility_system(system)
+def lp_report(system: System, eps_lp: float = EPS_LP, eps_prob: float = EPS_PROB) -> TestReport:
+    """Run the full feasibility test and wrap the verdict as a TestReport;
+    ``eps_prob`` is the tolerance the system is validated at."""
+    fs = build_feasibility_system(system, eps_prob)
     verdict = solve_feasibility(fs, eps_lp=eps_lp)
     if verdict.feasible:
         return TestReport(

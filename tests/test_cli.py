@@ -11,7 +11,7 @@ from fixtures import (
     marginal_violation_system,
     pr_box_system,
 )
-from selinf.cli import main
+from selinf.cli import build_parser, main
 from selinf.io import rt_from_dict, system_from_dict, system_to_dict
 from selinf import UsageError, check_marginal_selectivity, lp_report, run_distance_test
 from selinf import PowerMetric
@@ -132,6 +132,62 @@ def test_dump_matrix_to_missing_directory_exit_two(tmp_path, capsys):
     target = tmp_path / "missing" / "matrix.txt"
     assert main([path, "--tests", "lp", "--dump-matrix", str(target)]) == 2
     assert f"error: {target}: " in capsys.readouterr().err
+
+
+def _off_by_5e_7(tmp_path):
+    """The band fixture with 5e-7 extra mass in one cell of its first treatment."""
+    doc = system_to_dict(d1_system())
+    doc["treatments"][0]["pmf"][0]["p"] += 5e-7
+    path = tmp_path / "off.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("tests", ["marginal", "distance", "lp"])
+def test_eps_prob_governs_every_test(tmp_path, capsys, tests):
+    path = _off_by_5e_7(tmp_path)
+    assert main([path, "--tests", tests, "--eps-prob", "1e-6"]) in (0, 1)
+    assert "verdict: " in capsys.readouterr().out
+    assert main([path, "--tests", tests]) == 2
+    assert "mass sum 1.0000005 != 1" in capsys.readouterr().err
+
+
+def test_eps_prob_governs_the_dumped_matrix(tmp_path, capsys):
+    path = _off_by_5e_7(tmp_path)
+    target = tmp_path / "matrix.txt"
+    argv = [path, "--tests", "marginal", "--dump-matrix", str(target)]
+    assert main(argv + ["--eps-prob", "1e-6"]) in (0, 1)
+    assert "H(l1=1)" in target.read_text()
+    target.unlink()
+    assert main(argv) == 2
+    assert "mass sum 1.0000005 != 1" in capsys.readouterr().err
+    assert not target.exists()
+
+
+def test_marginal_witness_is_a_json_object(tmp_path, capsys):
+    path = write_system(tmp_path, marginal_violation_system())
+    assert main([path, "--tests", "marginal", "--format", "json"]) == 1
+    (marginal,) = json.loads(capsys.readouterr().out)["tests"]
+    witness = marginal["witness"]
+    assert set(witness) == {"worst_subset", "worst_pair", "discrepancy", "total_variation"}
+    assert witness["worst_subset"] == [1]
+    assert witness["worst_pair"] == [[1, 2], [2, 2]]
+    assert witness["discrepancy"] == pytest.approx(0.1, abs=1e-12)
+    assert main([path, "--tests", "marginal"]) == 1
+    assert capsys.readouterr().out.startswith(
+        "[FAIL] marginal: worst discrepancy 0.1 on outputs (1,) between treatments (1, 2) and (2, 2)"
+    )
+
+
+def test_parser_is_built_once_and_parses_do_not_leak(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    path = write_system(tmp_path, d1_system())
+    main([path, "--tests", "distance", "--metric", "power:p=1", "--metric", "power:p=0.5"])
+    capsys.readouterr()
+    main([path, "--tests", "distance", "--format", "json"])
+    (distance,) = json.loads(capsys.readouterr().out)["tests"]
+    assert distance["name"] == "distance"
+    assert build_parser().parse_args([path]).metric == []
 
 
 def test_round_trip_preserves_verdicts(tmp_path):

@@ -8,12 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fixtures import (
+    binary_design,
     d1_grouping_transform,
     d1_system,
+    pr_box_system,
     random_selective_system,
     system_from_tables,
 )
 from selinf import (
+    CONSISTENT,
+    RULED_OUT,
+    ChainViolation,
     ClassificationMetric,
     Design,
     InputSpec,
@@ -23,10 +28,12 @@ from selinf import (
     System,
     UsageError,
     apply_transform,
+    check_marginal_selectivity,
     enumerate_test_sequences,
     pairwise_distance,
     run_distance_test,
 )
+from selinf import TestReport as Report
 
 D1 = PowerMetric(1.0)
 
@@ -40,6 +47,83 @@ def assert_first_realizers(design, sequences):
     for seq, realizers in sequences:
         pairs = [(seq[0], seq[-1])] + list(zip(seq, seq[1:]))
         assert list(realizers) == [scan_realizers(design, a, b)[0] for a, b in pairs]
+
+
+def reference_distance_test(system, metric, max_length=6, eps_test=1e-9):
+    """Reference for run_distance_test on numeric or classified outputs: every
+    link of every chain looked up in turn, link distances summed in chain
+    order, the worst violation kept by its gap, then by repr of its sequence."""
+    design = system.design
+    if isinstance(metric, ClassificationMetric):
+        metric.validate(design)
+    dependent = not check_marginal_selectivity(system, min(2, max(1, design.n - 1))).passed
+
+    def link(a, b, first, pick):
+        if not dependent:
+            return pairwise_distance(system, metric, first, a[0], b[0])[0], first
+        values = [
+            (pairwise_distance(system, metric, t, a[0], b[0])[0], t)
+            for t in scan_realizers(design, a, b)
+        ]
+        return pick(values, key=lambda v: v[0])
+
+    worst = None
+    for seq, realizers in enumerate_test_sequences(design, max_length):
+        lhs, closing = link(seq[0], seq[-1], realizers[0], max)
+        rhs = 0.0
+        used = [closing]
+        for i in range(1, len(seq)):
+            d, t = link(seq[i - 1], seq[i], realizers[i], min)
+            rhs += d
+            used.append(t)
+        if lhs > rhs + eps_test:
+            candidate = ChainViolation(seq, lhs, rhs, tuple(used))
+            if (
+                worst is None
+                or candidate.lhs - candidate.rhs > worst.lhs - worst.rhs
+                or (
+                    candidate.lhs - candidate.rhs == worst.lhs - worst.rhs
+                    and repr(candidate.sequence) < repr(worst.sequence)
+                )
+            ):
+                worst = candidate
+    details = {"treatment_dependent_links": dependent}
+    if worst is None:
+        return Report("distance", CONSISTENT, "all chain inequalities hold", details=details)
+    return Report(
+        "distance",
+        RULED_OUT,
+        f"chain inequality violated: {worst.lhs:.6g} > {worst.rhs:.6g} "
+        f"for sequence {worst.sequence}",
+        witness=worst,
+        details=details,
+    )
+
+
+def random_class_metric(rng, design):
+    parts = []
+    for out in design.outputs:
+        split = int(rng.integers(1, len(out.values)))
+        order = rng.permutation(len(out.values))
+        parts.append(
+            (
+                tuple(out.values[i] for i in order[:split]),
+                tuple(out.values[i] for i in order[split:]),
+            )
+        )
+    return ClassificationMetric(tuple(parts))
+
+
+def independent_pmfs(rng, design):
+    """One random pmf per treatment, drawn independently: 2-marginals that
+    depend on the whole treatment, so the links are treatment-dependent."""
+    outcomes = list(itertools.product(*(o.values for o in design.outputs)))
+    tables = {}
+    for t in design.treatments:
+        k = int(rng.integers(1, len(outcomes) + 1))
+        chosen = rng.choice(len(outcomes), size=k, replace=False)
+        tables[t] = {outcomes[i]: float(m) for i, m in zip(chosen, rng.dirichlet(np.ones(k)))}
+    return system_from_tables(design, tables)
 
 
 class TestPairwiseDistance:
@@ -391,6 +475,76 @@ class TestRunDistanceTest:
                 d1_system(), ClassificationMetric((((0, 2, 4),), ((0, 1), (2,))))
             )
         assert design.n == 2  # partitions count must match
+
+    @pytest.mark.parametrize("kind", ["crossed", "partial", "dependent", "pr-box"])
+    def test_matches_the_per_chain_reference(self, kind):
+        rng = np.random.default_rng(["crossed", "partial", "dependent", "pr-box"].index(kind))
+        if kind == "pr-box":
+            box = pr_box_system()
+            numeric = binary_design(numeric=True)
+            systems = [
+                system_from_tables(numeric, {t: box.pmf(t).table for t in numeric.treatments}),
+                apply_transform(d1_system(), d1_grouping_transform()),
+            ]
+        else:
+            systems = []
+            while len(systems) < 8:
+                system = random_selective_system(
+                    rng, column_cap=2000, allow_partial=kind != "crossed"
+                )
+                if kind == "partial" and system.design.is_fully_crossed():
+                    continue
+                if kind == "dependent":
+                    system = independent_pmfs(rng, system.design)
+                systems.append(system)
+        seen = {"dependent": 0, "ruled-out": 0}
+        for system in systems:
+            metrics = [PowerMetric(0.0), PowerMetric(0.5), PowerMetric(1.0)]
+            metrics.append(random_class_metric(rng, system.design))
+            for metric, max_length in itertools.product(metrics, (3, 4)):
+                report = run_distance_test(system, metric, max_length=max_length)
+                assert repr(report) == repr(
+                    reference_distance_test(system, metric, max_length=max_length)
+                )
+                seen["dependent"] += report.details["treatment_dependent_links"]
+                seen["ruled-out"] += report.verdict == "ruled-out"
+        if kind in ("dependent", "pr-box"):
+            assert seen["ruled-out"] > 0
+        assert (seen["dependent"] > 0) == (kind == "dependent")
+
+    def test_crossed_design_checks_quadruples_at_max_length_three(self):
+        grouped = apply_transform(d1_system(), d1_grouping_transform())
+        report = run_distance_test(grouped, D1, max_length=3)
+        assert report.verdict == "ruled-out" and len(report.witness.sequence) == 4
+        assert repr(report) == repr(reference_distance_test(grouped, D1, max_length=3))
+
+    def test_link_sums_are_added_in_chain_order(self):
+        # Links 0.1, 0.2, 0.3 along (0,1) (1,1) (0,2) (1,2); closing pair 0.9.
+        # In chain order the sum is 0.6000000000000001, in reverse order 0.6.
+        system = system_from_tables(
+            binary_design((0, 1), (0, 1), numeric=True),
+            {
+                (1, 1): {(0, 1): 0.1, (0, 0): 0.9},
+                (2, 1): {(1, 0): 0.2, (0, 0): 0.8},
+                (2, 2): {(0, 1): 0.3, (0, 0): 0.7},
+                (1, 2): {(0, 1): 0.9, (0, 0): 0.1},
+            },
+        )
+        report = run_distance_test(system, D1)
+        assert report.witness.sequence == ((0, 1), (1, 1), (0, 2), (1, 2))
+        assert report.witness.rhs == (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1
+        assert repr(report) == repr(reference_distance_test(system, D1))
+
+    def test_single_treatment_design_has_no_chains(self):
+        design = Design(
+            (InputSpec("l1", (1,)), InputSpec("l2", (1,))),
+            (OutputSpec("A1", (0, 1), (0.0, 1.0)), OutputSpec("A2", (0, 1), (0.0, 1.0))),
+            ((1, 1),),
+        )
+        system = System(design, {(1, 1): JointPmf(2, {(1, 0): 1.0})})
+        report = run_distance_test(system, D1)
+        assert report.verdict == "consistent"
+        assert repr(report) == repr(reference_distance_test(system, D1))
 
     def test_marginal_failure_flags_treatment_dependent_links(self):
         # A system violating marginal selectivity still gets a distance
