@@ -11,10 +11,20 @@ purely from the design:
 * entry 1 iff the assignment, restricted to the coordinates selected by the
   row's treatment, equals the row's output tuple.
 
-The solver is a dense phase-I simplex (artificial variables, Bland's rule):
-the matrices are small, exactly 0/1, and robustness matters more than speed.
-A design whose float64 tableau, rows x (columns + rows + 1) x 8 bytes, would
-exceed ``TABLEAU_BYTE_CAP`` raises CapacityError: decompose the design.
+M's rows are heavily redundant: its rank is the number of
+joint-distribution-criterion marginals, prod(m_k (v_k - 1) + 1) on a fully
+crossed design.  ``FeasibilitySystem.basis`` picks a basis of M's row space
+from the design alone, and the solver, a dense phase-I simplex (artificial
+variables; Dantzig pricing with Bland's rule during stalls), pivots only
+those rows.  ``eps_lp`` bounds two things: the phase-I optimum (the sum of
+the artificials) over the basis rows, and the max-abs residual
+max |M q - p| of the solution over all rows of M.  The second catches a p
+that breaks a linear dependency among M's rows (marginal selectivity or
+equal total mass), which the basis rows alone cannot see.
+A design whose float64 tableau on all rows, rows x (columns + rows + 1) x 8
+bytes, would exceed ``TABLEAU_BYTE_CAP`` raises CapacityError: decompose the
+design.  Counted on all rows, the cap is an upper bound on what the solver
+allocates.
 For the two-binary-inputs / two-binary-outputs design the same feasible set
 is described in closed form by the Bell/CHSH/Fine inequalities, implemented
 here as an independent cross-check of the solver.
@@ -22,6 +32,7 @@ here as an independent cross-check of the solver.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -30,7 +41,7 @@ import numpy as np
 
 from .errors import CapacityError, SolverError, UsageError
 from .marginal import EPS_TEST, check_marginal_selectivity
-from .model import EPS_PROB, JointPmf, Level, System, Treatment, validate_system
+from .model import DESIGN_CACHE_SIZE, EPS_PROB, JointPmf, Level, System, Treatment, validate_system
 from .report import CONSISTENT, INAPPLICABLE, RULED_OUT, TestReport
 
 EPS_LP = 1e-8
@@ -47,7 +58,9 @@ class FeasibilitySystem:
     declared value order within each treatment block.  Column order: coupling
     assignments lexicographic with the first coordinate (input 1, level 1)
     slowest-varying.  ``coords`` lists the coupling coordinates as
-    (input index, level), in column-label order.
+    (input index, level), in column-label order.  ``basis`` holds the
+    indices, ascending and read-only, of the rows that form a basis of M's
+    row space (see ``_row_basis``).
     """
 
     system: System
@@ -56,6 +69,7 @@ class FeasibilitySystem:
     col_labels: tuple[tuple, ...]
     matrix: np.ndarray  # int8, shape (rows, cols)
     p: np.ndarray  # float64, aligned with row_labels
+    basis: np.ndarray  # intp, read-only
 
     def coordinate_index(self, k: int, level: Level) -> int:
         try:
@@ -64,7 +78,8 @@ class FeasibilitySystem:
             raise UsageError(f"no coupling coordinate for input {k}, level {level!r}") from None
 
     def rank_bound(self) -> int:
-        """Informational upper bound on rank(M): prod(m_k (v_k - 1) + 1)."""
+        """Upper bound on rank(M), prod(m_k (v_k - 1) + 1); equal to it,
+        and to ``len(basis)``, on a fully crossed design."""
         design = self.system.design
         bound = 1
         for spec, out in zip(design.inputs, design.outputs):
@@ -122,9 +137,16 @@ class CouplingWitness:
 
 @dataclass(frozen=True)
 class LpVerdict:
+    """The criterion verdict with the solver's work: ``rows`` pivoted (the
+    basis rows), ``iterations`` and ``degenerate`` pivots among them, and
+    the phase-I ``optimum`` over the basis rows."""
+
     feasible: bool
     witness: CouplingWitness | None
     iterations: int
+    rows: int
+    degenerate: int
+    optimum: float
 
 
 def build_feasibility_system(system: System, eps_prob: float = EPS_PROB) -> FeasibilitySystem:
@@ -170,17 +192,52 @@ def build_feasibility_system(system: System, eps_prob: float = EPS_PROB) -> Feas
         selected = [value_index[(k, level)] for k, level in enumerate(t)]
         outcome = np.ravel_multi_index(selected, outcome_shape)
         matrix[b * block + np.broadcast_to(outcome, grid).ravel(), cols] = 1
-    return FeasibilitySystem(system, coords, row_labels, col_labels, matrix, p)
+    basis = _row_basis(outcome_shape, design.treatments)
+    return FeasibilitySystem(system, coords, row_labels, col_labels, matrix, p, basis)
+
+
+@functools.lru_cache(maxsize=DESIGN_CACHE_SIZE)
+def _row_basis(outcome_shape: tuple[int, ...], treatments: tuple[Treatment, ...]) -> np.ndarray:
+    """Indices of a basis of M's row space, computed once per design.
+
+    Row (t, o) is kept exactly when t is the first allowable treatment, in
+    declared order, carrying t's levels on S(o), the inputs k where o_k is
+    not output k's last value.  Those rows correspond unitriangularly to the
+    joint-distribution-criterion marginals (outputs in S(o) take o's values
+    at t's levels), which span M's rows and are independent.  Only label
+    equality is used, so equal labels of another type may share an entry.
+    """
+    subsets = [
+        tuple(k for k, v in enumerate(outcome_shape) if o[k] < v - 1)
+        for o in itertools.product(*(range(v) for v in outcome_shape))
+    ]
+    first: dict[tuple, int] = {}
+    basis = np.array(
+        [
+            b * len(subsets) + j
+            for b, t in enumerate(treatments)
+            for j, subset in enumerate(subsets)
+            if first.setdefault((subset, tuple(t[k] for k in subset)), b) == b
+        ],
+        dtype=np.intp,
+    )
+    basis.flags.writeable = False
+    return basis
 
 
 def _phase1_simplex(
     a: np.ndarray, b: np.ndarray, max_iter: int
-) -> tuple[float, np.ndarray, int]:
+) -> tuple[float, np.ndarray, int, int]:
     """Minimize the sum of artificials for a x = b, x >= 0.
 
-    Returns (optimum, x, iterations).  Bland's rule (smallest eligible index
-    entering; smallest basic index on ratio ties) prevents cycling, so the
-    iteration cap only guards against oversized instances.
+    Returns (optimum, x, iterations, degenerate pivots).  The entering
+    column has the most negative reduced cost (Dantzig), except in a stall:
+    once as many consecutive pivots as there are rows have been degenerate
+    (minimum ratio at most PIVOT_TOL), the smallest eligible index enters
+    (Bland) until the next nondegenerate pivot.  Bland's rule ends any
+    stall and each nondegenerate pivot lowers the objective, so the method
+    cannot cycle; the iteration cap only guards against oversized instances.
+    Of the rows tied at the minimum ratio, the smallest basic index leaves.
     """
     m, n = a.shape
     tableau = np.zeros((m, n + m + 1))
@@ -194,13 +251,18 @@ def _phase1_simplex(
     cost[:n] = -tableau[:, :n].sum(axis=0)
     cost[-1] = -tableau[:, -1].sum()
 
-    iterations = 0
+    iterations = degenerate = stall = 0
     while True:
-        # Bland: smallest eligible index enters; artificials never re-enter.
-        eligible = np.nonzero(cost[:n] < -PIVOT_TOL)[0]
-        if eligible.size == 0:
-            break
-        entering = int(eligible[0])
+        # Artificials never re-enter.
+        if stall < m:
+            entering = int(np.argmin(cost[:n]))
+            if cost[entering] >= -PIVOT_TOL:
+                break
+        else:
+            eligible = np.flatnonzero(cost[:n] < -PIVOT_TOL)
+            if eligible.size == 0:
+                break
+            entering = int(eligible[0])
         iterations += 1
         if iterations > max_iter:
             raise SolverError(f"phase-I simplex exceeded {max_iter} iterations")
@@ -209,9 +271,17 @@ def _phase1_simplex(
         rows = np.nonzero(col > PIVOT_TOL)[0]
         if rows.size == 0:
             raise SolverError("phase-I objective unbounded; matrix is malformed")
-        ratios = tableau[rows, -1] / col[rows]
+        # A right-hand side below 0 is rounding: it counts as 0, so no step
+        # is negative.  Only exact ties compete, so no other basic variable
+        # is pushed below 0 by a step longer than its own ratio.
+        ratios = np.maximum(tableau[rows, -1], 0.0) / col[rows]
         best = ratios.min()
-        ties = rows[ratios <= best + PIVOT_TOL]
+        if best <= PIVOT_TOL:
+            degenerate += 1
+            stall += 1
+        else:
+            stall = 0
+        ties = rows[ratios == best]
         leaving = int(ties[np.argmin(basis[ties])])
 
         pivot_row = tableau[leaving] / tableau[leaving, entering]
@@ -228,7 +298,19 @@ def _phase1_simplex(
     x = np.zeros(n)
     structural = basis < n
     x[basis[structural]] = tableau[structural, -1]
-    return -cost[-1], x, iterations
+    return -cost[-1], x, iterations, degenerate
+
+
+def _residual(fs: FeasibilitySystem, q: np.ndarray) -> float:
+    """max |M q - p| over all rows of M, computed without M: treatment t's
+    block of M q is q's marginal on t's coupling coordinates."""
+    design = fs.system.design
+    cube = q.reshape([len(design.outputs[k].values) for k, _ in fs.coords])
+    blocks = [
+        cube.sum(axis=tuple(c for c, (k, level) in enumerate(fs.coords) if t[k] != level))
+        for t in design.treatments
+    ]
+    return float(np.abs(np.ravel(blocks) - fs.p).max())
 
 
 def make_witness(
@@ -237,7 +319,8 @@ def make_witness(
     """Validate a candidate coupling vector against the witness contract.
 
     Entries in (-eps_lp, 0) are clipped to zero; anything worse, a total mass
-    away from 1, or a residual above eps_lp raises UsageError.
+    away from 1, or a max-abs residual over all rows of M above eps_lp
+    raises UsageError.
     """
     q = np.asarray(q, dtype=np.float64).copy()
     if q.shape != (len(fs.col_labels),):
@@ -247,7 +330,7 @@ def make_witness(
     q[q < 0] = 0.0
     if abs(q.sum() - 1.0) > eps_lp:
         raise UsageError(f"witness mass {q.sum():.10g} != 1")
-    residual = float(np.abs(fs.matrix.astype(np.float64) @ q - fs.p).max())
+    residual = _residual(fs, q)
     if residual > eps_lp:
         raise UsageError(f"witness residual {residual:.3g} exceeds {eps_lp}")
     return CouplingWitness(q, residual, fs.col_labels)
@@ -260,17 +343,23 @@ def solve_feasibility(
 ) -> LpVerdict:
     """Decide M q = p, q >= 0 by phase-I simplex; return a witness if feasible.
 
-    Redundant rows are kept as-is; the artificial basis absorbs rank
-    deficiency.  Infeasible means the phase-I optimum exceeds ``eps_lp``;
-    more than ``max_iter`` pivots (default 50 (rows + cols) + 1000) raise SolverError.
+    Only the basis rows ``fs.basis`` are pivoted.  Ruled out when the
+    phase-I optimum on them exceeds ``eps_lp`` (they are a relaxation of the
+    full system), or when the solution's max |M q - p| over all rows does
+    (p breaks a linear dependency among M's rows, so no coupling exists).
+    Otherwise consistent, with the witness validated against the full M
+    and p.  More than ``max_iter`` pivots (default 50 (basis rows + cols)
+    + 1000) raise SolverError.
     """
-    m, n = fs.matrix.shape
+    rows, n = len(fs.basis), fs.matrix.shape[1]
     if max_iter is None:
-        max_iter = 50 * (m + n) + 1000
-    optimum, q, iterations = _phase1_simplex(fs.matrix, fs.p, max_iter)
-    if optimum > eps_lp:
-        return LpVerdict(False, None, iterations)
-    return LpVerdict(True, make_witness(fs, q, eps_lp), iterations)
+        max_iter = 50 * (rows + n) + 1000
+    optimum, q, iterations, degenerate = _phase1_simplex(
+        fs.matrix[fs.basis], fs.p[fs.basis], max_iter
+    )
+    feasible = optimum <= eps_lp and _residual(fs, q) <= eps_lp
+    witness = make_witness(fs, q, eps_lp) if feasible else None
+    return LpVerdict(feasible, witness, iterations, rows, degenerate, float(optimum))
 
 
 def extract_coupling_marginals(

@@ -26,7 +26,9 @@ from selinf import (
     Design,
     InputSpec,
     JointPmf,
+    LatentModel,
     OutputSpec,
+    SolverError,
     System,
     UsageError,
     apply_transform,
@@ -34,6 +36,7 @@ from selinf import (
     extract_coupling_marginals,
     feasibility,
     fine_inequality_check,
+    generate_system,
     lp_report,
     make_witness,
     marginalize,
@@ -67,6 +70,20 @@ GOLDEN_HEADER = [
 ]
 
 
+#: A single-level input beside a three-level one, two of three treatments.
+SINGLE_LEVEL = Design(
+    (InputSpec("l1", (1,)), InputSpec("l2", ("a", "b", "c"))),
+    (OutputSpec("A1", ("x", "y")), OutputSpec("A2", (0, 1, 2))),
+    ((1, "a"), (1, "c")),
+)
+#: An output with one value, three of four treatments.
+ONE_VALUED = Design(
+    (InputSpec("l1", (1, 2)), InputSpec("l2", (1, 2))),
+    (OutputSpec("A1", ("only",)), OutputSpec("A2", (0, 1))),
+    ((1, 1), (2, 1), (2, 2)),
+)
+
+
 def golden_matrix() -> np.ndarray:
     return np.array(
         [[1 if ch == "1" else 0 for ch in row] for row in GOLDEN_ROWS], dtype=np.int8
@@ -86,6 +103,48 @@ def crossed(levels, values) -> Design:
     inputs = tuple(InputSpec(f"l{k + 1}", tuple(range(1, m + 1))) for k, m in enumerate(levels))
     outputs = tuple(OutputSpec(f"A{k + 1}", tuple(range(v))) for k, v in enumerate(values))
     return Design(inputs, outputs, tuple(itertools.product(*(i.levels for i in inputs))))
+
+
+def latent_system(design: Design, rng: np.random.Generator, n_latent: int = 8) -> System:
+    """A system from a random latent model on ``design`` (consistent by construction)."""
+    masses = rng.dirichlet(np.ones(n_latent))
+    latent = JointPmf(1, {(r,): float(m) for r, m in enumerate(masses)})
+    responses = tuple(
+        {
+            (level, r): out.values[int(rng.integers(len(out.values)))]
+            for level in spec.levels
+            for r in range(n_latent)
+        }
+        for spec, out in zip(design.inputs, design.outputs)
+    )
+    return generate_system(design, LatentModel(latent, responses))
+
+
+def pr_box(design: Design) -> System:
+    """Binary outputs 1 and 2 agree, each uniform, except where inputs 1 and 2
+    both sit above their first level (there they disagree); other outputs
+    are uniform.  Marginally selective, and no coupling exists."""
+    first1, first2 = design.inputs[0].levels[0], design.inputs[1].levels[0]
+    tables = {}
+    for t in design.treatments:
+        flip = t[0] != first1 and t[1] != first2
+        tables[t] = {
+            o: 0.5 ** (design.n - 1) if (o[0] != o[1]) == flip else 0.0
+            for o in design.outcome_tuples()
+        }
+    return system_from_tables(design, tables)
+
+
+def highs_feasible(fs) -> bool:
+    """The HiGHS oracle (scipy, test-only): does M q = p, q >= 0 have a solution?"""
+    res = linprog(
+        c=np.zeros(fs.matrix.shape[1]),
+        A_eq=fs.matrix.astype(float),
+        b_eq=fs.p,
+        bounds=(0, None),
+        method="highs",
+    )
+    return res.status == 0
 
 
 class TestBuild:
@@ -139,17 +198,7 @@ class TestBuild:
             for _ in range(12)
         ]
         assert any(not s.design.is_fully_crossed() for s in partial)
-        single_level = Design(
-            (InputSpec("l1", (1,)), InputSpec("l2", ("a", "b", "c"))),
-            (OutputSpec("A1", ("x", "y")), OutputSpec("A2", (0, 1, 2))),
-            ((1, "a"), (1, "c")),
-        )
-        one_valued = Design(
-            (InputSpec("l1", (1, 2)), InputSpec("l2", (1, 2))),
-            (OutputSpec("A1", ("only",)), OutputSpec("A2", (0, 1))),
-            ((1, 1), (2, 1), (2, 2)),
-        )
-        systems += partial + [uniform_system(single_level), uniform_system(one_valued)]
+        systems += partial + [uniform_system(SINGLE_LEVEL), uniform_system(ONE_VALUED)]
         for system in systems:
             design = system.design
             fs = build_feasibility_system(system)
@@ -183,6 +232,40 @@ class TestBuild:
         fs = build_feasibility_system(uniform_system(crossed((3, 3, 3), (3, 3, 3))))
         assert fs.matrix.shape == (729, 19683)
         assert np.array_equal(fs.matrix.sum(axis=0), np.full(19683, 27))
+
+    def test_row_basis_of_the_2x2_binary_design(self):
+        """Last value 2: (1,1) keeps all four rows; (1,2) adds the rows where
+        its level 2 of input 2 first appears; (2,1) those of level 2 of input
+        1; (2,2) only its (1, 1) row."""
+        fs = build_feasibility_system(feasible_binary_system())
+        assert fs.basis.tolist() == [0, 1, 2, 3, 4, 6, 8, 9, 12]
+        assert len(fs.basis) == fs.rank_bound() == 9
+
+    def test_row_basis_spans_the_row_space(self):
+        rng = np.random.default_rng(31)
+        systems = [
+            random_selective_system(rng, column_cap=600, allow_partial=partial)
+            for partial in [False] * 12 + [True] * 40
+        ]
+        designs = (crossed((2, 2, 2), (3, 3, 3)), SINGLE_LEVEL, ONE_VALUED)
+        systems += [uniform_system(design) for design in designs]
+        assert sum(not s.design.is_fully_crossed() for s in systems) >= 5
+        for system in systems:
+            fs = build_feasibility_system(system)
+            matrix = fs.matrix.astype(float)
+            rank = np.linalg.matrix_rank(matrix)
+            assert len(fs.basis) == rank
+            assert np.linalg.matrix_rank(matrix[fs.basis]) == rank
+            assert fs.basis.dtype == np.intp
+            assert np.all(np.diff(fs.basis) > 0)
+            if system.design.is_fully_crossed():
+                assert rank == fs.rank_bound()
+
+    def test_row_basis_is_read_only_and_built_once_per_design(self):
+        fs = build_feasibility_system(feasible_binary_system())
+        with pytest.raises(ValueError):
+            fs.basis[0] = 1
+        assert build_feasibility_system(pr_box_system()).basis is fs.basis
 
     def test_rank_bound_is_respected(self):
         fs = build_feasibility_system(feasible_binary_system())
@@ -283,11 +366,156 @@ class TestSolve:
             assert json.loads(json.dumps(report.details)) == report.details
 
     def test_iteration_cap_raises_solver_error(self):
-        from selinf import SolverError
-
         fs = build_feasibility_system(feasible_binary_system())
         with pytest.raises(SolverError, match="iterations"):
             solve_feasibility(fs, max_iter=1)
+
+    def test_verdict_reports_the_solved_rows(self):
+        fs = build_feasibility_system(uniform_system(crossed((2, 2, 2), (3, 3, 3))))
+        verdict = solve_feasibility(fs)
+        assert verdict.feasible
+        assert verdict.rows == len(fs.basis) == 125 < fs.matrix.shape[0]
+        assert 0 <= verdict.degenerate <= verdict.iterations
+        assert abs(verdict.optimum) <= feasibility.EPS_LP
+        for value in (verdict.rows, verdict.degenerate, verdict.iterations):
+            assert type(value) is int
+        assert type(verdict.optimum) is float
+        ruled_out = solve_feasibility(build_feasibility_system(pr_box_system()))
+        assert ruled_out.optimum > feasibility.EPS_LP
+
+    def test_marginal_violation_is_ruled_out_by_the_full_residual(self):
+        """The basis rows alone are satisfiable; p breaks marginal selectivity,
+        a dependency among M's rows, which only the residual over all rows
+        sees."""
+        verdict = solve_feasibility(build_feasibility_system(marginal_violation_system()))
+        assert not verdict.feasible
+        assert verdict.witness is None
+        assert verdict.optimum <= feasibility.EPS_LP
+
+    def test_residual_matches_the_matrix_product(self):
+        rng = np.random.default_rng(32)
+        systems = [
+            random_selective_system(rng, column_cap=400, allow_partial=True) for _ in range(20)
+        ]
+        systems.append(uniform_system(ONE_VALUED))
+        for system in systems:
+            fs = build_feasibility_system(system)
+            q = rng.dirichlet(np.ones(fs.matrix.shape[1]))
+            expected = np.abs(fs.matrix.astype(float) @ q - fs.p).max()
+            assert feasibility._residual(fs, q) == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+    def test_stall_fallback_engages_and_matches_highs(self):
+        """A 3x3 design with ternary outputs (an lp_criterion shape) whose
+        degenerate pivots outnumber the nondegenerate ones so far that some
+        run of them reached the row count, so Bland's rule took over."""
+        system = latent_system(crossed((3, 3), (3, 3)), np.random.default_rng(18))
+        fs = build_feasibility_system(system)
+        verdict = solve_feasibility(fs)
+        nondegenerate = verdict.iterations - verdict.degenerate
+        assert verdict.degenerate >= verdict.rows * (nondegenerate + 1)
+        assert verdict.feasible == highs_feasible(fs) is True
+        with pytest.raises(SolverError, match="iterations"):
+            solve_feasibility(fs, max_iter=verdict.iterations - 1)
+
+    @pytest.mark.parametrize("levels", [(2, 2), (3, 3), (2, 2, 2)])
+    def test_eps_lp_bounds_a_broken_dependency(self, levels):
+        """Moving mass delta between two outcomes that differ in output 1 at
+        one treatment breaks marginal selectivity by delta: the residual over
+        all rows is about delta, so delta <= eps_lp / 10 stays consistent and
+        delta >= 2 eps_lp is ruled out.  At delta = eps_lp itself the residual
+        equals the bound up to rounding, and either verdict can come out."""
+        eps = feasibility.EPS_LP
+        design = crossed(levels, (2,) * len(levels))
+        base = latent_system(design, np.random.default_rng(33), n_latent=6)
+        for t in design.treatments:
+            table = dict(base.pmf(t).items())
+            source = max(table, key=table.get)
+            target = (1 - source[0],) + source[1:]
+            for delta, consistent in (
+                (eps / 100, True), (eps / 10, True), (2 * eps, False), (100 * eps, False)
+            ):
+                tables = {u: dict(base.pmf(u).items()) for u in design.treatments}
+                tables[t][source] -= delta
+                tables[t][target] = tables[t].get(target, 0.0) + delta
+                fs = build_feasibility_system(system_from_tables(design, tables))
+                assert solve_feasibility(fs).feasible == consistent, (t, delta)
+
+    def test_rounding_below_zero_does_not_derail_the_pivots(self):
+        """3x3 designs with ternary outputs and a 1e-10 dependency break: the
+        solutions are degenerate with right-hand sides at rounding level.  A
+        ratio test that lets a near-tie step past a smaller ratio, or that
+        reads a right-hand side below 0 as a negative step, drives basic
+        variables negative here and ends ruled out or at the iteration cap."""
+        design = crossed((3, 3), (3, 3))
+        for seed in (1, 5):
+            base = latent_system(design, np.random.default_rng(seed), n_latent=6)
+            for t in design.treatments:
+                table = dict(base.pmf(t).items())
+                source = max(table, key=table.get)
+                target = ((source[0] + 1) % 3,) + source[1:]
+                tables = {u: dict(base.pmf(u).items()) for u in design.treatments}
+                tables[t][source] -= 1e-10
+                tables[t][target] = tables[t].get(target, 0.0) + 1e-10
+                fs = build_feasibility_system(system_from_tables(design, tables))
+                assert solve_feasibility(fs).feasible, (seed, t)
+
+    def test_agrees_with_highs_on_partial_designs(self):
+        rng = np.random.default_rng(34)
+        outcomes = {True: 0, False: 0}
+        checked = 0
+        while checked < 16:
+            system = random_selective_system(rng, column_cap=600, allow_partial=True)
+            design = system.design
+            if design.is_fully_crossed():
+                continue
+            outcomes_list = list(design.outcome_tuples())
+            independent = system_from_tables(design, {
+                t: dict(zip(outcomes_list, rng.dirichlet(np.ones(len(outcomes_list)))))
+                for t in design.treatments
+            })
+            for candidate in (system, independent):
+                fs = build_feasibility_system(candidate)
+                mine = solve_feasibility(fs).feasible
+                assert mine == highs_feasible(fs)
+                outcomes[mine] += 1
+            checked += 1
+        assert outcomes[True] >= 16 and outcomes[False] > 0
+
+    @pytest.mark.parametrize("levels", [(3, 3), (2, 2, 2)])
+    def test_agrees_with_highs_near_the_pr_mixture_boundary(self, levels):
+        """Bisect the PR-box weight of a mixture with a latent system (half
+        of it uniform, so the mixture starts inside the feasible set), then
+        compare with HiGHS just off the boundary on either side."""
+        rng = np.random.default_rng(35)
+        design = crossed(levels, (2,) * len(levels))
+        box = pr_box(design)
+
+        def blend(a, b, alpha):
+            tables = {
+                t: {
+                    o: (1 - alpha) * a.pmf(t).mass(o) + alpha * b.pmf(t).mass(o)
+                    for o in design.outcome_tuples()
+                }
+                for t in design.treatments
+            }
+            return system_from_tables(design, tables)
+
+        def feasible_at(base, alpha):
+            return solve_feasibility(build_feasibility_system(blend(base, box, alpha))).feasible
+
+        for _ in range(4):
+            base = blend(latent_system(design, rng), uniform_system(design), 0.5)
+            lo, hi = 0.0, 1.0
+            for _ in range(30):
+                mid = 0.5 * (lo + hi)
+                if feasible_at(base, mid):
+                    lo = mid
+                else:
+                    hi = mid
+            assert 1e-3 < lo < 1 - 1e-3
+            for offset, expected in ((-1e-5, True), (1e-5, False)):
+                fs = build_feasibility_system(blend(base, box, 0.5 * (lo + hi) + offset))
+                assert solve_feasibility(fs).feasible == highs_feasible(fs) == expected
 
     def test_feasibility_invariant_under_value_relabeling(self):
         for system in (feasible_binary_system(), pr_box_system(), marginal_violation_system()):
@@ -327,20 +555,12 @@ class TestSolve:
         for system in batch:
             fs = build_feasibility_system(system)
             mine = solve_feasibility(fs).feasible
-            res = linprog(
-                c=np.zeros(fs.matrix.shape[1]),
-                A_eq=fs.matrix.astype(float),
-                b_eq=fs.p,
-                bounds=(0, None),
-                method="highs",
-            )
-            assert mine == (res.status == 0), f"disagreement: mine={mine}"
+            assert mine == highs_feasible(fs), f"disagreement: mine={mine}"
 
     def test_agrees_with_scipy_near_the_feasibility_boundary(self):
         """Bisect the mixing weight toward the box vertex, then compare all
         three routes (simplex, scipy, closed form) just off the boundary."""
         from fixtures import _random_binary_latent
-        from selinf import generate_system
 
         rng = np.random.default_rng(14)
         design = binary_design()
@@ -379,14 +599,7 @@ class TestSolve:
                 system = mix(feasible, alpha)
                 fs = build_feasibility_system(system)
                 mine = solve_feasibility(fs).feasible
-                res = linprog(
-                    c=np.zeros(fs.matrix.shape[1]),
-                    A_eq=fs.matrix.astype(float),
-                    b_eq=fs.p,
-                    bounds=(0, None),
-                    method="highs",
-                )
-                assert mine == (res.status == 0)
+                assert mine == highs_feasible(fs)
                 fine = fine_inequality_check(system)
                 assert mine == (fine.verdict == "consistent")
             trials += 1
