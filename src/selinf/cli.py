@@ -84,48 +84,12 @@ def _json_safe(value: Any) -> bool:
 
 
 def _witness_json(report: TestReport) -> Any:
-    w = report.witness
-    if w is None:
-        return None
-    if hasattr(w, "q"):  # coupling witness
-        return {
-            "residual": w.residual,
-            "q": [
-                {"assignment": list(w.col_labels[i]), "p": float(v)}
-                for i, v in enumerate(w.q)
-                if v > 0
-            ],
-        }
-    if hasattr(w, "sequence"):  # chain violation
-        return {
-            "sequence": [list(e) for e in w.sequence],
-            "lhs": w.lhs,
-            "rhs": w.rhs,
-            "treatments": [list(t) for t in w.treatments],
-        }
-    if hasattr(w, "worst_pair"):  # marginal report
-        return {
-            "worst_subset": w.worst_subset,
-            "worst_pair": w.worst_pair,
-            "discrepancy": w.discrepancy,
-            "total_variation": w.total_variation,
-        }
-    if hasattr(w, "excess"):  # fine violation
-        return {
-            "i": w.i, "i_prime": w.i_prime, "j": w.j, "j_prime": w.j_prime,
-            "value": w.value, "bound": w.bound, "excess": w.excess,
-        }
-    if hasattr(w, "subdesign"):  # cosphericity result
-        return {
-            "subdesign": list(w.subdesign),
-            "rho": list(w.rho),
-            "lhs": w.lhs,
-            "rhs": w.rhs,
-        }
-    return str(w)
+    return None if report.witness is None else report.witness.to_json()
 
 
-def run_tests(args, system: System | None, rt) -> list[TestReport]:
+def run_tests(args, system: System | None, rt, fs=None) -> list[TestReport]:
+    """The selected tests' reports; ``fs`` is the system's FeasibilitySystem
+    when it has already been built."""
     reports: list[TestReport] = []
     metrics: list[MetricSpec] = [parse_metric(m, system) for m in args.metric] or [
         PowerMetric(1.0)
@@ -152,7 +116,7 @@ def run_tests(args, system: System | None, rt) -> list[TestReport]:
                 )
             reports.append(TestReport("marginal", verdict, summary, witness=report))
         elif name == "lp":
-            reports.append(lp_report(needs_system(name), args.eps_lp, args.eps_prob))
+            reports.append(lp_report(needs_system(name), args.eps_lp, args.eps_prob, fs))
         elif name == "fine":
             reports.append(fine_inequality_check(needs_system(name), args.eps_test))
         elif name == "distance":
@@ -294,6 +258,7 @@ def _run(args) -> int:
         raise UsageError("at least one test must be selected")
     args.tests = selected
 
+    fs = None
     if args.dump_matrix:
         if system is None:
             raise UsageError("--dump-matrix needs a system input")
@@ -304,7 +269,7 @@ def _run(args) -> int:
         except OSError as exc:
             raise UsageError(f"{args.dump_matrix}: {exc.strerror}") from None
 
-    reports = run_tests(args, system, rt)
+    reports = run_tests(args, system, rt, fs)
     ruled_out = any(r.verdict == RULED_OUT for r in reports)
     exit_code = 1 if ruled_out else 0
 

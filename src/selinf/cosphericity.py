@@ -18,12 +18,15 @@ transform battery.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InapplicableError, UsageError
-from .model import JointPmf, Level, System, marginalize, treatment_index
+from .model import DESIGN_CACHE_SIZE, JointPmf, Level, System, TreatmentIndex, treatment_index
 from .report import CONSISTENT, INAPPLICABLE, RULED_OUT, TestReport
 
 EPS_TEST = 1e-6
@@ -60,6 +63,26 @@ def correlation(pmf: JointPmf, numeric_x, numeric_y) -> float:
     return max(-1.0, min(1.0, rho))
 
 
+def _correlations(pmf2: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``correlation`` at every treatment of a (treatments, values, values)
+    2-marginal under payloads x and y: (rho, defined), rho 0 where undefined."""
+    support = pmf2 != 0.0
+    ex = (pmf2 * x[:, None]).sum(axis=(1, 2))
+    ey = (pmf2 * y[None, :]).sum(axis=(1, 2))
+    dx = x[None, :, None] - ex[:, None, None]
+    dy = y[None, None, :] - ey[:, None, None]
+    var_x = (dx * dx * pmf2).sum(axis=(1, 2))
+    var_y = (dy * dy * pmf2).sum(axis=(1, 2))
+    cov = (dx * dy * pmf2).sum(axis=(1, 2))
+    spread_x = np.where(support, np.abs(dx), 0.0).max(axis=(1, 2), initial=0.0)
+    spread_y = np.where(support, np.abs(dy), 0.0).max(axis=(1, 2), initial=0.0)
+    defined = (var_x > (_VAR_RTOL * np.maximum(spread_x, 1.0)) ** 2) & (
+        var_y > (_VAR_RTOL * np.maximum(spread_y, 1.0)) ** 2
+    )
+    rho = np.divide(cov, np.sqrt(var_x * var_y), out=np.zeros_like(cov), where=defined)
+    return np.clip(rho, -1.0, 1.0), defined
+
+
 @dataclass(frozen=True)
 class CosphericityResult:
     """One sub-design's verdict: the four correlations and both test sides.
@@ -76,20 +99,40 @@ class CosphericityResult:
     passed: bool
     boundary: bool
 
+    def to_json(self) -> dict:
+        return {
+            "subdesign": list(self.subdesign),
+            "rho": list(self.rho),
+            "lhs": self.lhs,
+            "rhs": self.rhs,
+        }
 
-def _crossed_subdesigns(system: System):
-    """Yield (k, k', i, i', j, j') with the first treatments of cells ij, ij', i'j, i'j'."""
-    design = system.design
-    index = treatment_index(design)
-    for k, k_prime in itertools.permutations(range(design.n), 2):
-        for i, i_prime in itertools.combinations(design.inputs[k].levels, 2):
-            for j, j_prime in itertools.combinations(design.inputs[k_prime].levels, 2):
+
+@functools.lru_cache(maxsize=DESIGN_CACHE_SIZE)
+def _crossed_subdesigns(index: TreatmentIndex) -> tuple:
+    """(subdesigns, rows, cells): every (k, k', i, i', j, j') whose four cells
+    ij, ij', i'j, i'j' are allowable, in test order; by output pair
+    (min(k, k'), max(k, k')), the rows of its sub-designs; and per sub-design
+    the positions of the first treatments of its four cells."""
+    inputs = index.inputs
+    subdesigns, rows, cells = [], {}, []
+    for k, k_prime in itertools.permutations(range(len(inputs)), 2):
+        for i, i_prime in itertools.combinations(inputs[k].levels, 2):
+            for j, j_prime in itertools.combinations(inputs[k_prime].levels, 2):
                 found = [
                     index.realizers((k, a), (k_prime, b))
                     for a, b in itertools.product((i, i_prime), (j, j_prime))
                 ]
                 if all(found):
-                    yield (k, k_prime, i, i_prime, j, j_prime), [f[0] for f in found]
+                    pair = (min(k, k_prime), max(k, k_prime))
+                    rows.setdefault(pair, []).append(len(subdesigns))
+                    subdesigns.append((k, k_prime, i, i_prime, j, j_prime))
+                    cells.append([f[0] for f in found])
+    cells = np.array(cells, dtype=np.intp).reshape(-1, 4)
+    rows = {pair: np.array(r, dtype=np.intp) for pair, r in rows.items()}
+    for table in (cells, *rows.values()):
+        table.setflags(write=False)
+    return tuple(subdesigns), rows, cells
 
 
 def run_cosphericity(
@@ -99,43 +142,41 @@ def run_cosphericity(
 
     Sub-designs with a zero-variance marginal are skipped (the inequality is
     vacuous without a defined correlation).  Raises InapplicableError when no
-    eligible sub-design exists at all.
+    eligible sub-design exists at all.  Correlations come once per (output
+    pair, treatment) from ``system.pair_marginals``; the inequality is then
+    checked on all sub-designs at once.
     """
     design = system.design
-    results: list[CosphericityResult] = []
-    found_any = False
-    for (k, k_prime, i, i_prime, j, j_prime), cells in _crossed_subdesigns(system):
-        found_any = True
-        out_k, out_kp = design.outputs[k], design.outputs[k_prime]
-        if not (out_k.has_numeric and out_kp.has_numeric):
-            continue
-        coding = (out_k.numeric_value, out_kp.numeric_value)
-        try:
-            r11, r12, r21, r22 = [
-                correlation(marginalize(system.pmf(t), (k, k_prime)), *coding)
-                for t in cells
-            ]
-        except InapplicableError:
-            continue
-        lhs = abs(r11 * r12 - r21 * r22)
-        rhs = math.sqrt(max(0.0, 1 - r11**2)) * math.sqrt(
-            max(0.0, 1 - r12**2)
-        ) + math.sqrt(max(0.0, 1 - r21**2)) * math.sqrt(max(0.0, 1 - r22**2))
-        results.append(
-            CosphericityResult(
-                (k, k_prime, i, i_prime, j, j_prime),
-                (r11, r12, r21, r22),
-                lhs,
-                rhs,
-                lhs <= rhs + eps_test,
-                abs(lhs - rhs) <= eps_test,
-            )
-        )
-    if not found_any:
+    subdesigns, rows_by_pair, cells = _crossed_subdesigns(treatment_index(design))
+    if not subdesigns:
         raise InapplicableError(
             "no pair of inputs forms a completely crossed 2x2 sub-design"
         )
-    return results
+    outputs = design.outputs
+    rho = np.zeros((len(subdesigns), 4))
+    defined = np.zeros((len(subdesigns), 4), dtype=bool)
+    for (k, k_prime), rows in rows_by_pair.items():
+        if not (outputs[k].has_numeric and outputs[k_prime].has_numeric):
+            continue
+        r, ok = _correlations(
+            system.pair_marginals[(k, k_prime)],
+            np.array(outputs[k].numeric),
+            np.array(outputs[k_prime].numeric),
+        )
+        rho[rows] = r[cells[rows]]
+        defined[rows] = ok[cells[rows]]
+    r11, r12, r21, r22 = rho.T
+    lhs = np.abs(r11 * r12 - r21 * r22)
+    rhs = np.sqrt(np.maximum(0.0, 1 - r11**2)) * np.sqrt(
+        np.maximum(0.0, 1 - r12**2)
+    ) + np.sqrt(np.maximum(0.0, 1 - r21**2)) * np.sqrt(np.maximum(0.0, 1 - r22**2))
+    passed = lhs <= rhs + eps_test
+    boundary = np.abs(lhs - rhs) <= eps_test
+    return [
+        CosphericityResult(subdesigns[s], tuple(rho[s].tolist()), float(lhs[s]),
+                           float(rhs[s]), bool(passed[s]), bool(boundary[s]))
+        for s in np.flatnonzero(defined.all(axis=1)).tolist()
+    ]
 
 
 def cosphericity_report(system: System, eps_test: float = EPS_TEST) -> TestReport:

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import InapplicableError, UsageError
 from .marginal import EPS_TEST, check_marginal_selectivity
 from .model import DESIGN_CACHE_SIZE, Design, Level, System, Treatment
-from .model import TreatmentIndex, marginalize, treatment_index
+from .model import TreatmentIndex, treatment_index
 from .report import CONSISTENT, INAPPLICABLE, RULED_OUT, TestReport
 
 MAX_SEQUENCE_LENGTH = 6
@@ -102,31 +102,39 @@ class ChainViolation:
     rhs: float
     treatments: tuple[Treatment, ...]
 
+    def to_json(self) -> dict:
+        return {
+            "sequence": [list(e) for e in self.sequence],
+            "lhs": self.lhs,
+            "rhs": self.rhs,
+            "treatments": [list(t) for t in self.treatments],
+        }
 
-def _directed_distance(
-    system: System, metric: MetricSpec, treatment: Treatment, k_from: int, k_to: int
-) -> float:
-    """Distance from output k_from to k_to under their 2-marginal at ``treatment``."""
-    pmf2 = marginalize(system.pmf(treatment), (k_from, k_to))
+
+def _weights(metric: MetricSpec, design: Design, k_from: int, k_to: int) -> np.ndarray:
+    """W with d(k_from, k_to) = sum(P2 * W) for a (values of k_from, values of
+    k_to) 2-marginal P2: (y - x)**p where x < y, or 1 where class(a) < class(b)."""
+    out_from, out_to = design.outputs[k_from], design.outputs[k_to]
     if isinstance(metric, PowerMetric):
-        out_from = system.design.outputs[k_from]
-        out_to = system.design.outputs[k_to]
         if not (out_from.has_numeric and out_to.has_numeric):
             raise InapplicableError(
                 f"power metric needs numeric payloads on outputs "
                 f"{out_from.name!r} and {out_to.name!r}"
             )
-        total = 0.0
-        for (a, b), mass in pmf2.items():
-            x, y = out_from.numeric_value(a), out_to.numeric_value(b)
-            if x < y:
-                total += (y - x) ** metric.p * mass
-        return total
-    total = 0.0
-    for (a, b), mass in pmf2.items():
-        if metric.class_index(k_from, a) < metric.class_index(k_to, b):
-            total += mass
-    return total
+        x, y = np.array(out_from.numeric)[:, None], np.array(out_to.numeric)[None, :]
+        return np.where(x < y, np.power(np.maximum(y - x, 0.0), metric.p), 0.0)
+    c_from = np.array([metric.class_index(k_from, v) for v in out_from.values])
+    c_to = np.array([metric.class_index(k_to, v) for v in out_to.values])
+    return (c_from[:, None] < c_to[None, :]).astype(np.float64)
+
+
+def _directed(system: System, metric: MetricSpec, k_from: int, k_to: int) -> np.ndarray:
+    """Distance from output k_from to k_to at every treatment, in declared order."""
+    if k_from < k_to:
+        pmf2 = system.pair_marginals[(k_from, k_to)]
+    else:
+        pmf2 = system.pair_marginals[(k_to, k_from)].transpose(0, 2, 1)
+    return (pmf2 * _weights(metric, system.design, k_from, k_to)).sum(axis=(1, 2))
 
 
 def pairwise_distance(
@@ -139,10 +147,15 @@ def pairwise_distance(
     """Both directed distances between outputs k and k' at one treatment."""
     if k == k_prime:
         raise UsageError("pairwise distance needs two distinct outputs")
+    design = system.design
     if isinstance(metric, ClassificationMetric):
-        metric.validate(system.design)
-    forward = _directed_distance(system, metric, treatment, k, k_prime)
-    return forward, _directed_distance(system, metric, treatment, k_prime, k)
+        metric.validate(design)
+    try:
+        b = design.treatments.index(tuple(treatment))
+    except ValueError:
+        raise UsageError(f"no distribution for treatment {treatment!r}") from None
+    forward = _directed(system, metric, k, k_prime)[b]
+    return float(forward), float(_directed(system, metric, k_prime, k)[b])
 
 
 def enumerate_test_sequences(
@@ -163,16 +176,19 @@ def enumerate_test_sequences(
     into a table of their distinct links, shared by every later call, battery
     members included; each call returns a new list, which the caller owns.
     """
-    index = treatment_index(design)
-    sequences, links, ids = _chains(index, design.is_fully_crossed(), max_length)
-    first = [index.realizers(a, b)[0] for a, b in links]
+    sequences, ids, _, realizers = _chains(
+        treatment_index(design), design.is_fully_crossed(), max_length
+    )
+    first = [design.treatments[b] for b in realizers[:, 0].tolist()]
     return [(s, tuple(first[i] for i in row[: len(s)])) for s, row in zip(sequences, ids.tolist())]
 
 
 @functools.lru_cache(maxsize=DESIGN_CACHE_SIZE)
 def _chains(index: TreatmentIndex, fully_crossed: bool, max_length: int) -> tuple:
-    """(sequences, links, ids): the chains, their distinct (a, b) links, and per chain
-    the closing link's id, then the consecutive links' ids, padded with id len(links)."""
+    """(sequences, ids, pairs, realizers): the chains; per chain the closing
+    link's id, then the consecutive links' ids, padded with the number of
+    distinct (a, b) links; per link its output pair (k_a, k_b); and per link
+    its realizers' treatment positions in declared order, padded with -1."""
     if max_length < 3:
         raise UsageError("max_length must be at least 3")
     inputs = index.inputs
@@ -205,8 +221,14 @@ def _chains(index: TreatmentIndex, fully_crossed: bool, max_length: int) -> tupl
         pairs = [(seq[0], seq[-1]), *zip(seq, seq[1:])]
         ids[c, : len(seq)] = [link_ids.setdefault(pair, len(link_ids)) for pair in pairs]
     ids[ids < 0] = len(link_ids)
-    ids.setflags(write=False)
-    return tuple(sequences), tuple(link_ids), ids
+    positions = [index.realizers(a, b) for a, b in link_ids]
+    realizers = np.full((len(positions), max(map(len, positions), default=1)), -1, dtype=np.intp)
+    for i, row in enumerate(positions):
+        realizers[i, : len(row)] = row
+    pairs = np.array([(a[0], b[0]) for a, b in link_ids], dtype=np.intp).reshape(-1, 2)
+    for table in (ids, pairs, realizers):
+        table.setflags(write=False)
+    return tuple(sequences), ids, pairs, realizers
 
 
 def run_distance_test(
@@ -240,19 +262,23 @@ def run_distance_test(
     treatment_dependent = not ms.passed
     details = {"treatment_dependent_links": treatment_dependent}
 
-    index = treatment_index(design)
-    sequences, links, ids = _chains(index, design.is_fully_crossed(), max_length)
-    closing, linking = [], []  # per link: (distance, treatment), largest and smallest
-    for a, b in links:
-        realizers = index.realizers(a, b)
-        if not treatment_dependent:
-            realizers = realizers[:1]
-        values = [(_directed_distance(system, metric, t, a[0], b[0]), t) for t in realizers]
-        closing.append(max(values, key=lambda v: v[0]))
-        linking.append(min(values, key=lambda v: v[0]))
-
-    lhs = np.array([d for d, _ in closing])[ids[:, 0]]
-    link_values = np.array([d for d, _ in linking] + [0.0])
+    sequences, ids, pairs, realizers = _chains(
+        treatment_index(design), design.is_fully_crossed(), max_length
+    )
+    if not treatment_dependent:
+        realizers = realizers[:, :1]
+    n = design.n
+    by_pair = np.zeros((n * n, len(design.treatments)))
+    for k_from, k_to in set(map(tuple, pairs.tolist())):
+        by_pair[k_from * n + k_to] = _directed(system, metric, k_from, k_to)
+    values = by_pair[(pairs[:, 0] * n + pairs[:, 1])[:, None], realizers]
+    padding = realizers < 0
+    # per link: the realizer with the largest and the smallest distance, first wins
+    closing = np.argmax(np.where(padding, -np.inf, values), axis=1)
+    linking = np.argmin(np.where(padding, np.inf, values), axis=1)
+    rows = np.arange(len(realizers))
+    lhs = values[rows, closing][ids[:, 0]]
+    link_values = np.append(values[rows, linking], 0.0)
     rhs = np.zeros(len(sequences))
     for column in ids[:, 1:].T:
         rhs += link_values[column]
@@ -263,7 +289,10 @@ def run_distance_test(
     tied = np.flatnonzero(violated & (gap == gap[violated].max()))
     c = min(tied, key=lambda i: repr(sequences[i]))
     row = ids[c, : len(sequences[c])]
-    used = (closing[row[0]][1],) + tuple(linking[i][1] for i in row[1:])
+    used = tuple(
+        design.treatments[realizers[i, pick[i]]]
+        for i, pick in zip(row, [closing] + [linking] * (len(row) - 1))
+    )
     worst = ChainViolation(sequences[c], float(lhs[c]), float(rhs[c]), used)
     return TestReport(
         name,

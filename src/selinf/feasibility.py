@@ -134,6 +134,16 @@ class CouplingWitness:
     residual: float
     col_labels: tuple[tuple, ...] = field(repr=False)
 
+    def to_json(self) -> dict:
+        return {
+            "residual": self.residual,
+            "q": [
+                {"assignment": list(self.col_labels[i]), "p": float(v)}
+                for i, v in enumerate(self.q)
+                if v > 0
+            ],
+        }
+
 
 @dataclass(frozen=True)
 class LpVerdict:
@@ -178,9 +188,7 @@ def build_feasibility_system(system: System, eps_prob: float = EPS_PROB) -> Feas
     row_labels = tuple(
         (t, o) for t in design.treatments for o in design.outcome_tuples()
     )
-    p = np.array(
-        [system.pmf(t).mass(o) for t, o in row_labels], dtype=np.float64
-    )
+    p = system.array.reshape(-1)
 
     col_labels = tuple(itertools.product(*coord_values))
     # Columns are the coupling grid in C order; in column j, treatment t's
@@ -395,6 +403,12 @@ class FineViolation:
     bound: str  # "lower" (>= 0) or "upper" (<= 1)
     excess: float
 
+    def to_json(self) -> dict:
+        return {
+            "i": self.i, "i_prime": self.i_prime, "j": self.j, "j_prime": self.j_prime,
+            "value": self.value, "bound": self.bound, "excess": self.excess,
+        }
+
 
 def fine_inequality_check(system: System, eps_test: float = EPS_TEST) -> TestReport:
     """Closed-form feasibility check for the 2x2 binary fully crossed design.
@@ -462,10 +476,17 @@ def fine_inequality_check(system: System, eps_test: float = EPS_TEST) -> TestRep
     return TestReport(name, CONSISTENT, "all eight double inequalities hold")
 
 
-def lp_report(system: System, eps_lp: float = EPS_LP, eps_prob: float = EPS_PROB) -> TestReport:
+def lp_report(
+    system: System,
+    eps_lp: float = EPS_LP,
+    eps_prob: float = EPS_PROB,
+    fs: FeasibilitySystem | None = None,
+) -> TestReport:
     """Run the full feasibility test and wrap the verdict as a TestReport;
-    ``eps_prob`` is the tolerance the system is validated at."""
-    fs = build_feasibility_system(system, eps_prob)
+    ``eps_prob`` is the tolerance the system is validated at.  ``fs``, when
+    given, is ``system``'s already built FeasibilitySystem, solved as is."""
+    if fs is None:
+        fs = build_feasibility_system(system, eps_prob)
     verdict = solve_feasibility(fs, eps_lp=eps_lp)
     if verdict.feasible:
         return TestReport(

@@ -9,11 +9,14 @@ necessary condition and is also implied by the linear feasibility test.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import UsageError
-from .model import JointPmf, System, Treatment, marginalize
+from .model import DESIGN_CACHE_SIZE, System, Treatment
 
 EPS_TEST = 1e-9
 
@@ -34,13 +37,36 @@ class MarginalReport:
     total_variation: float
     passed: bool
 
+    def to_json(self) -> dict:
+        return {
+            "worst_subset": self.worst_subset,
+            "worst_pair": self.worst_pair,
+            "discrepancy": self.discrepancy,
+            "total_variation": self.total_variation,
+        }
 
-def _sup_and_tv(a: JointPmf, b: JointPmf) -> tuple[float, float]:
-    keys = set(a.table) | set(b.table)
-    diffs = [abs(a.mass(k) - b.mass(k)) for k in keys]
-    if not diffs:
-        return 0.0, 0.0
-    return max(diffs), 0.5 * sum(diffs)
+
+@functools.lru_cache(maxsize=DESIGN_CACHE_SIZE)
+def _comparisons(treatments: tuple[Treatment, ...], n: int, max_subset_size: int) -> tuple:
+    """Per output subset, in test order, the treatment pairs (first, second
+    position arrays) that agree on the subset's inputs: groups in order of
+    their first treatment, pairs in combination order within each group.
+    Only label equality is used, so equal labels of another type may share
+    an entry."""
+    out = []
+    for size in range(1, max_subset_size + 1):
+        for subset in itertools.combinations(range(n), size):
+            groups: dict[tuple, list[int]] = {}
+            for b, t in enumerate(treatments):
+                groups.setdefault(tuple(t[k] for k in subset), []).append(b)
+            pairs = [
+                pair for members in groups.values() for pair in itertools.combinations(members, 2)
+            ]
+            if pairs:
+                table = np.array(pairs, dtype=np.intp).T
+                table.setflags(write=False)
+                out.append((subset, *table))
+    return tuple(out)
 
 
 def check_marginal_selectivity(
@@ -51,6 +77,8 @@ def check_marginal_selectivity(
     """Run the complete marginal selectivity test up to ``max_subset_size``.
 
     The default cap is n-1 (the complete test); pass 1 for the simple test.
+    Each subset's sub-marginals are one sum over ``system.array``; the worst
+    pair is the first, in test order, with the largest sup-norm difference.
     """
     design = system.design
     n = design.n
@@ -63,20 +91,18 @@ def check_marginal_selectivity(
     if n == 1 or len(design.treatments) < 2:
         return worst
 
-    for size in range(1, max_subset_size + 1):
-        for subset in itertools.combinations(range(n), size):
-            groups: dict[tuple, list[Treatment]] = {}
-            for t in design.treatments:
-                key = tuple(t[k] for k in subset)
-                groups.setdefault(key, []).append(t)
-            for members in groups.values():
-                if len(members) < 2:
-                    continue
-                margins = [marginalize(system.pmf(t), subset) for t in members]
-                for (i, t1), (j, t2) in itertools.combinations(enumerate(members), 2):
-                    sup, tv = _sup_and_tv(margins[i], margins[j])
-                    if sup > worst.discrepancy:
-                        worst = MarginalReport(subset, (t1, t2), sup, tv, True)
+    array = system.array
+    for subset, first, second in _comparisons(design.treatments, n, max_subset_size):
+        others = tuple(k + 1 for k in range(n) if k not in subset)
+        margins = array.sum(axis=others).reshape(len(design.treatments), -1)
+        diffs = np.abs(margins[first] - margins[second])
+        sups = diffs.max(axis=1)
+        c = int(np.argmax(sups))
+        if sups[c] > worst.discrepancy:
+            pair = (design.treatments[first[c]], design.treatments[second[c]])
+            worst = MarginalReport(
+                subset, pair, float(sups[c]), float(0.5 * diffs[c].sum()), True
+            )
     return MarginalReport(
         worst.worst_subset,
         worst.worst_pair,

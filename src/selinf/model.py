@@ -19,13 +19,17 @@ import math
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Mapping, Sequence
 
-from .errors import UsageError
+import numpy as np
+
+from .errors import CapacityError, UsageError
 
 #: Default tolerance for probability-mass bookkeeping.
 EPS_PROB = 1e-9
 
 #: Distinct designs whose derived lookups (index, chains) are kept.
 DESIGN_CACHE_SIZE = 8
+#: Largest dense pmf array, in bytes, that ``System.array`` will allocate.
+ARRAY_BYTE_CAP = 2**30
 
 Level = Hashable
 Value = Hashable
@@ -150,20 +154,21 @@ class Design:
 class TreatmentIndex:
     """Allowable treatments by the (input, level) pairs they contain.
 
-    ``realizers(a, b)`` gives, in declared order, the treatments housing
-    both ``a = (k, level)`` and ``b = (k', level')`` with k != k'; empty
-    when none does.  Obtain one through ``treatment_index``.
+    ``realizers(a, b)`` gives, ascending, the positions in the design's
+    treatment order of the treatments housing both ``a = (k, level)`` and
+    ``b = (k', level')`` with k != k'; empty when none does.  Obtain one
+    through ``treatment_index``.
     """
 
     def __init__(self, inputs: tuple[InputSpec, ...], treatments: tuple[Treatment, ...]):
         self.inputs = inputs
-        self._pairs: dict[tuple, tuple[Treatment, ...]] = {}
-        for t in treatments:
+        self._pairs: dict[tuple, tuple[int, ...]] = {}
+        for b, t in enumerate(treatments):
             for k, k_prime in itertools.permutations(range(len(inputs)), 2):
                 key = ((k, t[k]), (k_prime, t[k_prime]))
-                self._pairs[key] = self._pairs.get(key, ()) + (t,)
+                self._pairs[key] = self._pairs.get(key, ()) + (b,)
 
-    def realizers(self, a: tuple[int, Level], b: tuple[int, Level]) -> tuple[Treatment, ...]:
+    def realizers(self, a: tuple[int, Level], b: tuple[int, Level]) -> tuple[int, ...]:
         return self._pairs.get((a, b), ())
 
 
@@ -227,7 +232,12 @@ class JointPmf:
 
 @dataclass(frozen=True)
 class System:
-    """A design together with one joint output pmf per allowable treatment."""
+    """A design together with one joint output pmf per allowable treatment.
+
+    ``array`` holds the same masses densely; the screens and the criterion
+    LP read it, and it is built once, on first use, from ``distributions``,
+    which must not be mutated after that.
+    """
 
     design: Design
     distributions: Mapping[Treatment, JointPmf]
@@ -242,6 +252,82 @@ class System:
             return self.distributions[tuple(treatment)]
         except KeyError:
             raise UsageError(f"no distribution for treatment {treatment!r}") from None
+
+    @functools.cached_property
+    def array(self) -> np.ndarray:
+        """Read-only float64 masses of shape (treatments, *outcome shape):
+        ``array[b][o]`` is the mass of the outcome with value indices ``o`` at
+        ``design.treatments[b]``.  UsageError for a missing treatment, a wrong
+        arity or an undeclared value; CapacityError, before allocating, above
+        ARRAY_BYTE_CAP."""
+        design = self.design
+        outputs = design.outputs
+        shape = (len(design.treatments), *(len(out.values) for out in outputs))
+        if math.prod(shape) * 8 > ARRAY_BYTE_CAP:
+            raise CapacityError(
+                f"pmf array of shape {shape} needs over {ARRAY_BYTE_CAP} bytes; "
+                "group output values before testing"
+            )
+        positions = [{v: i for i, v in enumerate(out.values)} for out in outputs]
+        index: list[list[int]] = [[] for _ in shape]
+        masses: list[float] = []
+        for b, t in enumerate(design.treatments):
+            pmf = self.pmf(t)
+            if pmf.arity != design.n:
+                raise UsageError(
+                    f"treatment {t!r}: pmf arity {pmf.arity} != number of outputs {design.n}"
+                )
+            for key, mass in pmf.items():
+                index[0].append(b)
+                for k, value in enumerate(key):
+                    try:
+                        index[k + 1].append(positions[k][value])
+                    except KeyError:
+                        raise UsageError(
+                            f"treatment {t!r}: undeclared value {value!r} "
+                            f"for output {outputs[k].name!r}"
+                        ) from None
+                masses.append(mass)
+        array = np.zeros(shape)
+        array[tuple(index)] = masses
+        array.flags.writeable = False
+        return array
+
+    @functools.cached_property
+    def pair_marginals(self) -> dict[tuple[int, int], np.ndarray]:
+        """Read-only 2-marginals of ``array``, by output pair (k, k') with
+        k < k': each of shape (treatments, values of k, values of k')."""
+        n = self.design.n
+        out = {}
+        for k, k_prime in itertools.combinations(range(n), 2):
+            others = tuple(j + 1 for j in range(n) if j not in (k, k_prime))
+            marginal = self.array.sum(axis=others)
+            marginal.flags.writeable = False
+            out[(k, k_prime)] = marginal
+        return out
+
+    @classmethod
+    def from_array(cls, design: Design, array: np.ndarray) -> "System":
+        """The system whose ``array`` is ``array`` (shaped as that property
+        describes), with its tables read off the nonzero cells.  Masses in
+        (-EPS_PROB, 0) become 0, as ``JointPmf`` clips them."""
+        array = np.where((array < 0.0) & (array > -EPS_PROB), 0.0, array)
+        array.flags.writeable = False
+        cells = np.nonzero(array)
+        masses = array[cells].tolist()
+        labels = [
+            [out.values[i] for i in idx.tolist()]
+            for out, idx in zip(design.outputs, cells[1:])
+        ]
+        tables: list[dict[tuple, float]] = [{} for _ in design.treatments]
+        for b, key, mass in zip(cells[0].tolist(), zip(*labels), masses):
+            tables[b][key] = mass
+        system = cls(
+            design,
+            {t: JointPmf(design.n, table) for t, table in zip(design.treatments, tables)},
+        )
+        system.__dict__["array"] = array  # the cached property's slot
+        return system
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import UsageError
-from .model import Design, JointPmf, Level, OutputSpec, System, Value
+from .model import Design, Level, OutputSpec, System, Value
 from .report import CONSISTENT, INAPPLICABLE, RULED_OUT, TestReport
 
 
@@ -83,7 +83,13 @@ def identity_transform(design: Design) -> TransformSpec:
 
 
 def apply_transform(system: System, spec: TransformSpec) -> System:
-    """Push every treatment pmf forward through the level-selected maps."""
+    """Push every treatment pmf forward through the level-selected maps.
+
+    Works on ``system.array``: along each output's axis, every treatment's
+    masses are summed into its level's images by one product with a 0/1
+    index matrix, so the transformed system's array is never rebuilt from
+    its tables.
+    """
     design = system.design
     spec.validate(design)
     new_design = Design(
@@ -91,15 +97,20 @@ def apply_transform(system: System, spec: TransformSpec) -> System:
         tuple(tr.target for tr in spec.outputs),
         design.treatments,
     )
-    distributions = {}
-    for t in design.treatments:
-        maps = [tr.map_for(level) for tr, level in zip(spec.outputs, t)]
-        table: dict[tuple, float] = {}
-        for key, mass in system.pmf(t).items():
-            image = tuple(m[v] for m, v in zip(maps, key))
-            table[image] = table.get(image, 0.0) + mass
-        distributions[t] = JointPmf(design.n, table)
-    return System(new_design, distributions)
+    array = system.array
+    rows = np.arange(len(design.treatments))[:, None]
+    for k, (tr, out) in enumerate(zip(spec.outputs, design.outputs)):
+        target = {v: i for i, v in enumerate(tr.target.values)}
+        images = {}
+        for level in design.inputs[k].levels:
+            mapping = tr.map_for(level)
+            images[level] = [target[mapping[v]] for v in out.values]
+        onehot = np.zeros((len(design.treatments), len(out.values), len(target)))
+        onehot[rows, np.arange(len(out.values)), [images[t[k]] for t in design.treatments]] = 1.0
+        moved = np.moveaxis(array, k + 1, -1)
+        summed = moved.reshape(len(design.treatments), -1, len(out.values)) @ onehot
+        array = np.moveaxis(summed.reshape(moved.shape[:-1] + (len(target),)), -1, k + 1)
+    return System.from_array(new_design, array)
 
 
 def run_battery(

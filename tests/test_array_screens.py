@@ -1,0 +1,351 @@
+"""The screens read ``System.array``; dict-based brute-force oracles check them.
+
+Every oracle here sums straight off the ``JointPmf`` tables, in table order,
+so it shares no code with the array reductions it checks.  Sums run in
+another order there, so values are compared within 1e-12; the verdict-level
+choices (which sub-designs are skipped, which pair is worst) must agree
+exactly.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from fixtures import random_selective_system, system_from_tables
+from selinf import (
+    CapacityError,
+    ClassificationMetric,
+    Design,
+    InapplicableError,
+    InputSpec,
+    JointPmf,
+    OutputSpec,
+    PowerMetric,
+    System,
+    UsageError,
+    apply_transform,
+    build_feasibility_system,
+    check_marginal_selectivity,
+    correlation,
+    generate_battery,
+    pairwise_distance,
+    run_cosphericity,
+)
+from selinf import model
+from selinf.cosphericity import _VAR_RTOL
+from test_marginal import _oracle_discrepancy
+
+# ------------------------------------------------------------------ systems
+
+
+def pr_mixture(system, weight):
+    """Mix a PR box on outputs 1 and 2 into ``system``: output 2 copies output
+    1, shifted by one value at treatments above both inputs' first levels."""
+    design = system.design
+    v1, v2 = design.outputs[0].values, design.outputs[1].values
+    v = min(len(v1), len(v2))
+    first = [spec.levels[0] for spec in design.inputs[:2]]
+    rest = list(itertools.product(*(o.values for o in design.outputs[2:])))
+    tables = {}
+    for t in design.treatments:
+        table = {k: (1 - weight) * m for k, m in system.pmf(t).items()}
+        shift = int(t[0] != first[0] and t[1] != first[1])
+        for i in range(v):
+            for tail in rest:
+                key = (v1[i], v2[(i + shift) % v]) + tail
+                table[key] = table.get(key, 0.0) + weight / v / len(rest)
+        tables[t] = table
+    return system_from_tables(design, tables)
+
+
+def perturbed(system, rng, eps=0.2):
+    """One treatment mixed with noise: marginal selectivity breaks."""
+    design = system.design
+    target = design.treatments[int(rng.integers(len(design.treatments)))]
+    keys = list(itertools.product(*(o.values for o in design.outputs)))
+    noise = rng.dirichlet(np.ones(len(keys)))
+    tables = {t: dict(system.pmf(t).table) for t in design.treatments}
+    tables[target] = {
+        k: (1 - eps) * system.pmf(target).mass(k) + eps * float(m) for k, m in zip(keys, noise)
+    }
+    return system_from_tables(design, tables)
+
+
+def with_outputs(system, outputs):
+    return System(
+        Design(system.design.inputs, tuple(outputs), system.design.treatments),
+        system.distributions,
+    )
+
+
+def unobserved_value(system):
+    """Output 1 gains a value that no treatment gives mass to."""
+    out = system.design.outputs[0]
+    numeric = None if out.numeric is None else out.numeric + (99.0,)
+    grown = OutputSpec(out.name, out.values + ("never",), numeric)
+    return with_outputs(system, (grown,) + system.design.outputs[1:])
+
+
+def no_payload(system):
+    """Output 1 without numeric payloads."""
+    out = system.design.outputs[0]
+    return with_outputs(system, (OutputSpec(out.name, out.values),) + system.design.outputs[1:])
+
+
+def seeded_systems(seed, count=24):
+    """Latent systems (partial designs and single-level inputs included), PR
+    mixtures, marginally broken perturbations, and the variants above."""
+    rng = np.random.default_rng(seed)
+    systems = []
+    for _ in range(count):
+        system = random_selective_system(rng, column_cap=3000, allow_partial=True)
+        systems += [system, perturbed(system, rng), unobserved_value(system), no_payload(system)]
+        if system.design.n >= 2:
+            systems.append(pr_mixture(system, float(rng.uniform(0.5, 1.0))))
+    return systems
+
+
+def kinds_covered(systems):
+    return {
+        "partial": any(not s.design.is_fully_crossed() for s in systems),
+        "single level": any(len(spec.levels) == 1 for s in systems for spec in s.design.inputs),
+        "no payload": any(not o.has_numeric for s in systems for o in s.design.outputs),
+        "broken": any(not check_marginal_selectivity(s).passed for s in systems),
+    }
+
+
+# ------------------------------------------------------------------ oracles
+
+
+def dict_marginal(pmf, indices):
+    table = {}
+    for key, mass in pmf.items():
+        proj = tuple(key[i] for i in indices)
+        table[proj] = table.get(proj, 0.0) + mass
+    return table
+
+
+def dict_sup(system, subset, t1, t2):
+    a, b = dict_marginal(system.pmf(t1), subset), dict_marginal(system.pmf(t2), subset)
+    return max([abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in set(a) | set(b)] + [0.0])
+
+
+def dict_distance(system, metric, t, k_from, k_to):
+    design = system.design
+    total = 0.0
+    for (a, b), mass in dict_marginal(system.pmf(t), (k_from, k_to)).items():
+        if isinstance(metric, PowerMetric):
+            x = design.outputs[k_from].numeric[design.outputs[k_from].values.index(a)]
+            y = design.outputs[k_to].numeric[design.outputs[k_to].values.index(b)]
+            if x < y:
+                total += (y - x) ** metric.p * mass
+        elif metric.class_index(k_from, a) < metric.class_index(k_to, b):
+            total += mass
+    return total
+
+
+def dict_correlations(system):
+    """(sub-design, rho) for every crossed 2x2 sub-design, found by scanning the
+    treatments, whose four correlations the scalar ``correlation`` defines."""
+    design = system.design
+    out = []
+    for k, kp in itertools.permutations(range(design.n), 2):
+        for i, ip in itertools.combinations(design.inputs[k].levels, 2):
+            for j, jp in itertools.combinations(design.inputs[kp].levels, 2):
+                cells = [
+                    [t for t in design.treatments if t[k] == a and t[kp] == b]
+                    for a, b in itertools.product((i, ip), (j, jp))
+                ]
+                if not all(cells):
+                    continue
+                ok, x = design.outputs[k], design.outputs[kp]
+                if not (ok.has_numeric and x.has_numeric):
+                    continue
+                try:
+                    rho = tuple(
+                        correlation(
+                            JointPmf(2, dict_marginal(system.pmf(c[0]), (k, kp))),
+                            ok.numeric_value,
+                            x.numeric_value,
+                        )
+                        for c in cells
+                    )
+                except InapplicableError:
+                    continue
+                out.append(((k, kp, i, ip, j, jp), rho))
+    return out
+
+
+# -------------------------------------------------------------------- tests
+
+
+def test_seeded_systems_cover_every_kind():
+    assert all(kinds_covered(seeded_systems(41)).values())
+
+
+@pytest.mark.parametrize("seed", [41, 42])
+def test_marginal_test_matches_the_brute_force_oracle(seed):
+    for system in seeded_systems(seed):
+        design = system.design
+        if design.n < 2:
+            continue
+        report = check_marginal_selectivity(system)
+        assert report.discrepancy == pytest.approx(
+            _oracle_discrepancy(system, design.n - 1), abs=1e-12
+        )
+        if report.worst_pair is None:
+            assert report.discrepancy == 0.0
+        else:
+            subset, (t1, t2) = report.worst_subset, report.worst_pair
+            assert all(t1[k] == t2[k] for k in subset) and t1 != t2
+            assert dict_sup(system, subset, t1, t2) == pytest.approx(report.discrepancy, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", [43, 44])
+def test_directed_distances_match_the_brute_force_oracle(seed):
+    rng = np.random.default_rng(seed)
+    for system in seeded_systems(seed):
+        design = system.design
+        parts = []
+        for out in design.outputs:
+            order = rng.permutation(len(out.values))
+            split = int(rng.integers(1, len(out.values)))
+            parts.append(
+                (tuple(out.values[i] for i in order[:split]), tuple(out.values[i] for i in order[split:]))
+            )
+        metrics = [ClassificationMetric(tuple(parts))]
+        if all(o.has_numeric for o in design.outputs):
+            metrics += [PowerMetric(0.0), PowerMetric(0.5), PowerMetric(1.0)]
+        for metric, t in itertools.product(metrics, design.treatments):
+            for k, kp in itertools.combinations(range(design.n), 2):
+                forward, backward = pairwise_distance(system, metric, t, k, kp)
+                assert forward == pytest.approx(dict_distance(system, metric, t, k, kp), abs=1e-12)
+                assert backward == pytest.approx(dict_distance(system, metric, t, kp, k), abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", [45, 46])
+def test_correlations_match_the_scalar_oracle_per_subdesign(seed):
+    compared = 0
+    for system in seeded_systems(seed):
+        expected = dict_correlations(system)
+        try:
+            results = run_cosphericity(system)
+        except InapplicableError:
+            assert expected == []
+            continue
+        assert [r.subdesign for r in results] == [sub for sub, _ in expected]
+        for r, (_, rho) in zip(results, expected):
+            assert r.rho == pytest.approx(rho, abs=1e-12)
+            compared += 1
+    assert compared > 0
+
+
+def near_degenerate_system(q, scale=1.0, unobserved=False):
+    """2x2 design; at treatment (2, 2) output 1 is 1 with mass q only, so its
+    variance is about q * scale**2 against the (_VAR_RTOL * spread)**2 rule;
+    elsewhere both outputs are perfectly (anti-)correlated.  ``unobserved``
+    gives output 1 a third value, far away and never observed, which must
+    not count towards the spread."""
+    values, payloads = ((0, 1, 2), (0.0, scale, 1e6)) if unobserved else ((0, 1), (0.0, scale))
+    design = Design(
+        (InputSpec("l1", (1, 2)), InputSpec("l2", (1, 2))),
+        (OutputSpec("A1", values, payloads), OutputSpec("A2", (0, 1), (0.0, 1.0))),
+        tuple(itertools.product((1, 2), (1, 2))),
+    )
+    tables = {
+        (1, 1): {(0, 0): 0.5, (1, 1): 0.5},
+        (1, 2): {(0, 1): 0.5, (1, 0): 0.5},
+        (2, 1): {(0, 0): 0.5, (1, 1): 0.5},
+        (2, 2): {(0, 0): 0.5, (0, 1): 0.5 - q, (1, 1): q},
+    }
+    return system_from_tables(design, tables)
+
+
+@pytest.mark.parametrize("scale, unobserved", [(1.0, False), (1e3, False), (1.0, True)])
+def test_zero_variance_rule_skips_exactly_what_the_scalar_rule_rejects(scale, unobserved):
+    def defined(q):
+        return dict_correlations(near_degenerate_system(q, scale, unobserved)) != []
+
+    # the scalar rule's boundary: lo is rejected, the next float up is not
+    lo = (_VAR_RTOL * scale) ** 2 / scale**2
+    toward = 0.0 if defined(lo) else 1.0
+    for _ in range(1000):
+        if defined(lo) != defined(float(np.nextafter(lo, 1.0))):
+            break
+        lo = float(np.nextafter(lo, toward))
+    assert not defined(lo) and defined(float(np.nextafter(lo, 1.0)))
+    qs = [lo * f for f in (0.5, 1 - 1e-6, 1 + 1e-6, 2.0)]
+    for _ in range(3):
+        qs += [lo, float(np.nextafter(lo, 1.0))]
+        lo = float(np.nextafter(lo, 0.0))
+    seen = set()
+    for q in qs:
+        system = near_degenerate_system(q, scale, unobserved)
+        expected = dict_correlations(system)
+        results = run_cosphericity(system)
+        assert [r.subdesign for r in results] == [sub for sub, _ in expected], q
+        seen.add(len(results))
+    assert seen == {0, 2}  # both sides of the boundary were exercised
+
+
+def test_perfect_correlations_are_clipped_to_one():
+    # diagonal everywhere but at (1, 2), which is anti-diagonal
+    system = near_degenerate_system(0.5)
+    first, second = run_cosphericity(system)
+    assert first.rho == (1.0, -1.0, 1.0, 1.0) and second.rho == (1.0, 1.0, -1.0, 1.0)
+    assert [first.rho, second.rho] == [rho for _, rho in dict_correlations(system)]
+    assert not first.passed and first.rhs == 0.0 and first.lhs == 2.0
+
+
+# ------------------------------------------------------------ the array
+
+
+@pytest.mark.parametrize("seed", [47])
+def test_array_holds_the_tables_and_p_is_its_flat_view(seed):
+    for system in seeded_systems(seed, count=12):
+        design = system.design
+        array = system.array
+        assert array.shape == (len(design.treatments), *(len(o.values) for o in design.outputs))
+        assert not array.flags.writeable
+        for b, t in enumerate(design.treatments):
+            for idx in itertools.product(*(range(len(o.values)) for o in design.outputs)):
+                key = tuple(o.values[i] for o, i in zip(design.outputs, idx))
+                assert array[(b, *idx)] == system.pmf(t).mass(key)
+        if not model.validate_system(system):
+            fs = build_feasibility_system(system)
+            rows = np.array([system.pmf(t).mass(o) for t, o in fs.row_labels], dtype=np.float64)
+            assert fs.p.tobytes() == rows.tobytes()
+        again = System.from_array(design, array)
+        assert all(again.pmf(t).table == system.pmf(t).table for t in design.treatments)
+
+
+def test_transformed_array_matches_the_dict_pushforward():
+    rng = np.random.default_rng(48)
+    for system in seeded_systems(48, count=10):
+        design = system.design
+        for spec in generate_battery(design, n_groupings=2, n_monotone=2, seed=int(rng.integers(99))):
+            member = apply_transform(system, spec)
+            rebuilt = System(member.design, member.distributions)
+            assert member.array.tobytes() == rebuilt.array.tobytes()
+            for t in design.treatments:
+                maps = [tr.map_for(level) for tr, level in zip(spec.outputs, t)]
+                expected = {}
+                for key, mass in system.pmf(t).items():
+                    image = tuple(m[v] for m, v in zip(maps, key))
+                    expected[image] = expected.get(image, 0.0) + mass
+                got = member.pmf(t)
+                for key in set(expected) | set(got.table):
+                    assert got.mass(key) == pytest.approx(expected.get(key, 0.0), abs=1e-12)
+
+
+def test_array_rejects_undeclared_values_and_oversized_shapes(monkeypatch):
+    design = Design(
+        (InputSpec("l1", (1,)),), (OutputSpec("A1", (0, 1)),), ((1,),)
+    )
+    bad = System(design, {(1,): JointPmf(1, {(2,): 1.0})})
+    with pytest.raises(UsageError, match="undeclared value"):
+        bad.array
+    monkeypatch.setattr(model, "ARRAY_BYTE_CAP", 8)
+    with pytest.raises(CapacityError):
+        System(design, {(1,): JointPmf(1, {(0,): 1.0})}).array

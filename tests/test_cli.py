@@ -231,6 +231,26 @@ def test_dump_matrix_writes_labeled_grid(tmp_path):
     assert first.split()[2:] == list("11..11..........")
 
 
+def test_dump_matrix_and_lp_share_one_build(tmp_path, monkeypatch):
+    from selinf import cli, feasibility
+
+    calls = []
+    original = feasibility.build_feasibility_system
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_feasibility_system", counting)
+    monkeypatch.setattr(feasibility, "build_feasibility_system", counting)
+    path = write_system(tmp_path, feasible_binary_system())
+    target = tmp_path / "matrix.txt"
+    assert main([path, "--tests", "lp", "--dump-matrix", str(target)]) == 0
+    assert len(calls) == 1
+    assert main([path, "--tests", "lp"]) == 0
+    assert len(calls) == 2
+
+
 def test_metric_flags(tmp_path, capsys):
     path = write_system(tmp_path, d1_system())
     code = main(

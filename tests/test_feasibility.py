@@ -143,6 +143,7 @@ def highs_feasible(fs) -> bool:
         b_eq=fs.p,
         bounds=(0, None),
         method="highs",
+        options={"primal_feasibility_tolerance": feasibility.EPS_LP},
     )
     return res.status == 0
 

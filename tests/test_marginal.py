@@ -39,6 +39,23 @@ def test_pr_box_passes_with_zero_discrepancy():
     assert report.discrepancy == 0.0
 
 
+def test_ties_go_to_the_first_pair_in_test_order():
+    # Independent outputs with dyadic masses: every comparable pair, on
+    # either output, differs by exactly 1/4.
+    a = {(1, 1): 0.5, (1, 2): 0.25, (2, 1): 0.5, (2, 2): 0.25}
+    b = {(1, 1): 0.5, (1, 2): 0.5, (2, 1): 0.25, (2, 2): 0.25}
+    tables = {
+        t: {
+            (x, y): (a[t] if x == 1 else 1 - a[t]) * (b[t] if y == 1 else 1 - b[t])
+            for x, y in itertools.product((1, 2), (1, 2))
+        }
+        for t in a
+    }
+    report = check_marginal_selectivity(system_from_tables(binary_design(), tables))
+    assert (report.worst_subset, report.worst_pair) == ((0,), ((1, 1), (1, 2)))
+    assert report.discrepancy == report.total_variation == 0.25
+
+
 def test_single_treatment_is_vacuous():
     design = Design(
         (InputSpec("l1", (1,)), InputSpec("l2", (1,))),
