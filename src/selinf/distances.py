@@ -244,8 +244,12 @@ def run_distance_test(
     When the 2-marginal selectivity fails, the report flags it and the worst
     case over all realizing treatments is taken instead (largest closing
     distance against smallest link distances).  All chains are then checked at
-    once, link sums added in chain order; the worst has the largest lhs - rhs,
-    ties going to the smallest repr of its sequence.
+    once, link sums added in chain order.  The witness has the smallest repr
+    of its sequence among the violated chains whose lhs - rhs is within
+    4 L eps s of the largest, where L is the chain length in use (4 on a fully
+    crossed design, else ``max_length``), eps the float64 epsilon and s the
+    largest lhs + rhs: each of the L distances in lhs - rhs is off by a few
+    ulps of itself, so chains tied in exact arithmetic stay tied.
     """
     name = "distance"
     design = system.design
@@ -286,7 +290,8 @@ def run_distance_test(
     if not violated.any():
         return TestReport(name, CONSISTENT, "all chain inequalities hold", details=details)
     gap = lhs - rhs
-    tied = np.flatnonzero(violated & (gap == gap[violated].max()))
+    bound = 4 * ids.shape[1] * np.finfo(np.float64).eps * (lhs + rhs)[violated].max()
+    tied = np.flatnonzero(violated & (gap >= gap[violated].max() - bound))
     c = min(tied, key=lambda i: repr(sequences[i]))
     row = ids[c, : len(sequences[c])]
     used = tuple(

@@ -41,7 +41,8 @@ import numpy as np
 
 from .errors import CapacityError, SolverError, UsageError
 from .marginal import EPS_TEST, check_marginal_selectivity
-from .model import DESIGN_CACHE_SIZE, EPS_PROB, JointPmf, Level, System, Treatment, validate_system
+from .model import DESIGN_CACHE_SIZE, EPS_PROB, JointPmf, Level, System, Treatment, _table
+from .model import validate_system
 from .report import CONSISTENT, INAPPLICABLE, RULED_OUT, TestReport
 
 EPS_LP = 1e-8
@@ -60,16 +61,30 @@ class FeasibilitySystem:
     slowest-varying.  ``coords`` lists the coupling coordinates as
     (input index, level), in column-label order.  ``basis`` holds the
     indices, ascending and read-only, of the rows that form a basis of M's
-    row space (see ``_row_basis``).
+    row space (see ``_row_basis``).  Labels are built only when read.
     """
 
     system: System
     coords: tuple[tuple[int, Level], ...]
-    row_labels: tuple[tuple[Treatment, tuple], ...]
-    col_labels: tuple[tuple, ...]
     matrix: np.ndarray  # int8, shape (rows, cols)
     p: np.ndarray  # float64, aligned with row_labels
     basis: np.ndarray  # intp, read-only
+
+    @property
+    def coord_values(self) -> tuple[tuple, ...]:
+        """The values each coupling coordinate ranges over, in ``coords`` order."""
+        return tuple(self.system.design.outputs[k].values for k, _ in self.coords)
+
+    @functools.cached_property
+    def row_labels(self) -> tuple[tuple[Treatment, tuple], ...]:
+        """(treatment, outcome tuple) per row of M."""
+        design = self.system.design
+        return tuple((t, o) for t in design.treatments for o in design.outcome_tuples())
+
+    @functools.cached_property
+    def col_labels(self) -> tuple[tuple, ...]:
+        """The coupling assignment per column of M."""
+        return tuple(itertools.product(*self.coord_values))
 
     def coordinate_index(self, k: int, level: Level) -> int:
         try:
@@ -128,20 +143,18 @@ class FeasibilitySystem:
 
 @dataclass(frozen=True)
 class CouplingWitness:
-    """A validated coupling pmf over ``col_labels``: q >= 0 (clipped), sums to 1, M q = p."""
+    """A validated coupling pmf over the columns of M (the coupling grid over
+    ``coord_values``, in C order): q >= 0 (clipped), sums to 1, M q = p."""
 
     q: np.ndarray
     residual: float
-    col_labels: tuple[tuple, ...] = field(repr=False)
+    coord_values: tuple[tuple, ...] = field(repr=False)
 
     def to_json(self) -> dict:
+        cells = _table(self.coord_values, self.q.reshape([len(v) for v in self.coord_values]))
         return {
             "residual": self.residual,
-            "q": [
-                {"assignment": list(self.col_labels[i]), "p": float(v)}
-                for i, v in enumerate(self.q)
-                if v > 0
-            ],
+            "q": [{"assignment": list(key), "p": mass} for key, mass in cells.items()],
         }
 
 
@@ -173,8 +186,7 @@ def build_feasibility_system(system: System, eps_prob: float = EPS_PROB) -> Feas
         for k, spec in enumerate(design.inputs)
         for level in spec.levels
     )
-    coord_values = [design.outputs[k].values for k, _ in coords]
-    grid = tuple(len(values) for values in coord_values)
+    grid = tuple(len(design.outputs[k].values) for k, _ in coords)
     outcome_shape = tuple(len(out.values) for out in design.outputs)
     block = math.prod(outcome_shape)
     n_rows = len(design.treatments) * block
@@ -185,23 +197,19 @@ def build_feasibility_system(system: System, eps_prob: float = EPS_PROB) -> Feas
             "decompose the design (drop inputs or group output values) before testing"
         )
 
-    row_labels = tuple(
-        (t, o) for t in design.treatments for o in design.outcome_tuples()
-    )
     p = system.array.reshape(-1)
 
-    col_labels = tuple(itertools.product(*coord_values))
     # Columns are the coupling grid in C order; in column j, treatment t's
     # block has its 1 at the outcome-grid position of t's coordinates' values.
     value_index = dict(zip(coords, np.indices(grid, sparse=True)))
-    cols = np.arange(len(col_labels))
-    matrix = np.zeros((n_rows, len(col_labels)), dtype=np.int8)
+    cols = np.arange(math.prod(grid))
+    matrix = np.zeros((n_rows, cols.size), dtype=np.int8)
     for b, t in enumerate(design.treatments):
         selected = [value_index[(k, level)] for k, level in enumerate(t)]
         outcome = np.ravel_multi_index(selected, outcome_shape)
         matrix[b * block + np.broadcast_to(outcome, grid).ravel(), cols] = 1
     basis = _row_basis(outcome_shape, design.treatments)
-    return FeasibilitySystem(system, coords, row_labels, col_labels, matrix, p, basis)
+    return FeasibilitySystem(system, coords, matrix, p, basis)
 
 
 @functools.lru_cache(maxsize=DESIGN_CACHE_SIZE)
@@ -313,7 +321,7 @@ def _residual(fs: FeasibilitySystem, q: np.ndarray) -> float:
     """max |M q - p| over all rows of M, computed without M: treatment t's
     block of M q is q's marginal on t's coupling coordinates."""
     design = fs.system.design
-    cube = q.reshape([len(design.outputs[k].values) for k, _ in fs.coords])
+    cube = q.reshape([len(values) for values in fs.coord_values])
     blocks = [
         cube.sum(axis=tuple(c for c, (k, level) in enumerate(fs.coords) if t[k] != level))
         for t in design.treatments
@@ -331,8 +339,8 @@ def make_witness(
     raises UsageError.
     """
     q = np.asarray(q, dtype=np.float64).copy()
-    if q.shape != (len(fs.col_labels),):
-        raise UsageError(f"witness length {q.shape} does not match {len(fs.col_labels)} columns")
+    if q.shape != fs.matrix.shape[1:]:
+        raise UsageError(f"witness length {q.shape} does not match {fs.matrix.shape[1]} columns")
     if q.min() < -eps_lp:
         raise UsageError(f"witness has negative entry {q.min():.3g}")
     q[q < 0] = 0.0
@@ -341,7 +349,7 @@ def make_witness(
     residual = _residual(fs, q)
     if residual > eps_lp:
         raise UsageError(f"witness residual {residual:.3g} exceeds {eps_lp}")
-    return CouplingWitness(q, residual, fs.col_labels)
+    return CouplingWitness(q, residual, fs.coord_values)
 
 
 def solve_feasibility(
@@ -380,15 +388,15 @@ def extract_coupling_marginals(
     For coordinates matching an allowable treatment this reproduces the
     observed treatment pmf (within twice the solver tolerance); cross-level
     selections expose joint behavior that is never directly observable.
+    A coordinate named twice is a UsageError.
     """
     positions = [fs.coordinate_index(k, level) for k, level in which]
-    table: dict[tuple, float] = {}
-    for assignment, mass in zip(fs.col_labels, witness.q):
-        if mass == 0.0:
-            continue
-        key = tuple(assignment[c] for c in positions)
-        table[key] = table.get(key, 0.0) + float(mass)
-    return JointPmf(len(positions), table)
+    if len(set(positions)) != len(positions):
+        raise UsageError(f"duplicate coordinates in {which!r}")
+    values = fs.coord_values
+    cube = np.moveaxis(witness.q.reshape([len(v) for v in values]), positions, range(len(which)))
+    marginal = cube.sum(axis=tuple(range(len(positions), cube.ndim)))
+    return _table([values[c] for c in positions], marginal)
 
 
 @dataclass(frozen=True)
@@ -436,30 +444,18 @@ def fine_inequality_check(system: System, eps_test: float = EPS_TEST) -> TestRep
         )
 
     levels1, levels2 = design.inputs[0].levels, design.inputs[1].levels
-    first1, first2 = design.outputs[0].values[0], design.outputs[1].values[0]
-
-    def joint(i: Level, j: Level) -> float:
-        pmf = system.pmf((i, j))
-        return sum(m for (a, b), m in pmf.items() if a == first1 and b == first2)
-
-    def marg1(i: Level) -> float:
-        pmf = system.pmf((i, levels2[0]))
-        return sum(m for (a, _), m in pmf.items() if a == first1)
-
-    def marg2(j: Level) -> float:
-        pmf = system.pmf((levels1[0], j))
-        return sum(m for (_, b), m in pmf.items() if b == first2)
+    p = dict(zip(design.treatments, system.array.tolist()))  # p[t][a][b]
 
     worst: FineViolation | None = None
     for i, i_prime in itertools.permutations(levels1, 2):
         for j, j_prime in itertools.permutations(levels2, 2):
             value = (
-                marg1(i)
-                + marg2(j)
-                + joint(i_prime, j_prime)
-                - joint(i, j)
-                - joint(i, j_prime)
-                - joint(i_prime, j)
+                sum(p[(i, levels2[0])][0])
+                + sum(row[0] for row in p[(levels1[0], j)])
+                + p[(i_prime, j_prime)][0][0]
+                - p[(i, j)][0][0]
+                - p[(i, j_prime)][0][0]
+                - p[(i_prime, j)][0][0]
             )
             excess = max(-value, value - 1.0)
             if excess > eps_test and (worst is None or excess > worst.excess):

@@ -6,6 +6,10 @@ to every input).  Inputs and outputs are index-paired one to one; callers
 with a many-to-many influence pattern must pre-group inputs so that this
 pairing holds.
 
+The library reads a system as one dense array of masses; ``JointPmf``
+label tables are the boundary form that documents, latent models and
+callers write and read, and a system derives either form from the other.
+
 In measure-theoretic terms each ``JointPmf`` is a distribution (S, Sigma, p)
 with S a finite product of value sets and Sigma implicitly the power set;
 only the point masses are stored.
@@ -230,22 +234,29 @@ class JointPmf:
         return all(abs(self.mass(k) - other.mass(k)) <= tol for k in keys)
 
 
-@dataclass(frozen=True)
 class System:
     """A design together with one joint output pmf per allowable treatment.
 
-    ``array`` holds the same masses densely; the screens and the criterion
-    LP read it, and it is built once, on first use, from ``distributions``,
-    which must not be mutated after that.
+    The library reads ``array``; ``distributions`` holds the ``JointPmf``
+    tables.  A system keeps the form it was made from, tables or
+    (``from_array``) an array, and derives the other on first use, checking
+    the tables' structure as it builds the array.  Neither may be mutated.
     """
 
-    design: Design
-    distributions: Mapping[Treatment, JointPmf]
+    def __init__(self, design: Design, distributions: Mapping[Treatment, JointPmf]):
+        self.design = design
+        self.distributions = dict(distributions)
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "distributions", {tuple(k): v for k, v in self.distributions.items()}
-        )
+    @classmethod
+    def from_array(cls, design: Design, array: np.ndarray) -> "System":
+        """The system whose ``array`` is ``array`` (shaped as that property
+        describes).  Masses in (-EPS_PROB, 0) become 0, as ``JointPmf``
+        clips them."""
+        system = cls.__new__(cls)
+        system.design = design
+        system.array = np.where((array < 0.0) & (array > -EPS_PROB), 0.0, array)
+        system.array.flags.writeable = False
+        return system
 
     def pmf(self, treatment: Treatment) -> JointPmf:
         try:
@@ -254,12 +265,18 @@ class System:
             raise UsageError(f"no distribution for treatment {treatment!r}") from None
 
     @functools.cached_property
+    def distributions(self) -> dict[Treatment, JointPmf]:
+        """The tables, read off ``array``'s nonzero cells if not given."""
+        values = [out.values for out in self.design.outputs]
+        return {t: _table(values, masses) for t, masses in zip(self.design.treatments, self.array)}
+
+    @functools.cached_property
     def array(self) -> np.ndarray:
         """Read-only float64 masses of shape (treatments, *outcome shape):
         ``array[b][o]`` is the mass of the outcome with value indices ``o`` at
-        ``design.treatments[b]``.  UsageError for a missing treatment, a wrong
-        arity or an undeclared value; CapacityError, before allocating, above
-        ARRAY_BYTE_CAP."""
+        ``design.treatments[b]``.  UsageError for a table of an undeclared
+        treatment, a missing table, a wrong arity or an undeclared value;
+        CapacityError, before allocating, above ARRAY_BYTE_CAP."""
         design = self.design
         outputs = design.outputs
         shape = (len(design.treatments), *(len(out.values) for out in outputs))
@@ -268,11 +285,17 @@ class System:
                 f"pmf array of shape {shape} needs over {ARRAY_BYTE_CAP} bytes; "
                 "group output values before testing"
             )
+        declared = set(design.treatments)
+        for t in self.distributions:
+            if t not in declared:
+                raise UsageError(f"distribution given for undeclared treatment {t!r}")
         positions = [{v: i for i, v in enumerate(out.values)} for out in outputs]
         index: list[list[int]] = [[] for _ in shape]
         masses: list[float] = []
         for b, t in enumerate(design.treatments):
-            pmf = self.pmf(t)
+            if t not in self.distributions:
+                raise UsageError(f"treatment {t!r} has no distribution")
+            pmf = self.distributions[t]
             if pmf.arity != design.n:
                 raise UsageError(
                     f"treatment {t!r}: pmf arity {pmf.arity} != number of outputs {design.n}"
@@ -306,28 +329,12 @@ class System:
             out[(k, k_prime)] = marginal
         return out
 
-    @classmethod
-    def from_array(cls, design: Design, array: np.ndarray) -> "System":
-        """The system whose ``array`` is ``array`` (shaped as that property
-        describes), with its tables read off the nonzero cells.  Masses in
-        (-EPS_PROB, 0) become 0, as ``JointPmf`` clips them."""
-        array = np.where((array < 0.0) & (array > -EPS_PROB), 0.0, array)
-        array.flags.writeable = False
-        cells = np.nonzero(array)
-        masses = array[cells].tolist()
-        labels = [
-            [out.values[i] for i in idx.tolist()]
-            for out, idx in zip(design.outputs, cells[1:])
-        ]
-        tables: list[dict[tuple, float]] = [{} for _ in design.treatments]
-        for b, key, mass in zip(cells[0].tolist(), zip(*labels), masses):
-            tables[b][key] = mass
-        system = cls(
-            design,
-            {t: JointPmf(design.n, table) for t, table in zip(design.treatments, tables)},
-        )
-        system.__dict__["array"] = array  # the cached property's slot
-        return system
+
+def _table(values: Sequence[tuple[Value, ...]], array: np.ndarray) -> JointPmf:
+    """The pmf of ``array``'s nonzero cells, axis k labelled by ``values[k]``,
+    in C order."""
+    keys = [tuple(v[i] for v, i in zip(values, cell)) for cell in np.argwhere(array).tolist()]
+    return JointPmf(len(values), dict(zip(keys, array[array != 0].tolist())))
 
 
 @dataclass(frozen=True)
@@ -382,35 +389,25 @@ def marginalize(pmf: JointPmf, indices: Sequence[int]) -> JointPmf:
 def validate_system(system: System, eps_prob: float = EPS_PROB) -> list[str]:
     """Collect invariant violations; an empty list means the system is valid.
 
+    A structural defect, found as ``system.array`` is built, is the only
+    violation returned; otherwise each mass below -eps_prob and each mass
+    sum off 1 by more than eps_prob is read from the array and reported,
+    treatments in declared order.
     Violations are data, not exceptions: ingested tables often carry rounding
     defects that the caller wants reported in bulk.
     """
+    try:
+        array = system.array
+    except UsageError as exc:
+        return [str(exc)]
     design = system.design
+    totals = array.reshape(len(design.treatments), -1).sum(axis=1).tolist()
+    negative = np.argwhere(array < -eps_prob).tolist()
     violations: list[str] = []
-    declared = set(design.treatments)
-    for t in system.distributions:
-        if t not in declared:
-            violations.append(f"distribution given for undeclared treatment {t!r}")
-    for t in design.treatments:
-        if t not in system.distributions:
-            violations.append(f"treatment {t!r} has no distribution")
-            continue
-        pmf = system.distributions[t]
-        if pmf.arity != design.n:
-            violations.append(
-                f"treatment {t!r}: pmf arity {pmf.arity} != number of outputs {design.n}"
-            )
-            continue
-        for key, mass in pmf.items():
-            if mass < -eps_prob:
-                violations.append(f"treatment {t!r}: negative mass {mass} at {key!r}")
-            for value, spec in zip(key, design.outputs):
-                if value not in spec.values:
-                    violations.append(
-                        f"treatment {t!r}: undeclared value {value!r} "
-                        f"for output {spec.name!r}"
-                    )
-        total = pmf.total()
+    for b, (t, total) in enumerate(zip(design.treatments, totals)):
+        for _, *cell in [c for c in negative if c[0] == b]:
+            key = tuple(out.values[i] for out, i in zip(design.outputs, cell))
+            violations.append(f"treatment {t!r}: negative mass {array[(b, *cell)]} at {key!r}")
         if abs(total - 1.0) > eps_prob:
             violations.append(f"treatment {t!r}: mass sum {total:.10g} != 1")
     return violations

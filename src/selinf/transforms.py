@@ -87,8 +87,8 @@ def apply_transform(system: System, spec: TransformSpec) -> System:
 
     Works on ``system.array``: along each output's axis, every treatment's
     masses are summed into its level's images by one product with a 0/1
-    index matrix, so the transformed system's array is never rebuilt from
-    its tables.
+    index matrix.  The transformed system is made from that array alone; its
+    tables are built only if a caller reads them.
     """
     design = system.design
     spec.validate(design)

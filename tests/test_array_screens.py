@@ -8,11 +8,17 @@ exactly.
 """
 
 import itertools
+import re
 
 import numpy as np
 import pytest
 
-from fixtures import random_selective_system, system_from_tables
+from fixtures import (
+    feasible_binary_system,
+    pr_box_system,
+    random_selective_system,
+    system_from_tables,
+)
 from selinf import (
     CapacityError,
     ClassificationMetric,
@@ -28,12 +34,18 @@ from selinf import (
     build_feasibility_system,
     check_marginal_selectivity,
     correlation,
+    cosphericity_report,
+    fine_inequality_check,
+    lp_report,
     generate_battery,
     pairwise_distance,
+    run_battery,
     run_cosphericity,
+    run_distance_test,
 )
 from selinf import model
 from selinf.cosphericity import _VAR_RTOL
+from test_distances import random_class_metric
 from test_marginal import _oracle_discrepancy
 
 # ------------------------------------------------------------------ systems
@@ -349,3 +361,146 @@ def test_array_rejects_undeclared_values_and_oversized_shapes(monkeypatch):
     monkeypatch.setattr(model, "ARRAY_BYTE_CAP", 8)
     with pytest.raises(CapacityError):
         System(design, {(1,): JointPmf(1, {(0,): 1.0})}).array
+
+
+# --------------------------------------------------- the single representation
+
+
+def dict_validate(system, eps_prob=model.EPS_PROB):
+    """The table walk ``validate_system`` did before it read the array."""
+    design = system.design
+    violations = []
+    declared = set(design.treatments)
+    for t in system.distributions:
+        if t not in declared:
+            violations.append(f"distribution given for undeclared treatment {t!r}")
+    for t in design.treatments:
+        if t not in system.distributions:
+            violations.append(f"treatment {t!r} has no distribution")
+            continue
+        pmf = system.distributions[t]
+        if pmf.arity != design.n:
+            violations.append(
+                f"treatment {t!r}: pmf arity {pmf.arity} != number of outputs {design.n}"
+            )
+            continue
+        for key, mass in pmf.items():
+            if mass < -eps_prob:
+                violations.append(f"treatment {t!r}: negative mass {mass} at {key!r}")
+            for value, spec in zip(key, design.outputs):
+                if value not in spec.values:
+                    violations.append(
+                        f"treatment {t!r}: undeclared value {value!r} for output {spec.name!r}"
+                    )
+        total = pmf.total()
+        if abs(total - 1.0) > eps_prob:
+            violations.append(f"treatment {t!r}: mass sum {total:.10g} != 1")
+    return violations
+
+
+def defective_tables(system, rng):
+    """Raw tables in shuffled key order: one treatment gains masses in
+    (-EPS_PROB, 0), which are clipped, one a negative mass, one a mass sum
+    off by 1e-6 (treatments may coincide)."""
+    design = system.design
+    outcomes = list(itertools.product(*(o.values for o in design.outputs)))
+    tables = {}
+    for t in design.treatments:
+        items = list(system.pmf(t).items())
+        tables[t] = dict(items[i] for i in rng.permutation(len(items)))
+    clipped, negative, scaled = (
+        design.treatments[int(rng.integers(len(design.treatments)))] for _ in range(3)
+    )
+    for key in rng.choice(len(outcomes), size=min(2, len(outcomes)), replace=False):
+        tables[clipped][outcomes[key]] = -float(rng.uniform(0.1, 0.9)) * model.EPS_PROB
+    key = outcomes[int(rng.integers(len(outcomes)))]
+    tables[negative][key] = tables[negative].get(key, 0.0) - 0.01
+    tables[scaled] = {k: m * (1 + 1e-6) for k, m in tables[scaled].items()}
+    return tables
+
+
+def test_tables_round_trip_through_the_array():
+    rng = np.random.default_rng(49)
+    for system in seeded_systems(49, count=8):
+        design = system.design
+        for raw in (
+            {t: dict(system.pmf(t).items()) for t in design.treatments},
+            defective_tables(system, rng),
+        ):
+            cleaned = {t: JointPmf(design.n, table).table for t, table in raw.items()}
+            made = system_from_tables(design, raw)
+            assert {t: pmf.table for t, pmf in made.distributions.items()} == cleaned
+            again = System.from_array(design, made.array)
+            assert again.array.tobytes() == made.array.tobytes()
+            assert {t: pmf.table for t, pmf in again.distributions.items()} == cleaned
+            assert list(again.distributions) == list(design.treatments)
+
+
+def test_validation_reads_the_array_as_the_tables_read():
+    rng = np.random.default_rng(50)
+    defects = 0
+    for system in seeded_systems(50, count=12):
+        design = system.design
+        made = system_from_tables(design, defective_tables(system, rng))
+        order = {repr(t): b for b, t in enumerate(design.treatments)}
+        for eps_prob in (model.EPS_PROB, 1e-4):
+            got = model.validate_system(made, eps_prob)
+            assert sorted(got) == sorted(dict_validate(made, eps_prob))
+            blocks = [order[message.split(":")[0][len("treatment ") :]] for message in got]
+            assert blocks == sorted(blocks)
+            defects += len(got)
+        assert model.validate_system(system) == dict_validate(system) == []
+    assert defects > 0
+
+
+def test_structural_defects_keep_their_messages():
+    one = Design((InputSpec("l1", (1, 2)),), (OutputSpec("A1", (1, 2)),), ((1,), (2,)))
+    only_first = Design(one.inputs, one.outputs, ((1,),))
+    fine = JointPmf(1, {(1,): 1.0})
+    cases = {
+        "distribution given for undeclared treatment (2,)": System(
+            only_first, {(1,): fine, (2,): fine}
+        ),
+        "treatment (2,) has no distribution": System(one, {(1,): fine}),
+        "treatment (1,): pmf arity 2 != number of outputs 1": System(
+            one, {(1,): JointPmf(2, {(1, 1): 1.0}), (2,): fine}
+        ),
+        "treatment (2,): undeclared value 3 for output 'A1'": System(
+            one, {(1,): fine, (2,): JointPmf(1, {(3,): 1.0})}
+        ),
+    }
+    for message, system in cases.items():
+        assert model.validate_system(system) == [message]
+        assert message in dict_validate(system)
+        with pytest.raises(UsageError, match=re.escape(message)):
+            build_feasibility_system(system)
+
+
+def test_battery_members_build_no_tables(monkeypatch):
+    built = []
+    original = JointPmf.__post_init__
+
+    def counting(self):
+        built.append(self.arity)
+        original(self)
+
+    rng = np.random.default_rng(52)
+    systems = [random_selective_system(rng, column_cap=256, allow_partial=True) for _ in range(4)]
+    systems += [pr_box_system(), feasible_binary_system()]
+    for system in systems:
+        system.array
+    monkeypatch.setattr(JointPmf, "__post_init__", counting)
+    members = []
+
+    def member(s):
+        members.append(s)
+        assert model.validate_system(s) == []
+        check_marginal_selectivity(s)
+        fine_inequality_check(s)
+        run_distance_test(s, random_class_metric(rng, s.design))
+        cosphericity_report(s)
+        return lp_report(s)
+
+    for system in systems:
+        run_battery(system, generate_battery(system.design, 3, 3, seed=len(members)), member)
+    assert len(members) > len(systems) and built == []

@@ -52,7 +52,9 @@ def assert_first_realizers(design, sequences):
 def reference_distance_test(system, metric, max_length=6, eps_test=1e-9):
     """Reference for run_distance_test on numeric or classified outputs: every
     link of every chain looked up in turn, link distances summed in chain
-    order, the worst violation kept by its gap, then by repr of its sequence."""
+    order; of the violations whose gap is within 4 L eps s of the largest (L
+    the chain length in use, s the largest lhs + rhs), the smallest repr of
+    its sequence is reported."""
     design = system.design
     if isinstance(metric, ClassificationMetric):
         metric.validate(design)
@@ -67,7 +69,7 @@ def reference_distance_test(system, metric, max_length=6, eps_test=1e-9):
         ]
         return pick(values, key=lambda v: v[0])
 
-    worst = None
+    violations = []
     for seq, realizers in enumerate_test_sequences(design, max_length):
         lhs, closing = link(seq[0], seq[-1], realizers[0], max)
         rhs = 0.0
@@ -77,19 +79,17 @@ def reference_distance_test(system, metric, max_length=6, eps_test=1e-9):
             rhs += d
             used.append(t)
         if lhs > rhs + eps_test:
-            candidate = ChainViolation(seq, lhs, rhs, tuple(used))
-            if (
-                worst is None
-                or candidate.lhs - candidate.rhs > worst.lhs - worst.rhs
-                or (
-                    candidate.lhs - candidate.rhs == worst.lhs - worst.rhs
-                    and repr(candidate.sequence) < repr(worst.sequence)
-                )
-            ):
-                worst = candidate
+            violations.append(ChainViolation(seq, lhs, rhs, tuple(used)))
     details = {"treatment_dependent_links": dependent}
-    if worst is None:
+    if not violations:
         return Report("distance", CONSISTENT, "all chain inequalities hold", details=details)
+    length = 4 if design.is_fully_crossed() else max_length
+    bound = 4 * length * np.finfo(np.float64).eps * max(v.lhs + v.rhs for v in violations)
+    best = max(v.lhs - v.rhs for v in violations)
+    worst = min(
+        (v for v in violations if v.lhs - v.rhs >= best - bound),
+        key=lambda v: repr(v.sequence),
+    )
     return Report(
         "distance",
         RULED_OUT,
@@ -534,6 +534,20 @@ class TestRunDistanceTest:
         assert report.witness.sequence == ((0, 1), (1, 1), (0, 2), (1, 2))
         assert report.witness.rhs == (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1
         assert repr(report) == repr(reference_distance_test(system, D1))
+
+    def test_witness_survives_a_one_ulp_bump_of_any_mass(self):
+        # The PR box's violated chains all have gap 0.5 in exact arithmetic;
+        # one ulp on one mass must not hand the witness to another of them.
+        box = pr_box_system()
+        numeric = binary_design(numeric=True)
+        tables = {t: dict(box.pmf(t).table) for t in numeric.treatments}
+        expected = run_distance_test(system_from_tables(numeric, tables), D1).witness.sequence
+        for t, key in [(t, key) for t in tables for key in tables[t]]:
+            for toward in (0.0, 1.0):
+                bumped = {u: dict(table) for u, table in tables.items()}
+                bumped[t][key] = float(np.nextafter(bumped[t][key], toward))
+                report = run_distance_test(system_from_tables(numeric, bumped), D1)
+                assert report.witness.sequence == expected, (t, key, toward)
 
     def test_single_treatment_design_has_no_chains(self):
         design = Design(

@@ -361,7 +361,16 @@ class TestSolve:
 
     def test_witness_labels_and_json_safe_report_details(self):
         fs = build_feasibility_system(feasible_binary_system())
-        assert solve_feasibility(fs).witness.col_labels is fs.col_labels
+        witness = lp_report(feasible_binary_system(), fs=fs).witness
+        assert "col_labels" not in fs.__dict__ and "row_labels" not in fs.__dict__
+        cells = [
+            {"assignment": list(fs.col_labels[i]), "p": float(v)}
+            for i, v in enumerate(witness.q)
+            if v > 0
+        ]
+        assert json.dumps(witness.to_json()) == json.dumps(
+            {"residual": witness.residual, "q": cells}
+        )
         for system in (feasible_binary_system(), pr_box_system()):
             report = lp_report(system)
             assert json.loads(json.dumps(report.details)) == report.details
@@ -644,6 +653,22 @@ class TestExtractMarginals:
         w = make_witness(fs, FEASIBLE_BINARY_WITNESS)
         with pytest.raises(UsageError):
             extract_coupling_marginals(w, fs, [(0, 3)])
+
+    def test_selection_order_sets_the_axes_and_repeats_are_usage_errors(self):
+        fs = build_feasibility_system(feasible_binary_system())
+        w = make_witness(fs, FEASIBLE_BINARY_WITNESS)
+        which = [(1, 2), (0, 1), (1, 1)]
+        positions = [fs.coords.index(c) for c in which]
+        oracle = {}
+        for assignment, mass in zip(fs.col_labels, FEASIBLE_BINARY_WITNESS):
+            key = tuple(assignment[c] for c in positions)
+            oracle[key] = oracle.get(key, 0.0) + mass
+        got = extract_coupling_marginals(w, fs, which)
+        assert set(got.table) == {key for key, mass in oracle.items() if mass}
+        for key, mass in oracle.items():
+            assert got.mass(key) == pytest.approx(mass, abs=1e-12)
+        with pytest.raises(UsageError, match="duplicate"):
+            extract_coupling_marginals(w, fs, [(0, 1), (1, 1), (0, 1)])
 
 
 class TestFineInequalities:
