@@ -14,13 +14,18 @@ purely from the design:
 M's rows are heavily redundant: its rank is the number of
 joint-distribution-criterion marginals, prod(m_k (v_k - 1) + 1) on a fully
 crossed design.  ``FeasibilitySystem.basis`` picks a basis of M's row space
-from the design alone, and the solver, a dense phase-I simplex (artificial
-variables; Dantzig pricing with Bland's rule during stalls), pivots only
-those rows.  ``eps_lp`` bounds two things: the phase-I optimum (the sum of
-the artificials) over the basis rows, and the max-abs residual
-max |M q - p| of the solution over all rows of M.  The second catches a p
-that breaks a linear dependency among M's rows (marginal selectivity or
-equal total mass), which the basis rows alone cannot see.
+from the design alone.  The solver, a dense phase-I simplex (artificial
+variables; Dantzig pricing with Bland's rule during stalls), pivots the
+problem restricted to the support of p: the basis rows with p > 0 and the
+columns with no 1 in a row where p is exactly 0.  The restriction is exact.
+M is 0/1 and q >= 0, so a row with p = 0 forces q_j = 0 on every column j
+with a 1 in it; every coupling lives on the kept columns, where the dropped
+rows read 0 = 0.  ``eps_lp`` bounds two things: the phase-I optimum (the
+sum of the artificials) over the kept rows, and the max-abs residual
+max |M q - p| of the solution, scattered back to all columns, over all rows
+of M.  The second catches a p that breaks a linear dependency among M's
+rows (marginal selectivity or equal total mass), which the basis rows alone
+cannot see.
 A design whose float64 tableau on all rows, rows x (columns + rows + 1) x 8
 bytes, would exceed ``TABLEAU_BYTE_CAP`` raises CapacityError: decompose the
 design.  Counted on all rows, the cap is an upper bound on what the solver
@@ -160,15 +165,19 @@ class CouplingWitness:
 
 @dataclass(frozen=True)
 class LpVerdict:
-    """The criterion verdict with the solver's work: ``rows`` pivoted (the
-    basis rows), ``iterations`` and ``degenerate`` pivots among them, and
-    the phase-I ``optimum`` over the basis rows."""
+    """The criterion verdict with the solver's work on the problem it
+    pivoted: ``rows`` (the basis rows where p > 0) and ``columns`` (the
+    coupling columns with no 1 in a row where p = 0), ``iterations``,
+    ``degenerate`` pivots and pivots chosen by Bland's rule (``bland``)
+    among them, and the phase-I ``optimum`` over those rows."""
 
     feasible: bool
     witness: CouplingWitness | None
     iterations: int
     rows: int
+    columns: int
     degenerate: int
+    bland: int
     optimum: float
 
 
@@ -243,17 +252,19 @@ def _row_basis(outcome_shape: tuple[int, ...], treatments: tuple[Treatment, ...]
 
 def _phase1_simplex(
     a: np.ndarray, b: np.ndarray, max_iter: int
-) -> tuple[float, np.ndarray, int, int]:
+) -> tuple[float, np.ndarray, int, int, int]:
     """Minimize the sum of artificials for a x = b, x >= 0.
 
-    Returns (optimum, x, iterations, degenerate pivots).  The entering
-    column has the most negative reduced cost (Dantzig), except in a stall:
-    once as many consecutive pivots as there are rows have been degenerate
-    (minimum ratio at most PIVOT_TOL), the smallest eligible index enters
-    (Bland) until the next nondegenerate pivot.  Bland's rule ends any
-    stall and each nondegenerate pivot lowers the objective, so the method
-    cannot cycle; the iteration cap only guards against oversized instances.
-    Of the rows tied at the minimum ratio, the smallest basic index leaves.
+    Returns (optimum, x, iterations, degenerate pivots, Bland pivots).  The
+    entering column has the most negative reduced cost (Dantzig), except in
+    a stall: once as many consecutive pivots as there are rows have been
+    degenerate (minimum ratio at most PIVOT_TOL), the smallest eligible
+    index enters (Bland) until the next nondegenerate pivot.  Bland's rule
+    ends any stall and each nondegenerate pivot lowers the objective, so the
+    method cannot cycle; the iteration cap only guards against oversized
+    instances.  Of the rows tied at the minimum ratio, the smallest basic
+    index leaves.  With no columns no pivot is made, and the optimum is the
+    sum of |b|.
     """
     m, n = a.shape
     tableau = np.zeros((m, n + m + 1))
@@ -267,18 +278,17 @@ def _phase1_simplex(
     cost[:n] = -tableau[:, :n].sum(axis=0)
     cost[-1] = -tableau[:, -1].sum()
 
-    iterations = degenerate = stall = 0
+    iterations = degenerate = bland = stall = 0
     while True:
         # Artificials never re-enter.
+        eligible = np.flatnonzero(cost[:n] < -PIVOT_TOL)
+        if eligible.size == 0:
+            break
         if stall < m:
-            entering = int(np.argmin(cost[:n]))
-            if cost[entering] >= -PIVOT_TOL:
-                break
+            entering = int(eligible[np.argmin(cost[eligible])])
         else:
-            eligible = np.flatnonzero(cost[:n] < -PIVOT_TOL)
-            if eligible.size == 0:
-                break
             entering = int(eligible[0])
+            bland += 1
         iterations += 1
         if iterations > max_iter:
             raise SolverError(f"phase-I simplex exceeded {max_iter} iterations")
@@ -314,7 +324,7 @@ def _phase1_simplex(
     x = np.zeros(n)
     structural = basis < n
     x[basis[structural]] = tableau[structural, -1]
-    return -cost[-1], x, iterations, degenerate
+    return float(-cost[-1]), x, iterations, degenerate, bland
 
 
 def _residual(fs: FeasibilitySystem, q: np.ndarray) -> float:
@@ -359,23 +369,38 @@ def solve_feasibility(
 ) -> LpVerdict:
     """Decide M q = p, q >= 0 by phase-I simplex; return a witness if feasible.
 
-    Only the basis rows ``fs.basis`` are pivoted.  Ruled out when the
-    phase-I optimum on them exceeds ``eps_lp`` (they are a relaxation of the
-    full system), or when the solution's max |M q - p| over all rows does
-    (p breaks a linear dependency among M's rows, so no coupling exists).
-    Otherwise consistent, with the witness validated against the full M
-    and p.  More than ``max_iter`` pivots (default 50 (basis rows + cols)
-    + 1000) raise SolverError.
+    The simplex pivots the problem on the support of p: the basis rows
+    ``fs.basis`` with p > 0, and the columns with no 1 in a row where p is
+    exactly 0 (a positive cell, however small, keeps its columns).  Its
+    solution is scattered back into a q over all columns, zero elsewhere.
+    On exact data the restriction has the same feasible set as the full
+    problem, since q >= 0 and M is 0/1, so a row with p = 0 forces q_j = 0
+    for each column j with a 1 in it.  Near the tolerance it can only rule
+    out more, never less: it admits no mass, not even within eps_lp, on a
+    cell observed to be impossible.
+
+    Ruled out when the phase-I optimum on the pivoted rows exceeds
+    ``eps_lp`` (they are a relaxation of the full system), or when q's
+    max |M q - p| over all rows does (p breaks a linear dependency among
+    M's rows, so no coupling exists).  Otherwise consistent, with the
+    witness validated against the full M and p.  More than ``max_iter``
+    pivots (default 50 (basis rows + all columns) + 1000) raise SolverError.
     """
-    rows, n = len(fs.basis), fs.matrix.shape[1]
+    n = fs.matrix.shape[1]
     if max_iter is None:
-        max_iter = 50 * (rows + n) + 1000
-    optimum, q, iterations, degenerate = _phase1_simplex(
-        fs.matrix[fs.basis], fs.p[fs.basis], max_iter
+        max_iter = 50 * (len(fs.basis) + n) + 1000
+    rows = fs.basis[fs.p[fs.basis] > 0]
+    cols = np.flatnonzero(~fs.matrix[fs.p == 0].any(axis=0))
+    optimum, x, iterations, degenerate, bland = _phase1_simplex(
+        fs.matrix[np.ix_(rows, cols)], fs.p[rows], max_iter
     )
+    q = np.zeros(n)
+    q[cols] = x
     feasible = optimum <= eps_lp and _residual(fs, q) <= eps_lp
     witness = make_witness(fs, q, eps_lp) if feasible else None
-    return LpVerdict(feasible, witness, iterations, rows, degenerate, float(optimum))
+    return LpVerdict(
+        feasible, witness, iterations, rows.size, cols.size, degenerate, bland, optimum
+    )
 
 
 def extract_coupling_marginals(

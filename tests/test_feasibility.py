@@ -135,6 +135,44 @@ def pr_box(design: Design) -> System:
     return system_from_tables(design, tables)
 
 
+def blend(a: System, b: System, alpha: float) -> System:
+    """The mixture (1 - alpha) a + alpha b, treatment by treatment."""
+    design = a.design
+    tables = {
+        t: {
+            o: (1 - alpha) * a.pmf(t).mass(o) + alpha * b.pmf(t).mass(o)
+            for o in design.outcome_tuples()
+        }
+        for t in design.treatments
+    }
+    return system_from_tables(design, tables)
+
+
+def pr_mixture(design: Design, weight: float) -> System:
+    """Outputs 1 and 2 on their first two values: a PR box (as ``pr_box``)
+    with weight ``weight``, its opposite (agreement and disagreement
+    swapped) with the rest; every other output at its first value, so each
+    remaining outcome is a zero cell.  A coupling exists exactly when the
+    weight is in [1/4, 3/4]."""
+    first1, first2 = design.inputs[0].levels[0], design.inputs[1].levels[0]
+    flip = np.array([t[0] != first1 and t[1] != first2 for t in design.treatments])
+    agree = np.where(flip, 1 - weight, weight)
+    array = np.zeros((len(design.treatments),) + tuple(len(o.values) for o in design.outputs))
+    rest = (0,) * (design.n - 2)
+    array[(slice(None), 0, 0) + rest] = array[(slice(None), 1, 1) + rest] = agree / 2
+    array[(slice(None), 0, 1) + rest] = array[(slice(None), 1, 0) + rest] = (1 - agree) / 2
+    return System.from_array(design, array)
+
+
+def pr_product(system: System) -> System:
+    """A PR box on binary outputs 1 and 2 times the system's own marginal of
+    outputs 3, 4, ... at each treatment.  No coupling exists."""
+    design = system.design
+    box = pr_mixture(design, 1.0).array.sum(axis=tuple(range(3, design.n + 1)))
+    rest = system.array.sum(axis=(1, 2))
+    return System.from_array(design, np.einsum("tab,t...->tab...", box, rest))
+
+
 def highs_feasible(fs) -> bool:
     """The HiGHS oracle (scipy, test-only): does M q = p, q >= 0 have a solution?"""
     res = linprog(
@@ -381,17 +419,22 @@ class TestSolve:
             solve_feasibility(fs, max_iter=1)
 
     def test_verdict_reports_the_solved_rows(self):
+        """On a full-support p every basis row and every column is pivoted."""
         fs = build_feasibility_system(uniform_system(crossed((2, 2, 2), (3, 3, 3))))
         verdict = solve_feasibility(fs)
         assert verdict.feasible
         assert verdict.rows == len(fs.basis) == 125 < fs.matrix.shape[0]
+        assert verdict.columns == fs.matrix.shape[1] == 729
         assert 0 <= verdict.degenerate <= verdict.iterations
+        assert 0 <= verdict.bland <= verdict.iterations
         assert abs(verdict.optimum) <= feasibility.EPS_LP
-        for value in (verdict.rows, verdict.degenerate, verdict.iterations):
-            assert type(value) is int
-        assert type(verdict.optimum) is float
         ruled_out = solve_feasibility(build_feasibility_system(pr_box_system()))
         assert ruled_out.optimum > feasibility.EPS_LP
+        for v in (verdict, ruled_out):
+            assert type(v.feasible) is bool
+            for value in (v.rows, v.columns, v.degenerate, v.bland, v.iterations):
+                assert type(value) is int
+            assert type(v.optimum) is float
 
     def test_marginal_violation_is_ruled_out_by_the_full_residual(self):
         """The basis rows alone are satisfiable; p breaks marginal selectivity,
@@ -415,17 +458,37 @@ class TestSolve:
             assert feasibility._residual(fs, q) == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
     def test_stall_fallback_engages_and_matches_highs(self):
-        """A 3x3 design with ternary outputs (an lp_criterion shape) whose
-        degenerate pivots outnumber the nondegenerate ones so far that some
-        run of them reached the row count, so Bland's rule took over."""
-        system = latent_system(crossed((3, 3), (3, 3)), np.random.default_rng(18))
+        """A latent 2x2x2 system with ternary outputs, mixed 0.99/0.01 with
+        the uniform system so that p has full support and every column is
+        pivoted: runs of degenerate pivots reach the row count, so Bland's
+        rule takes over."""
+        design = crossed((2, 2, 2), (3, 3, 3))
+        latent = latent_system(design, np.random.default_rng(24))
+        system = blend(latent, uniform_system(design), 0.01)
         fs = build_feasibility_system(system)
         verdict = solve_feasibility(fs)
-        nondegenerate = verdict.iterations - verdict.degenerate
-        assert verdict.degenerate >= verdict.rows * (nondegenerate + 1)
+        assert verdict.columns == fs.matrix.shape[1]
+        assert verdict.bland > 0
         assert verdict.feasible == highs_feasible(fs) is True
         with pytest.raises(SolverError, match="iterations"):
             solve_feasibility(fs, max_iter=verdict.iterations - 1)
+
+    def test_latent_and_pr_product_on_a_3x3x3_design(self):
+        """3x3x3 inputs with 2, 2 and 4 output values (M 432x4096): the
+        latent system is consistent with a valid witness, its PR product
+        (a PR box on outputs 1 and 2) is ruled out.  A dense tableau that
+        pivots all 4096 columns diverges on the latent system."""
+        design = crossed((3, 3, 3), (2, 2, 4))
+        latent = latent_system(design, np.random.default_rng(2))
+        fs = build_feasibility_system(latent)
+        assert fs.matrix.shape == (432, 4096)
+        verdict = solve_feasibility(fs)
+        assert verdict.feasible == highs_feasible(fs) is True
+        assert make_witness(fs, verdict.witness.q).residual <= feasibility.EPS_LP
+        fs = build_feasibility_system(pr_product(latent))
+        verdict = solve_feasibility(fs)
+        assert verdict.feasible == highs_feasible(fs) is False
+        assert verdict.witness is None
 
     @pytest.mark.parametrize("levels", [(2, 2), (3, 3), (2, 2, 2)])
     def test_eps_lp_bounds_a_broken_dependency(self, levels):
@@ -499,16 +562,6 @@ class TestSolve:
         rng = np.random.default_rng(35)
         design = crossed(levels, (2,) * len(levels))
         box = pr_box(design)
-
-        def blend(a, b, alpha):
-            tables = {
-                t: {
-                    o: (1 - alpha) * a.pmf(t).mass(o) + alpha * b.pmf(t).mass(o)
-                    for o in design.outcome_tuples()
-                }
-                for t in design.treatments
-            }
-            return system_from_tables(design, tables)
 
         def feasible_at(base, alpha):
             return solve_feasibility(build_feasibility_system(blend(base, box, alpha))).feasible
@@ -613,6 +666,63 @@ class TestSolve:
                 fine = fine_inequality_check(system)
                 assert mine == (fine.verdict == "consistent")
             trials += 1
+
+
+class TestSupport:
+    """The simplex pivots only the basis rows with p > 0 and the columns
+    with no 1 in a row where p is exactly 0."""
+
+    def test_restriction_agrees_with_highs_on_the_full_matrix(self):
+        """Latent systems (consistent) and PR mixtures whose verdict flips
+        at weight 3/4, each paired with its constructed verdict."""
+        rng = np.random.default_rng(36)
+        cases = [
+            (random_selective_system(rng, column_cap=600, allow_partial=True), True)
+            for _ in range(20)
+        ]
+        for levels, values in (((3, 3), (3, 3)), ((2, 2, 2), (2, 3, 3)), ((3, 3, 3), (2, 2, 2))):
+            cases += [(latent_system(crossed(levels, values), rng), True) for _ in range(3)]
+        for levels, values in (((2, 2), (3, 3)), ((3, 3), (2, 3)), ((2, 2, 2), (2, 2, 3))):
+            cases += [
+                (pr_mixture(crossed(levels, values), w), bool(w < 0.75))
+                for w in np.linspace(0.70, 0.80, 6)
+            ]
+        outcomes = {True: 0, False: 0}
+        restricted = 0
+        for system, expected in cases:
+            fs = build_feasibility_system(system)
+            verdict = solve_feasibility(fs)
+            assert verdict.feasible == highs_feasible(fs) == expected
+            assert verdict.rows == np.count_nonzero(fs.p[fs.basis])
+            outcomes[verdict.feasible] += 1
+            restricted += verdict.columns < fs.matrix.shape[1]
+        assert outcomes == {True: 38, False: 9}
+        assert restricted >= 40  # the rest have full support
+
+    def test_pr_box_keeps_no_columns(self):
+        verdict = solve_feasibility(build_feasibility_system(pr_box_system()))
+        assert verdict.columns == verdict.iterations == 0
+        assert not verdict.feasible
+        assert verdict.optimum > feasibility.EPS_LP
+
+    def test_only_an_exactly_zero_cell_drops_its_columns(self):
+        """A mass in (-eps_prob, 0) reads as 0 and drops the cell's columns;
+        a mass of 1e-300 keeps them."""
+        design = crossed((2, 2), (3, 3))
+        system = latent_system(design, np.random.default_rng(0))
+        base = solve_feasibility(build_feasibility_system(system))
+        assert base.columns < 81
+        b, *cell = np.argwhere(system.array == 0)[0]
+        columns = {}
+        for mass in (-1e-12, 1e-300):
+            tables = {u: dict(system.pmf(u).items()) for u in design.treatments}
+            tables[design.treatments[b]][tuple(cell)] = mass
+            fs = build_feasibility_system(system_from_tables(design, tables))
+            assert fs.p[b * 9 + np.ravel_multi_index(cell, (3, 3))] == max(mass, 0.0)
+            verdict = solve_feasibility(fs)
+            assert verdict.feasible == highs_feasible(fs) is True
+            columns[mass] = verdict.columns
+        assert columns[-1e-12] == base.columns < columns[1e-300]
 
 
 class TestExtractMarginals:
