@@ -14,10 +14,13 @@ purely from the design:
 M's rows are heavily redundant: its rank is the number of
 joint-distribution-criterion marginals, prod(m_k (v_k - 1) + 1) on a fully
 crossed design.  ``FeasibilitySystem.basis`` picks a basis of M's row space
-from the design alone.  The solver, a dense phase-I simplex (artificial
-variables; Dantzig pricing with Bland's rule during stalls), pivots the
-problem restricted to the support of p: the basis rows with p > 0 and the
-columns with no 1 in a row where p is exactly 0.  The restriction is exact.
+from the design alone.  M and its basis depend on the design only, so they
+are built once per design and shared, read-only, by every system on it (the
+last ``DESIGN_CACHE_SIZE`` designs stay cached).  The solver, a dense
+phase-I simplex (artificial variables, kept implicit; Dantzig pricing with
+Bland's rule during stalls), pivots the problem restricted to the support
+of p: the basis rows with p > 0 and the columns with no 1 in a row where p
+is exactly 0.  The restriction is exact.
 M is 0/1 and q >= 0, so a row with p = 0 forces q_j = 0 on every column j
 with a 1 in it; every coupling lives on the kept columns, where the dropped
 rows read 0 = 0.  ``eps_lp`` bounds two things: the phase-I optimum (the
@@ -26,10 +29,11 @@ max |M q - p| of the solution, scattered back to all columns, over all rows
 of M.  The second catches a p that breaks a linear dependency among M's
 rows (marginal selectivity or equal total mass), which the basis rows alone
 cannot see.
-A design whose float64 tableau on all rows, rows x (columns + rows + 1) x 8
-bytes, would exceed ``TABLEAU_BYTE_CAP`` raises CapacityError: decompose the
-design.  Counted on all rows, the cap is an upper bound on what the solver
-allocates.
+A design whose float64 tableau with artificial columns on all rows,
+rows x (columns + rows + 1) x 8 bytes, would exceed ``TABLEAU_BYTE_CAP``
+raises CapacityError: decompose the design.  The solver's tableau is
+rows x (columns + 1) on the pivoted rows only, so the cap is a loose upper
+bound on what it allocates.
 For the two-binary-inputs / two-binary-outputs design the same feasible set
 is described in closed form by the Bell/CHSH/Fine inequalities, implemented
 here as an independent cross-check of the solver.
@@ -52,7 +56,9 @@ from .report import CONSISTENT, INAPPLICABLE, RULED_OUT, TestReport
 
 EPS_LP = 1e-8
 PIVOT_TOL = 1e-10
-#: Largest phase-I tableau, in bytes, that the solver will allocate.
+#: Largest design admitted, as the bytes of a float64 phase-I tableau with
+#: artificial columns on all rows of M, rows x (columns + rows + 1) x 8.  The
+#: solver allocates rows x (columns + 1) on the pivoted rows, at most this.
 TABLEAU_BYTE_CAP = 2**30
 
 
@@ -65,13 +71,14 @@ class FeasibilitySystem:
     assignments lexicographic with the first coordinate (input 1, level 1)
     slowest-varying.  ``coords`` lists the coupling coordinates as
     (input index, level), in column-label order.  ``basis`` holds the
-    indices, ascending and read-only, of the rows that form a basis of M's
-    row space (see ``_row_basis``).  Labels are built only when read.
+    indices, ascending, of the rows that form a basis of M's row space (see
+    ``_row_basis``).  ``matrix`` and ``basis`` are read-only and shared by
+    every system on the same design.  Labels are built only when read.
     """
 
     system: System
     coords: tuple[tuple[int, Level], ...]
-    matrix: np.ndarray  # int8, shape (rows, cols)
+    matrix: np.ndarray  # int8, shape (rows, cols), read-only
     p: np.ndarray  # float64, aligned with row_labels
     basis: np.ndarray  # intp, read-only
 
@@ -183,61 +190,72 @@ class LpVerdict:
 
 def build_feasibility_system(system: System, eps_prob: float = EPS_PROB) -> FeasibilitySystem:
     """Construct M and p for ``system``, which must pass ``validate_system``
-    at ``eps_prob`` (UsageError otherwise); CapacityError, raised before any
-    per-column array exists, when the tableau would exceed TABLEAU_BYTE_CAP."""
+    at ``eps_prob`` (UsageError otherwise); CapacityError, raised before the
+    design's M is looked up or built, when the design exceeds
+    TABLEAU_BYTE_CAP.  M and its basis come from a per-design cache."""
     violations = validate_system(system, eps_prob)
     if violations:
         raise UsageError("invalid system: " + "; ".join(violations[:3]))
     design = system.design
 
-    coords = tuple(
-        (k, level)
-        for k, spec in enumerate(design.inputs)
-        for level in spec.levels
-    )
-    grid = tuple(len(design.outputs[k].values) for k, _ in coords)
+    levels = tuple(spec.levels for spec in design.inputs)
+    coords = tuple((k, level) for k, lv in enumerate(levels) for level in lv)
     outcome_shape = tuple(len(out.values) for out in design.outputs)
-    block = math.prod(outcome_shape)
-    n_rows = len(design.treatments) * block
-    tableau_bytes = n_rows * (math.prod(grid) + n_rows + 1) * 8
+    n_rows = len(design.treatments) * math.prod(outcome_shape)
+    n_cols = math.prod(outcome_shape[k] for k, _ in coords)
+    tableau_bytes = n_rows * (n_cols + n_rows + 1) * 8
     if tableau_bytes > TABLEAU_BYTE_CAP:
         raise CapacityError(
             f"phase-I tableau needs {tableau_bytes} bytes, over {TABLEAU_BYTE_CAP}; "
             "decompose the design (drop inputs or group output values) before testing"
         )
 
-    p = system.array.reshape(-1)
+    matrix, basis = _criterion_matrix(levels, outcome_shape, design.treatments)
+    return FeasibilitySystem(system, coords, matrix, system.array.reshape(-1), basis)
 
+
+@functools.lru_cache(maxsize=DESIGN_CACHE_SIZE)
+def _criterion_matrix(
+    levels: tuple[tuple[Level, ...], ...],
+    outcome_shape: tuple[int, ...],
+    treatments: tuple[Treatment, ...],
+) -> tuple[np.ndarray, np.ndarray]:
+    """M (int8) and the indices of a basis of its row space, both read-only,
+    built once per design: the inputs' levels, the outputs' value counts and
+    the allowable treatments.  Only label equality is used, so designs whose
+    labels are equal but of another type share an entry."""
+    coords = [(k, level) for k, lv in enumerate(levels) for level in lv]
+    grid = tuple(outcome_shape[k] for k, _ in coords)
+    block = math.prod(outcome_shape)
     # Columns are the coupling grid in C order; in column j, treatment t's
     # block has its 1 at the outcome-grid position of t's coordinates' values.
     value_index = dict(zip(coords, np.indices(grid, sparse=True)))
     cols = np.arange(math.prod(grid))
-    matrix = np.zeros((n_rows, cols.size), dtype=np.int8)
-    for b, t in enumerate(design.treatments):
+    matrix = np.zeros((len(treatments) * block, cols.size), dtype=np.int8)
+    for b, t in enumerate(treatments):
         selected = [value_index[(k, level)] for k, level in enumerate(t)]
         outcome = np.ravel_multi_index(selected, outcome_shape)
         matrix[b * block + np.broadcast_to(outcome, grid).ravel(), cols] = 1
-    basis = _row_basis(outcome_shape, design.treatments)
-    return FeasibilitySystem(system, coords, matrix, p, basis)
+    basis = _row_basis(outcome_shape, treatments)
+    matrix.flags.writeable = basis.flags.writeable = False
+    return matrix, basis
 
 
-@functools.lru_cache(maxsize=DESIGN_CACHE_SIZE)
 def _row_basis(outcome_shape: tuple[int, ...], treatments: tuple[Treatment, ...]) -> np.ndarray:
-    """Indices of a basis of M's row space, computed once per design.
+    """Indices of a basis of M's row space, from the design alone.
 
     Row (t, o) is kept exactly when t is the first allowable treatment, in
     declared order, carrying t's levels on S(o), the inputs k where o_k is
     not output k's last value.  Those rows correspond unitriangularly to the
     joint-distribution-criterion marginals (outputs in S(o) take o's values
-    at t's levels), which span M's rows and are independent.  Only label
-    equality is used, so equal labels of another type may share an entry.
+    at t's levels), which span M's rows and are independent.
     """
     subsets = [
         tuple(k for k, v in enumerate(outcome_shape) if o[k] < v - 1)
         for o in itertools.product(*(range(v) for v in outcome_shape))
     ]
     first: dict[tuple, int] = {}
-    basis = np.array(
+    return np.array(
         [
             b * len(subsets) + j
             for b, t in enumerate(treatments)
@@ -246,8 +264,6 @@ def _row_basis(outcome_shape: tuple[int, ...], treatments: tuple[Treatment, ...]
         ],
         dtype=np.intp,
     )
-    basis.flags.writeable = False
-    return basis
 
 
 def _phase1_simplex(
@@ -265,16 +281,21 @@ def _phase1_simplex(
     instances.  Of the rows tied at the minimum ratio, the smallest basic
     index leaves.  With no columns no pivot is made, and the optimum is the
     sum of |b|.
+
+    The tableau is m x (n + 1): the structural columns and the right-hand
+    side.  Artificial i is basic in row i at the start and is marked in
+    ``basis`` by index n + i; once it leaves it never re-enters, so its
+    column is never read and is not kept.  Row operations act column by
+    column, so dropping it changes no other entry.
     """
     m, n = a.shape
-    tableau = np.zeros((m, n + m + 1))
+    tableau = np.empty((m, n + 1))
     tableau[:, :n] = a
     tableau[:, -1] = b
     tableau[b < 0] *= -1.0
-    tableau[np.arange(m), n + np.arange(m)] = 1.0
     basis = np.arange(n, n + m)
     # Reduced costs for min(sum of artificials) with the artificial basis.
-    cost = np.zeros(n + m + 1)
+    cost = np.empty(n + 1)
     cost[:n] = -tableau[:, :n].sum(axis=0)
     cost[-1] = -tableau[:, -1].sum()
 
@@ -328,15 +349,35 @@ def _phase1_simplex(
 
 
 def _residual(fs: FeasibilitySystem, q: np.ndarray) -> float:
-    """max |M q - p| over all rows of M, computed without M: treatment t's
-    block of M q is q's marginal on t's coupling coordinates."""
-    design = fs.system.design
-    cube = q.reshape([len(values) for values in fs.coord_values])
-    blocks = [
-        cube.sum(axis=tuple(c for c, (k, level) in enumerate(fs.coords) if t[k] != level))
-        for t in design.treatments
-    ]
-    return float(np.abs(np.ravel(blocks) - fs.p).max())
+    """max |M q - p| over all rows of M, read from q's support s as
+    M[:, s] @ q[s]."""
+    support = np.flatnonzero(q)
+    return float(np.abs(fs.matrix[:, support] @ q[support] - fs.p).max())
+
+
+def _coupling(fs: FeasibilitySystem, q: np.ndarray, eps_lp: float) -> np.ndarray:
+    """A float64 copy of ``q`` after the entrywise checks of the witness
+    contract, with entries in (-eps_lp, 0) clipped to zero.  UsageError
+    unless q has one finite entry per column of M, none below -eps_lp."""
+    q = np.array(q, dtype=np.float64)
+    if q.shape != fs.matrix.shape[1:]:
+        raise UsageError(f"witness length {q.shape} does not match {fs.matrix.shape[1]} columns")
+    if not np.isfinite(q).all():
+        raise UsageError(f"witness has non-finite entry {q[~np.isfinite(q)][0]}")
+    if q.min() < -eps_lp:
+        raise UsageError(f"witness has negative entry {q.min():.3g}")
+    q[q < 0] = 0.0
+    return q
+
+
+def _witness(fs: FeasibilitySystem, q: np.ndarray, residual: float, eps_lp: float) -> CouplingWitness:
+    """The witness for a q from ``_coupling`` with its ``_residual``;
+    UsageError when q's total mass or its residual is off by more than eps_lp."""
+    if abs(q.sum() - 1.0) > eps_lp:
+        raise UsageError(f"witness mass {q.sum():.10g} != 1")
+    if residual > eps_lp:
+        raise UsageError(f"witness residual {residual:.3g} exceeds {eps_lp}")
+    return CouplingWitness(q, residual, fs.coord_values)
 
 
 def make_witness(
@@ -344,22 +385,12 @@ def make_witness(
 ) -> CouplingWitness:
     """Validate a candidate coupling vector against the witness contract.
 
-    Entries in (-eps_lp, 0) are clipped to zero; anything worse, a total mass
-    away from 1, or a max-abs residual over all rows of M above eps_lp
-    raises UsageError.
+    Entries in (-eps_lp, 0) are clipped to zero; a non-finite entry, one
+    below -eps_lp, a total mass away from 1, or a max-abs residual over all
+    rows of M above eps_lp raises UsageError.
     """
-    q = np.asarray(q, dtype=np.float64).copy()
-    if q.shape != fs.matrix.shape[1:]:
-        raise UsageError(f"witness length {q.shape} does not match {fs.matrix.shape[1]} columns")
-    if q.min() < -eps_lp:
-        raise UsageError(f"witness has negative entry {q.min():.3g}")
-    q[q < 0] = 0.0
-    if abs(q.sum() - 1.0) > eps_lp:
-        raise UsageError(f"witness mass {q.sum():.10g} != 1")
-    residual = _residual(fs, q)
-    if residual > eps_lp:
-        raise UsageError(f"witness residual {residual:.3g} exceeds {eps_lp}")
-    return CouplingWitness(q, residual, fs.coord_values)
+    q = _coupling(fs, q, eps_lp)
+    return _witness(fs, q, _residual(fs, q), eps_lp)
 
 
 def solve_feasibility(
@@ -383,8 +414,11 @@ def solve_feasibility(
     ``eps_lp`` (they are a relaxation of the full system), or when q's
     max |M q - p| over all rows does (p breaks a linear dependency among
     M's rows, so no coupling exists).  Otherwise consistent, with the
-    witness validated against the full M and p.  More than ``max_iter``
-    pivots (default 50 (basis rows + all columns) + 1000) raise SolverError.
+    witness validated against the full M and p.  The residual is computed
+    once, on q as the witness holds it; a q that fails the witness contract
+    raises UsageError, as ``make_witness`` does, and is never a verdict.
+    More than ``max_iter`` pivots (default 50 (basis rows + all columns) +
+    1000) raise SolverError.
     """
     n = fs.matrix.shape[1]
     if max_iter is None:
@@ -394,10 +428,15 @@ def solve_feasibility(
     optimum, x, iterations, degenerate, bland = _phase1_simplex(
         fs.matrix[np.ix_(rows, cols)], fs.p[rows], max_iter
     )
-    q = np.zeros(n)
-    q[cols] = x
-    feasible = optimum <= eps_lp and _residual(fs, q) <= eps_lp
-    witness = make_witness(fs, q, eps_lp) if feasible else None
+    feasible, witness = False, None
+    if optimum <= eps_lp:
+        q = np.zeros(n)
+        q[cols] = x
+        q = _coupling(fs, q, eps_lp)
+        residual = _residual(fs, q)
+        feasible = residual <= eps_lp
+        if feasible:
+            witness = _witness(fs, q, residual, eps_lp)
     return LpVerdict(
         feasible, witness, iterations, rows.size, cols.size, degenerate, bland, optimum
     )

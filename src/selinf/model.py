@@ -390,9 +390,9 @@ def validate_system(system: System, eps_prob: float = EPS_PROB) -> list[str]:
     """Collect invariant violations; an empty list means the system is valid.
 
     A structural defect, found as ``system.array`` is built, is the only
-    violation returned; otherwise each mass below -eps_prob and each mass
-    sum off 1 by more than eps_prob is read from the array and reported,
-    treatments in declared order.
+    violation returned; otherwise each non-finite mass (NaN or infinite),
+    each mass below -eps_prob and each mass sum off 1 by more than eps_prob
+    is read from the array and reported, treatments in declared order.
     Violations are data, not exceptions: ingested tables often carry rounding
     defects that the caller wants reported in bulk.
     """
@@ -402,12 +402,14 @@ def validate_system(system: System, eps_prob: float = EPS_PROB) -> list[str]:
         return [str(exc)]
     design = system.design
     totals = array.reshape(len(design.treatments), -1).sum(axis=1).tolist()
-    negative = np.argwhere(array < -eps_prob).tolist()
+    flagged = np.argwhere(~np.isfinite(array) | (array < -eps_prob)).tolist()
     violations: list[str] = []
     for b, (t, total) in enumerate(zip(design.treatments, totals)):
-        for _, *cell in [c for c in negative if c[0] == b]:
+        for _, *cell in [c for c in flagged if c[0] == b]:
             key = tuple(out.values[i] for out, i in zip(design.outputs, cell))
-            violations.append(f"treatment {t!r}: negative mass {array[(b, *cell)]} at {key!r}")
+            mass = array[(b, *cell)]
+            kind = "negative" if np.isfinite(mass) else "non-finite"
+            violations.append(f"treatment {t!r}: {kind} mass {mass} at {key!r}")
         if abs(total - 1.0) > eps_prob:
             violations.append(f"treatment {t!r}: mass sum {total:.10g} != 1")
     return violations

@@ -397,6 +397,15 @@ class TestSolve:
         with pytest.raises(UsageError):
             make_witness(fs, wrong)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_witness_with_a_non_finite_entry_is_rejected(self, bad):
+        """Put on a zero entry, so the residual over q's support reads it."""
+        fs = build_feasibility_system(feasible_binary_system())
+        q = FEASIBLE_BINARY_WITNESS.copy()
+        q[np.flatnonzero(q == 0)[0]] = bad
+        with pytest.raises(UsageError, match="non-finite"):
+            make_witness(fs, q)
+
     def test_witness_labels_and_json_safe_report_details(self):
         fs = build_feasibility_system(feasible_binary_system())
         witness = lp_report(feasible_binary_system(), fs=fs).witness
@@ -723,6 +732,109 @@ class TestSupport:
             assert verdict.feasible == highs_feasible(fs) is True
             columns[mass] = verdict.columns
         assert columns[-1e-12] == base.columns < columns[1e-300]
+
+
+#: Recorded before the criterion matrix was cached per design and the
+#: tableau lost its artificial columns: (iterations, degenerate, bland, rows,
+#: columns) and the nonzero entries of q (none when ruled out) for the latent
+#: system from ``rng(40 + shape index)`` and its 0.8 PR mixture, on the four
+#: shapes of the benchmark's ``lp_criterion`` workload.
+PIVOTS_ON_LP_SHAPES = {
+    ((2, 2, 2, 2), (2, 2, 2, 2), "latent"): (
+        (10, 1, 0, 44, 10),
+        {
+            20: 0.02576379967997396, 49: 0.4073022344224927, 138: 0.08643574826082519,
+            160: 0.00718545542012633, 187: 0.06644455689814546, 196: 0.06882000927527815,
+            205: 0.11043060292059538, 206: 0.11043060292059538, 207: 0.11718699020196759,
+        },
+    ),
+    ((2, 2, 2, 2), (2, 2, 2, 2), "pr0.8"): ((12, 1, 0, 51, 13), {}),
+    ((3, 3), (3, 3), "latent"): (
+        (34, 16, 0, 27, 59),
+        {
+            230: 0.08171795081882942, 263: 5.551115123125783e-17, 281: 0.04419985448792367,
+            316: 0.04457413654761137, 350: 0.010547794853644004, 407: 0.010547794853643983,
+            425: 0.19814246541207797, 442: 2.7755575615628914e-17, 478: 0.012143834369570936,
+            479: 0.03402634169396747, 559: 0.42311897813264776, 575: 0.010547794853643955,
+            593: 0.012930751986679387, 602: 2.7755575615628914e-17, 646: 0.010547794853643983,
+            648: 0.03765556128759202, 656: 0.003629219593624669, 668: 0.006918575260019433,
+            672: 0.024724809300912608, 682: 0.010547794853643955, 727: 0.023478546840323508,
+        },
+    ),
+    ((3, 3), (3, 3), "pr0.8"): ((35, 7, 0, 39, 151), {}),
+    ((2, 2, 2), (3, 3, 3), "latent"): (
+        (8, 0, 0, 26, 8),
+        {
+            94: 0.10460962029887755, 132: 0.17332959268814652, 383: 0.006413074916837146,
+            401: 0.10777766046252024, 412: 0.17837614211835057, 416: 0.020758858415255422,
+            533: 0.23180179067903528, 647: 0.1769332604209774,
+        },
+    ),
+    ((2, 2, 2), (3, 3, 3), "pr0.8"): ((8, 0, 0, 40, 8), {}),
+    ((3, 3, 3), (2, 2, 2), "latent"): (
+        (15, 4, 0, 51, 17),
+        {
+            18: 0.017481502653295917, 20: 0.017481502653295917, 22: 0.016168337368874918,
+            63: 0.27302475461899917, 98: 0.24226098448378067, 185: 0.31600781432985314,
+            356: 2.7755575615628914e-17, 357: 0.08220745091136891, 376: 0.024501510518795913,
+            486: 0.010866142461735617,
+        },
+    ),
+    ((3, 3, 3), (2, 2, 2), "pr0.8"): ((21, 8, 0, 52, 21), {}),
+}
+LP_SHAPES = list(dict.fromkeys(key[:2] for key in PIVOTS_ON_LP_SHAPES))
+
+
+class TestDesignCache:
+    """M and its basis are built once per design and shared read-only; the
+    solver keeps its pivots and its solution."""
+
+    @pytest.mark.parametrize("kind", ["latent", "pr0.8"])
+    @pytest.mark.parametrize("shape", LP_SHAPES, ids=str)
+    def test_pivots_and_q_are_as_recorded(self, shape, kind):
+        design = crossed(*shape)
+        system = latent_system(design, np.random.default_rng(40 + LP_SHAPES.index(shape)))
+        if kind == "pr0.8":
+            system = blend(system, pr_mixture(design, 1.0), 0.8)
+        counts, cells = PIVOTS_ON_LP_SHAPES[shape + (kind,)]
+        fs = build_feasibility_system(system)
+        verdict = solve_feasibility(fs)
+        assert verdict.feasible is bool(cells)
+        assert (
+            verdict.iterations, verdict.degenerate, verdict.bland, verdict.rows, verdict.columns
+        ) == counts
+        if cells:
+            expected = np.zeros(fs.matrix.shape[1])
+            expected[list(cells)] = list(cells.values())
+            np.testing.assert_allclose(verdict.witness.q, expected, rtol=0, atol=1e-15)
+
+    def test_systems_on_one_design_share_one_read_only_matrix(self):
+        fs = build_feasibility_system(feasible_binary_system())
+        other = build_feasibility_system(pr_box_system())
+        assert other.matrix is fs.matrix and other.basis is fs.basis
+        with pytest.raises(ValueError):
+            fs.matrix[0, 0] = 0
+        assert np.array_equal(fs.matrix, golden_matrix())
+
+    def test_capacity_error_leaves_the_cache_untouched(self):
+        build_feasibility_system(feasible_binary_system())
+        before = feasibility._criterion_matrix.cache_info()
+        design = crossed((5, 5), (5, 5))
+        system = system_from_tables(design, {t: {(0, 0): 1.0} for t in design.treatments})
+        with pytest.raises(CapacityError):
+            build_feasibility_system(system)
+        assert feasibility._criterion_matrix.cache_info() == before
+
+    def test_residual_of_a_sparse_and_an_all_zero_q_is_the_dense_product(self):
+        rng = np.random.default_rng(33)
+        fs = build_feasibility_system(uniform_system(crossed((2, 2, 2), (3, 3, 3))))
+        sparse = np.zeros(fs.matrix.shape[1])
+        sparse[rng.choice(sparse.size, 12, replace=False)] = rng.dirichlet(np.ones(12))
+        dense = fs.matrix.astype(float)
+        expected = np.abs(dense @ sparse - fs.p).max()
+        assert feasibility._residual(fs, sparse) == pytest.approx(expected, rel=1e-12, abs=1e-15)
+        zero = np.zeros_like(sparse)
+        assert feasibility._residual(fs, zero) == np.abs(dense @ zero - fs.p).max() == fs.p.max()
 
 
 class TestExtractMarginals:

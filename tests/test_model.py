@@ -23,6 +23,7 @@ from selinf import (
     UsageError,
     build_feasibility_system,
     generate_system,
+    lp_report,
     marginalize,
     solve_feasibility,
     validate_system,
@@ -102,6 +103,26 @@ class TestValidateSystem:
         bad = {t: JointPmf(2, {(1, 1): 0.45, (2, 2): 0.45}) for t in design.treatments}
         problems = validate_system(System(design, bad))
         assert any("mass sum 0.9" in p for p in problems)
+
+    def test_non_finite_array_masses_are_reported_in_treatment_order(self):
+        """``System.from_array`` takes any float; a NaN mass fails no
+        comparison, so it is reported as non-finite, as infinities are."""
+        system = feasible_binary_system()
+        array = system.array.copy()
+        array[0, 0, 0] = np.nan
+        nan_only = System.from_array(system.design, array.copy())
+        assert validate_system(nan_only) == ["treatment (1, 1): non-finite mass nan at (1, 1)"]
+        with pytest.raises(UsageError, match="non-finite mass nan"):
+            lp_report(nan_only)
+        array[2, 1, 1] = np.inf
+        array[1, 0, 1] = -np.inf
+        assert validate_system(System.from_array(system.design, array)) == [
+            "treatment (1, 1): non-finite mass nan at (1, 1)",
+            "treatment (1, 2): non-finite mass -inf at (1, 2)",
+            "treatment (1, 2): mass sum -inf != 1",
+            "treatment (2, 1): non-finite mass inf at (2, 2)",
+            "treatment (2, 1): mass sum inf != 1",
+        ]
 
     def test_undeclared_level_in_treatment_is_rejected(self):
         with pytest.raises(UsageError, match=r"\(1, 3\)"):
