@@ -32,8 +32,9 @@ cannot see.
 A design whose float64 tableau with artificial columns on all rows,
 rows x (columns + rows + 1) x 8 bytes, would exceed ``TABLEAU_BYTE_CAP``
 raises CapacityError: decompose the design.  The solver's tableau is
-rows x (columns + 1) on the pivoted rows only, so the cap is a loose upper
-bound on what it allocates.
+(rows + 1) x (columns + 1) on the pivoted rows and columns only, its
+reduced-cost row included, and each pivot's rank-1 update allocates one
+temporary of the same size.
 For the two-binary-inputs / two-binary-outputs design the same feasible set
 is described in closed form by the Bell/CHSH/Fine inequalities, implemented
 here as an independent cross-check of the solver.
@@ -56,9 +57,12 @@ from .report import CONSISTENT, INAPPLICABLE, RULED_OUT, TestReport
 
 EPS_LP = 1e-8
 PIVOT_TOL = 1e-10
+INTP_MAX = np.iinfo(np.intp).max
 #: Largest design admitted, as the bytes of a float64 phase-I tableau with
 #: artificial columns on all rows of M, rows x (columns + rows + 1) x 8.  The
-#: solver allocates rows x (columns + 1) on the pivoted rows, at most this.
+#: solver's tableau is (rows + 1) x (columns + 1) on the pivoted rows and
+#: columns, its cost row included; the rank-1 update of each pivot allocates
+#: one temporary the size of that tableau.
 TABLEAU_BYTE_CAP = 2**30
 
 
@@ -269,7 +273,7 @@ def _row_basis(outcome_shape: tuple[int, ...], treatments: tuple[Treatment, ...]
 def _phase1_simplex(
     a: np.ndarray, b: np.ndarray, max_iter: int
 ) -> tuple[float, np.ndarray, int, int, int]:
-    """Minimize the sum of artificials for a x = b, x >= 0.
+    """Minimize the sum of artificials for a x = b, x >= 0, where b > 0.
 
     Returns (optimum, x, iterations, degenerate pivots, Bland pivots).  The
     entering column has the most negative reduced cost (Dantzig), except in
@@ -280,72 +284,72 @@ def _phase1_simplex(
     method cannot cycle; the iteration cap only guards against oversized
     instances.  Of the rows tied at the minimum ratio, the smallest basic
     index leaves.  With no columns no pivot is made, and the optimum is the
-    sum of |b|.
+    sum of b.
 
-    The tableau is m x (n + 1): the structural columns and the right-hand
-    side.  Artificial i is basic in row i at the start and is marked in
-    ``basis`` by index n + i; once it leaves it never re-enters, so its
-    column is never read and is not kept.  Row operations act column by
-    column, so dropping it changes no other entry.
+    The tableau is (m + 1) x (n + 1): the structural columns and the
+    right-hand side, with the reduced-cost row last.  Artificial i is basic
+    in row i at the start and is marked in ``basis`` by index n + i; once it
+    leaves it never re-enters, so its column is never read and is not kept.
+    Row operations act column by column, so dropping it changes no other
+    entry.  Each pivot makes the same thirteen numpy calls whatever m is:
+    pricing (one; two under Bland's rule), the ratio test over a reused
+    buffer and the choice of the leaving row (eight), the pivot row (one)
+    and one rank-1 update of every row, the cost row included (three).
     """
     m, n = a.shape
-    tableau = np.empty((m, n + 1))
-    tableau[:, :n] = a
-    tableau[:, -1] = b
-    tableau[b < 0] *= -1.0
-    basis = np.arange(n, n + m)
+    tableau = np.empty((m + 1, n + 1))
+    tableau[:m, :n] = a
+    tableau[:m, n] = b
     # Reduced costs for min(sum of artificials) with the artificial basis.
-    cost = np.empty(n + 1)
-    cost[:n] = -tableau[:, :n].sum(axis=0)
-    cost[-1] = -tableau[:, -1].sum()
+    tableau[m, :n] = -tableau[:m, :n].sum(axis=0)
+    tableau[m, n] = -tableau[:m, n].sum()
+    cost, rhs = tableau[m, :n], tableau[:m, n]
+    basis = np.arange(n, n + m)
+    ratios = np.empty(m)
 
     iterations = degenerate = bland = stall = 0
-    while True:
-        # Artificials never re-enter.
-        eligible = np.flatnonzero(cost[:n] < -PIVOT_TOL)
-        if eligible.size == 0:
-            break
+    # Artificials never re-enter, so only the n structural costs are priced;
+    # with no structural column no pivot is made.
+    while n:
         if stall < m:
-            entering = int(eligible[np.argmin(cost[eligible])])
+            entering = int(cost.argmin())
+            if cost[entering] >= -PIVOT_TOL:
+                break
         else:
-            entering = int(eligible[0])
+            eligible = cost < -PIVOT_TOL
+            entering = int(eligible.argmax())
+            if not eligible[entering]:
+                break
             bland += 1
         iterations += 1
         if iterations > max_iter:
             raise SolverError(f"phase-I simplex exceeded {max_iter} iterations")
 
         col = tableau[:, entering]
-        rows = np.nonzero(col > PIVOT_TOL)[0]
-        if rows.size == 0:
-            raise SolverError("phase-I objective unbounded; matrix is malformed")
         # A right-hand side below 0 is rounding: it counts as 0, so no step
         # is negative.  Only exact ties compete, so no other basic variable
         # is pushed below 0 by a step longer than its own ratio.
-        ratios = np.maximum(tableau[rows, -1], 0.0) / col[rows]
+        ratios.fill(np.inf)
+        np.divide(np.maximum(rhs, 0.0), col[:m], out=ratios, where=col[:m] > PIVOT_TOL)
         best = ratios.min()
+        if best == np.inf:
+            raise SolverError("phase-I objective unbounded; matrix is malformed")
         if best <= PIVOT_TOL:
             degenerate += 1
             stall += 1
         else:
             stall = 0
-        ties = rows[ratios == best]
-        leaving = int(ties[np.argmin(basis[ties])])
+        leaving = int(np.where(ratios == best, basis, INTP_MAX).argmin())
 
         pivot_row = tableau[leaving] / tableau[leaving, entering]
-        # Rows with a zero in the entering column would only lose 0 * pivot_row;
-        # updating the rest 32 rows at a time keeps the temporaries small.
-        touched = np.flatnonzero(col)
-        for start in range(0, touched.size, 32):
-            block = touched[start : start + 32]
-            tableau[block] -= col[block, None] * pivot_row
+        tableau -= np.multiply.outer(col, pivot_row)
         tableau[leaving] = pivot_row
-        cost -= cost[entering] * pivot_row
         basis[leaving] = entering
 
     x = np.zeros(n)
     structural = basis < n
-    x[basis[structural]] = tableau[structural, -1]
-    return float(-cost[-1]), x, iterations, degenerate, bland
+    x[basis[structural]] = rhs[structural]
+    return float(-tableau[m, n]), x, iterations, degenerate, bland
 
 
 def _residual(fs: FeasibilitySystem, q: np.ndarray) -> float:
@@ -489,7 +493,8 @@ def fine_inequality_check(system: System, eps_test: float = EPS_TEST) -> TestRep
     over all i != i', j != j', where p(ij) is the probability that both
     outputs take their first declared value at treatment (i, j) and p(i.),
     p(.j) are the corresponding output marginals.  Inapplicable unless the
-    design is 2x2 binary, fully crossed, and marginally selective.
+    design is 2x2 binary, fully crossed, and marginally selective; a
+    non-finite mass raises UsageError from the marginal test.
     """
     design = system.design
     name = "fine"

@@ -17,6 +17,7 @@ only the point masses are stored.
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import math
@@ -142,6 +143,18 @@ class Design:
     @property
     def n(self) -> int:
         return len(self.inputs)
+
+    def with_outputs(self, outputs: Iterable[OutputSpec]) -> Design:
+        """This design with ``outputs`` in place of its own.  The inputs and
+        treatments were checked when this design was made and are shared
+        unchecked; only the pairing of the new outputs with the inputs is
+        checked."""
+        outputs = tuple(outputs)
+        if len(outputs) != len(self.inputs):
+            raise UsageError("inputs and outputs must be index-paired (equal counts)")
+        design = copy.copy(self)
+        object.__setattr__(design, "outputs", outputs)
+        return design
 
     def is_fully_crossed(self) -> bool:
         """True when every combination of input levels is allowable."""

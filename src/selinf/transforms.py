@@ -88,15 +88,12 @@ def apply_transform(system: System, spec: TransformSpec) -> System:
     Works on ``system.array``: along each output's axis, every treatment's
     masses are summed into its level's images by one product with a 0/1
     index matrix.  The transformed system is made from that array alone; its
-    tables are built only if a caller reads them.
+    tables are built only if a caller reads them.  Its design shares the
+    parent's inputs and treatments, which are not checked again.
     """
     design = system.design
     spec.validate(design)
-    new_design = Design(
-        design.inputs,
-        tuple(tr.target for tr in spec.outputs),
-        design.treatments,
-    )
+    new_design = design.with_outputs(tr.target for tr in spec.outputs)
     array = system.array
     rows = np.arange(len(design.treatments))[:, None]
     for k, (tr, out) in enumerate(zip(spec.outputs, design.outputs)):

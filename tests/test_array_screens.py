@@ -46,7 +46,7 @@ from selinf import (
 from selinf import model
 from selinf.cosphericity import _VAR_RTOL
 from test_distances import random_class_metric
-from test_marginal import _oracle_discrepancy
+from test_marginal import _oracle_discrepancy, perturbed
 
 # ------------------------------------------------------------------ systems
 
@@ -68,19 +68,6 @@ def pr_mixture(system, weight):
                 key = (v1[i], v2[(i + shift) % v]) + tail
                 table[key] = table.get(key, 0.0) + weight / v / len(rest)
         tables[t] = table
-    return system_from_tables(design, tables)
-
-
-def perturbed(system, rng, eps=0.2):
-    """One treatment mixed with noise: marginal selectivity breaks."""
-    design = system.design
-    target = design.treatments[int(rng.integers(len(design.treatments)))]
-    keys = list(itertools.product(*(o.values for o in design.outputs)))
-    noise = rng.dirichlet(np.ones(len(keys)))
-    tables = {t: dict(system.pmf(t).table) for t in design.treatments}
-    tables[target] = {
-        k: (1 - eps) * system.pmf(target).mass(k) + eps * float(m) for k, m in zip(keys, noise)
-    }
     return system_from_tables(design, tables)
 
 

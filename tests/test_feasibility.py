@@ -944,3 +944,108 @@ class TestFineInequalities:
             assert (fine.verdict == "consistent") == lp
             outcomes[lp] += 1
         assert outcomes[True] > 0 and outcomes[False] > 0
+
+
+def reference_phase1_simplex(a, b, max_iter):
+    """A phase-I simplex with the pivot rules of ``feasibility._phase1_simplex``
+    written row by row: a cost vector beside the tableau, the eligible
+    columns found by ``flatnonzero``, a ratio test over the gathered rows and
+    an update of the touched rows in blocks of 32.  The oracle that the
+    solver's pivots are checked against, bit for bit."""
+    m, n = a.shape
+    tableau = np.empty((m, n + 1))
+    tableau[:, :n] = a
+    tableau[:, -1] = b
+    tableau[b < 0] *= -1.0
+    basis = np.arange(n, n + m)
+    cost = np.empty(n + 1)
+    cost[:n] = -tableau[:, :n].sum(axis=0)
+    cost[-1] = -tableau[:, -1].sum()
+
+    iterations = degenerate = bland = stall = 0
+    while True:
+        eligible = np.flatnonzero(cost[:n] < -feasibility.PIVOT_TOL)
+        if eligible.size == 0:
+            break
+        if stall < m:
+            entering = int(eligible[np.argmin(cost[eligible])])
+        else:
+            entering = int(eligible[0])
+            bland += 1
+        iterations += 1
+        if iterations > max_iter:
+            raise SolverError(f"phase-I simplex exceeded {max_iter} iterations")
+
+        col = tableau[:, entering]
+        rows = np.nonzero(col > feasibility.PIVOT_TOL)[0]
+        if rows.size == 0:
+            raise SolverError("phase-I objective unbounded; matrix is malformed")
+        ratios = np.maximum(tableau[rows, -1], 0.0) / col[rows]
+        best = ratios.min()
+        if best <= feasibility.PIVOT_TOL:
+            degenerate += 1
+            stall += 1
+        else:
+            stall = 0
+        ties = rows[ratios == best]
+        leaving = int(ties[np.argmin(basis[ties])])
+
+        pivot_row = tableau[leaving] / tableau[leaving, entering]
+        touched = np.flatnonzero(col)
+        for start in range(0, touched.size, 32):
+            block = touched[start : start + 32]
+            tableau[block] -= col[block, None] * pivot_row
+        tableau[leaving] = pivot_row
+        cost -= cost[entering] * pivot_row
+        basis[leaving] = entering
+
+    x = np.zeros(n)
+    structural = basis < n
+    x[basis[structural]] = tableau[structural, -1]
+    return float(-cost[-1]), x, iterations, degenerate, bland
+
+
+def pivot_oracle_cases():
+    """(id, system): latent and 0.8 PR systems on the four ``lp_criterion``
+    shapes, the full-support mixture on which Bland's rule engages, the 3x3x3
+    design with 2, 2 and 4 values and its PR product, and the PR box, whose
+    support keeps no column."""
+    cases = []
+    for index, shape in enumerate(LP_SHAPES):
+        design = crossed(*shape)
+        latent = latent_system(design, np.random.default_rng(40 + index))
+        label = "-".join("x".join(map(str, sizes)) for sizes in shape)
+        cases.append((f"{label}-latent", latent))
+        cases.append((f"{label}-pr0.8", blend(latent, pr_mixture(design, 1.0), 0.8)))
+    design = crossed((2, 2, 2), (3, 3, 3))
+    latent = latent_system(design, np.random.default_rng(24))
+    cases.append(("stall", blend(latent, uniform_system(design), 0.01)))
+    latent = latent_system(crossed((3, 3, 3), (2, 2, 4)), np.random.default_rng(2))
+    cases += [("3x3x3-latent", latent), ("3x3x3-pr-product", pr_product(latent))]
+    cases.append(("pr-box", pr_box_system()))
+    return cases
+
+
+PIVOT_ORACLE_CASES = pivot_oracle_cases()
+
+
+class TestPivotOracle:
+    @pytest.mark.parametrize(
+        "name, system", PIVOT_ORACLE_CASES, ids=[name for name, _ in PIVOT_ORACLE_CASES]
+    )
+    def test_pivots_match_the_row_by_row_reference_bit_for_bit(self, name, system):
+        fs = build_feasibility_system(system)
+        rows = fs.basis[fs.p[fs.basis] > 0]
+        cols = np.flatnonzero(~fs.matrix[fs.p == 0].any(axis=0))
+        a, b = fs.matrix[np.ix_(rows, cols)], fs.p[rows]
+        max_iter = 50 * (len(fs.basis) + fs.matrix.shape[1]) + 1000
+        optimum, x, *counts = feasibility._phase1_simplex(a, b, max_iter)
+        expected_optimum, expected_x, *expected_counts = reference_phase1_simplex(a, b, max_iter)
+        assert optimum.hex() == expected_optimum.hex()
+        assert x.tobytes() == expected_x.tobytes()
+        assert counts == expected_counts
+        iterations, degenerate, bland = counts
+        if name == "stall":
+            assert bland > 0
+        if name == "pr-box":
+            assert cols.size == iterations == 0

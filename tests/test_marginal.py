@@ -14,15 +14,22 @@ from fixtures import (
     system_from_tables,
 )
 from selinf import (
+    ClassificationMetric,
     Design,
     InputSpec,
     JointPmf,
+    MarginalReport,
     OutputSpec,
     System,
+    UsageError,
     build_feasibility_system,
     check_marginal_selectivity,
+    fine_inequality_check,
+    run_distance_test,
     solve_feasibility,
 )
+from selinf.marginal import EPS_TEST
+from test_feasibility import blend, crossed, latent_system, pr_mixture
 
 
 def test_violation_example_fails_by_point_one():
@@ -39,9 +46,9 @@ def test_pr_box_passes_with_zero_discrepancy():
     assert report.discrepancy == 0.0
 
 
-def test_ties_go_to_the_first_pair_in_test_order():
-    # Independent outputs with dyadic masses: every comparable pair, on
-    # either output, differs by exactly 1/4.
+def tied_outputs_system() -> System:
+    """Independent outputs with dyadic masses: every comparable pair, on
+    either output, differs by exactly 1/4."""
     a = {(1, 1): 0.5, (1, 2): 0.25, (2, 1): 0.5, (2, 2): 0.25}
     b = {(1, 1): 0.5, (1, 2): 0.5, (2, 1): 0.25, (2, 2): 0.25}
     tables = {
@@ -51,19 +58,170 @@ def test_ties_go_to_the_first_pair_in_test_order():
         }
         for t in a
     }
-    report = check_marginal_selectivity(system_from_tables(binary_design(), tables))
-    assert (report.worst_subset, report.worst_pair) == ((0,), ((1, 1), (1, 2)))
-    assert report.discrepancy == report.total_variation == 0.25
+    return system_from_tables(binary_design(), tables)
 
 
-def test_single_treatment_is_vacuous():
+def tied_sizes_system() -> System:
+    """Three binary inputs and outputs: output 1 takes 0 with probability
+    1/2, or 3/4 where input 3 is at level 2; output 2 is always 0; output 3
+    is a fair coin.  Subsets (0,) and (0, 1) both differ by exactly 1/4 on
+    the pair ((1, 1, 1), (1, 1, 2)), (0, 2) by 1/8."""
+    design = crossed((2, 2, 2), (2, 2, 2))
+    array = np.zeros((len(design.treatments), 2, 2, 2))
+    for b, t in enumerate(design.treatments):
+        zero = 0.75 if t[2] == 2 else 0.5
+        array[b, 0, 0] = zero / 2
+        array[b, 1, 0] = (1 - zero) / 2
+    return System.from_array(design, array)
+
+
+def single_treatment_system() -> System:
     design = Design(
         (InputSpec("l1", (1,)), InputSpec("l2", (1,))),
         (OutputSpec("A1", (0, 1)), OutputSpec("A2", (0, 1))),
         ((1, 1),),
     )
-    system = System(design, {(1, 1): JointPmf(2, {(0, 1): 1.0})})
+    return System(design, {(1, 1): JointPmf(2, {(0, 1): 1.0})})
+
+
+def perturbed(system, rng, eps=0.2):
+    """One treatment mixed with noise: marginal selectivity breaks."""
+    design = system.design
+    target = design.treatments[int(rng.integers(len(design.treatments)))]
+    keys = list(itertools.product(*(o.values for o in design.outputs)))
+    noise = rng.dirichlet(np.ones(len(keys)))
+    tables = {t: dict(system.pmf(t).table) for t in design.treatments}
+    tables[target] = {
+        k: (1 - eps) * system.pmf(target).mass(k) + eps * float(m) for k, m in zip(keys, noise)
+    }
+    return system_from_tables(design, tables)
+
+
+def reference_marginal_selectivity(system, max_subset_size=None, eps_test=EPS_TEST):
+    """The complete marginal test one output subset at a time: per subset,
+    its agreeing pairs, one sum, one gather and one comparison; a later
+    subset's worst pair replaces the kept one only when strictly worse.
+    The oracle that ``check_marginal_selectivity`` is checked against."""
+    design = system.design
+    n = design.n
+    if max_subset_size is None:
+        max_subset_size = n - 1
+    worst = MarginalReport(None, None, 0.0, 0.0, True)
+    if n == 1 or len(design.treatments) < 2:
+        return worst
+    array = system.array
+    for size in range(1, max_subset_size + 1):
+        for subset in itertools.combinations(range(n), size):
+            groups = {}
+            for b, t in enumerate(design.treatments):
+                groups.setdefault(tuple(t[k] for k in subset), []).append(b)
+            pairs = [
+                pair for members in groups.values() for pair in itertools.combinations(members, 2)
+            ]
+            if not pairs:
+                continue
+            first, second = np.array(pairs, dtype=np.intp).T
+            others = tuple(k + 1 for k in range(n) if k not in subset)
+            margins = array.sum(axis=others).reshape(len(design.treatments), -1)
+            diffs = np.abs(margins[first] - margins[second])
+            sups = diffs.max(axis=1)
+            c = int(np.argmax(sups))
+            if sups[c] > worst.discrepancy:
+                pair = (design.treatments[first[c]], design.treatments[second[c]])
+                worst = MarginalReport(
+                    subset, pair, float(sups[c]), float(0.5 * diffs[c].sum()), True
+                )
+    return MarginalReport(
+        worst.worst_subset,
+        worst.worst_pair,
+        worst.discrepancy,
+        worst.total_variation,
+        worst.discrepancy <= eps_test,
+    )
+
+
+def test_ties_go_to_the_first_pair_in_test_order():
+    report = check_marginal_selectivity(tied_outputs_system())
+    assert (report.worst_subset, report.worst_pair) == ((0,), ((1, 1), (1, 2)))
+    assert report.discrepancy == report.total_variation == 0.25
+
+
+def test_ties_across_subset_sizes_go_to_the_smaller_subset():
+    system = tied_sizes_system()
+    pair_margins = system.array.sum(axis=3)  # outputs 1 and 2
+    assert np.abs(pair_margins[0] - pair_margins[1]).max() == 0.25
     report = check_marginal_selectivity(system)
+    assert (report.worst_subset, report.worst_pair) == ((0,), ((1, 1, 1), (1, 1, 2)))
+    assert report.discrepancy == report.total_variation == 0.25
+
+
+def oracle_systems():
+    """Latent systems (crossed and partial), PR mixtures, perturbations that
+    break marginal selectivity, the two tie systems and a one-treatment
+    design."""
+    rng = np.random.default_rng(104)
+    systems = []
+    for _ in range(12):
+        system = random_selective_system(rng, column_cap=3000, allow_partial=True)
+        systems += [system, perturbed(system, rng)]
+    for shape in (
+        ((2, 2, 2, 2), (2, 2, 2, 2)),
+        ((3, 3), (3, 3)),
+        ((2, 2, 2), (3, 3, 3)),
+        ((3, 3, 3), (2, 2, 4)),
+    ):
+        design = crossed(*shape)
+        latent = latent_system(design, rng)
+        systems += [latent, perturbed(latent, rng, eps=0.05)]
+        systems += [blend(latent, pr_mixture(design, 1.0), w) for w in (0.5, 0.8, 1.0)]
+    return systems + [tied_outputs_system(), tied_sizes_system(), single_treatment_system()]
+
+
+def test_reports_equal_the_per_subset_reference():
+    systems = oracle_systems()
+    failed = sizes = 0
+    for system in systems:
+        n = system.design.n
+        for max_subset_size in [None, *range(1, n)]:
+            report = check_marginal_selectivity(system, max_subset_size)
+            assert report == reference_marginal_selectivity(system, max_subset_size)
+            failed += not report.passed
+            sizes += report.worst_subset is not None and len(report.worst_subset) > 1
+    assert any(not s.design.is_fully_crossed() for s in systems)
+    assert len(systems[-1].design.treatments) == 1
+    assert failed > 20 and sizes > 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("test", ["marginal", "fine", "distance"])
+def test_non_finite_mass_is_a_usage_error(test, bad):
+    """A system built from an array skips validation; the screens still
+    refuse a non-finite mass instead of passing it."""
+    base = feasible_binary_system()
+    array = base.array.copy()
+    array[0, 0, 0] = bad
+    system = System.from_array(base.design, array)
+    run = {
+        "marginal": check_marginal_selectivity,
+        "fine": fine_inequality_check,
+        "distance": lambda s: run_distance_test(
+            s, ClassificationMetric((((1,), (2,)), ((1,), (2,))))
+        ),
+    }[test]
+    with pytest.raises(UsageError, match=r"non-finite mass at treatment \(1, 1\)"):
+        run(system)
+
+
+def test_non_finite_mass_is_a_usage_error_without_comparable_pairs():
+    base = single_treatment_system()
+    array = base.array.copy()
+    array[0, 1, 1] = np.nan
+    with pytest.raises(UsageError, match="non-finite mass"):
+        check_marginal_selectivity(System.from_array(base.design, array))
+
+
+def test_single_treatment_is_vacuous():
+    report = check_marginal_selectivity(single_treatment_system())
     assert report.passed
     assert report.discrepancy == 0.0
     assert report.worst_pair is None

@@ -16,6 +16,7 @@ from fixtures import (
 )
 from selinf import (
     ClassificationMetric,
+    Design,
     PowerMetric,
     UsageError,
     apply_transform,
@@ -68,6 +69,37 @@ class TestApplyTransform:
         )
         with pytest.raises(UsageError, match="unmapped"):
             apply_transform(d1_system(), bad)
+
+    def test_member_design_equals_the_checked_build_without_rechecking(self, monkeypatch):
+        """Members share the parent's inputs and treatments and equal the
+        design built through ``Design(...)``; no treatment is checked again."""
+        rng = np.random.default_rng(42)
+        systems = [d1_system(), transform_base_system()]
+        systems += [
+            random_selective_system(rng, column_cap=300, allow_partial=True) for _ in range(4)
+        ]
+        cases = [(s, spec) for s in systems for spec in generate_battery(s.design, 3, 3)]
+        cases.append((transform_base_system(), level_specific_transform()))
+        expected = [
+            Design(s.design.inputs, tuple(tr.target for tr in spec.outputs), s.design.treatments)
+            for s, spec in cases
+        ]
+        checks = []
+        check = Design.__post_init__
+        monkeypatch.setattr(
+            Design, "__post_init__", lambda self: checks.append(self) or check(self)
+        )
+        for (system, spec), design in zip(cases, expected):
+            member = apply_transform(system, spec).design
+            assert member == design
+            assert member.inputs is system.design.inputs
+            assert member.treatments is system.design.treatments
+        assert checks == []
+
+    def test_with_outputs_checks_the_pairing(self):
+        design = d1_system().design
+        with pytest.raises(UsageError, match="index-paired"):
+            design.with_outputs(design.outputs[:1])
 
 
 class TestBattery:
