@@ -23,18 +23,22 @@ of p: the basis rows with p > 0 and the columns with no 1 in a row where p
 is exactly 0.  The restriction is exact.
 M is 0/1 and q >= 0, so a row with p = 0 forces q_j = 0 on every column j
 with a 1 in it; every coupling lives on the kept columns, where the dropped
-rows read 0 = 0.  ``eps_lp`` bounds two things: the phase-I optimum (the
-sum of the artificials) over the kept rows, and the max-abs residual
-max |M q - p| of the solution, scattered back to all columns, over all rows
-of M.  The second catches a p that breaks a linear dependency among M's
-rows (marginal selectivity or equal total mass), which the basis rows alone
-cannot see.
-A design whose float64 tableau with artificial columns on all rows,
-rows x (columns + rows + 1) x 8 bytes, would exceed ``TABLEAU_BYTE_CAP``
-raises CapacityError: decompose the design.  The solver's tableau is
-(rows + 1) x (columns + 1) on the pivoted rows and columns only, its
-reduced-cost row included, and each pivot's rank-1 update allocates one
-temporary of the same size.
+rows read 0 = 0.  The simplex stops early once its basis proves that no
+point of mass at most 1 + eps_lp reaches a phase-I objective of eps_lp: a
+coupling has mass 1, so none is missed (see ``_phase1_simplex``).
+``eps_lp`` bounds two things: the phase-I objective (the sum of the
+artificials) over the kept rows, and the max-abs residual max |M q - p| of
+the solution, scattered back to all columns, over all rows of M.  The
+second catches a p that breaks a linear dependency among M's rows (marginal
+selectivity or equal total mass), which the basis rows alone cannot see.
+A design whose solve would allocate more than ``TABLEAU_BYTE_CAP`` bytes,
+M as int8 plus the float64 tableau on at most r = prod(m_k (v_k - 1) + 1)
+rows and its update temporary, raises CapacityError before M is built:
+decompose the design.  The solver's tableau is (rows + 1) x (columns + 1)
+on the pivoted rows and columns only, its reduced-cost row included.
+Each pivot makes thirteen numpy calls whatever the row count; its ratio
+test reads only the rows where the entering column is positive, and its
+rank-1 update allocates one temporary the size of the tableau.
 For the two-binary-inputs / two-binary-outputs design the same feasible set
 is described in closed form by the Bell/CHSH/Fine inequalities, implemented
 here as an independent cross-check of the solver.
@@ -57,12 +61,10 @@ from .report import CONSISTENT, INAPPLICABLE, RULED_OUT, TestReport
 
 EPS_LP = 1e-8
 PIVOT_TOL = 1e-10
-INTP_MAX = np.iinfo(np.intp).max
-#: Largest design admitted, as the bytes of a float64 phase-I tableau with
-#: artificial columns on all rows of M, rows x (columns + rows + 1) x 8.  The
-#: solver's tableau is (rows + 1) x (columns + 1) on the pivoted rows and
-#: columns, its cost row included; the rank-1 update of each pivot allocates
-#: one temporary the size of that tableau.
+#: Largest design admitted, as the bytes the solve path allocates at most:
+#: M as int8, rows x columns, and two float64 arrays of (r + 1) x (columns +
+#: 1), the phase-I tableau and the temporary of its rank-1 update, where r =
+#: prod(m_k (v_k - 1) + 1) bounds the pivoted rows (``rank_bound``).
 TABLEAU_BYTE_CAP = 2**30
 
 
@@ -180,7 +182,11 @@ class LpVerdict:
     pivoted: ``rows`` (the basis rows where p > 0) and ``columns`` (the
     coupling columns with no 1 in a row where p = 0), ``iterations``,
     ``degenerate`` pivots and pivots chosen by Bland's rule (``bland``)
-    among them, and the phase-I ``optimum`` over those rows."""
+    among them.  ``optimum`` is the phase-I objective over those rows at
+    the last basis, and ``bound`` the value the early-stop rule compared
+    with eps_lp: a lower bound on that objective over every point of mass
+    at most 1 + eps_lp.  ``bound < optimum`` when the simplex stopped
+    early; otherwise the last basis is optimal and ``bound == optimum``."""
 
     feasible: bool
     witness: CouplingWitness | None
@@ -190,6 +196,7 @@ class LpVerdict:
     degenerate: int
     bland: int
     optimum: float
+    bound: float
 
 
 def build_feasibility_system(system: System, eps_prob: float = EPS_PROB) -> FeasibilitySystem:
@@ -207,11 +214,14 @@ def build_feasibility_system(system: System, eps_prob: float = EPS_PROB) -> Feas
     outcome_shape = tuple(len(out.values) for out in design.outputs)
     n_rows = len(design.treatments) * math.prod(outcome_shape)
     n_cols = math.prod(outcome_shape[k] for k, _ in coords)
-    tableau_bytes = n_rows * (n_cols + n_rows + 1) * 8
-    if tableau_bytes > TABLEAU_BYTE_CAP:
+    # The pivoted rows are basis rows, at most ``rank_bound()`` of them.
+    n_basis = math.prod(len(lv) * (v - 1) + 1 for lv, v in zip(levels, outcome_shape))
+    solve_bytes = n_rows * n_cols + 2 * (n_basis + 1) * (n_cols + 1) * 8
+    if solve_bytes > TABLEAU_BYTE_CAP:
         raise CapacityError(
-            f"phase-I tableau needs {tableau_bytes} bytes, over {TABLEAU_BYTE_CAP}; "
-            "decompose the design (drop inputs or group output values) before testing"
+            f"criterion matrix and phase-I tableau need {solve_bytes} bytes, over "
+            f"{TABLEAU_BYTE_CAP}; decompose the design (drop inputs or group output "
+            "values) before testing"
         )
 
     matrix, basis = _criterion_matrix(levels, outcome_shape, design.treatments)
@@ -271,11 +281,15 @@ def _row_basis(outcome_shape: tuple[int, ...], treatments: tuple[Treatment, ...]
 
 
 def _phase1_simplex(
-    a: np.ndarray, b: np.ndarray, max_iter: int
-) -> tuple[float, np.ndarray, int, int, int]:
-    """Minimize the sum of artificials for a x = b, x >= 0, where b > 0.
+    a: np.ndarray, b: np.ndarray, eps_lp: float, max_iter: int
+) -> tuple[float, float, np.ndarray, int, int, int]:
+    """Minimize the sum of artificials for a x = b, x >= 0, where b > 0,
+    or stop as soon as no x of mass sum(x) <= 1 + eps_lp can bring it to
+    eps_lp.
 
-    Returns (optimum, x, iterations, degenerate pivots, Bland pivots).  The
+    Returns (optimum, bound, x, iterations, degenerate pivots, Bland
+    pivots): ``optimum`` is the objective at the last basis, x that basis's
+    solution, and ``bound`` the value the stop rule compared (below).  The
     entering column has the most negative reduced cost (Dantzig), except in
     a stall: once as many consecutive pivots as there are rows have been
     degenerate (minimum ratio at most PIVOT_TOL), the smallest eligible
@@ -286,15 +300,30 @@ def _phase1_simplex(
     index leaves.  With no columns no pivot is made, and the optimum is the
     sum of b.
 
+    The stop rule.  At a basis with objective w and reduced costs d_j, each
+    x >= 0 that solves the rows (with the artificials that left at 0) has
+    objective w + sum_j d_j x_j.  With d < 0 the most negative d_j, which
+    Dantzig pricing has just found, every such x of mass at most 1 + eps_lp
+    has objective at least ``w + d (1 + eps_lp)``.  Once that bound exceeds
+    eps_lp the loop stops, with optimum = w > bound > eps_lp.  The rule is
+    exact for the criterion: a column of a is a coupling assignment, and a
+    witness is a coupling whose mass is within eps_lp of 1, so a solve that
+    reaches a witness passes through no basis whose bound exceeds eps_lp,
+    and keeps every pivot and its x.  A run that ends at an optimal basis
+    returns bound = optimum.
+
     The tableau is (m + 1) x (n + 1): the structural columns and the
     right-hand side, with the reduced-cost row last.  Artificial i is basic
     in row i at the start and is marked in ``basis`` by index n + i; once it
     leaves it never re-enters, so its column is never read and is not kept.
     Row operations act column by column, so dropping it changes no other
-    entry.  Each pivot makes the same thirteen numpy calls whatever m is:
-    pricing (one; two under Bland's rule), the ratio test over a reused
-    buffer and the choice of the leaving row (eight), the pivot row (one)
-    and one rank-1 update of every row, the cost row included (three).
+    entry.  Each pivot makes the same thirteen numpy calls whatever m is
+    (fourteen under Bland's rule): pricing (one), the ratio test and the
+    choice of the leaving row (eight, on the rows where the entering column
+    is positive only, the ties settled by one ``lexsort`` on (ratio, basic
+    index)), the pivot row (one) and one rank-1 update of every row, the
+    cost row included (three).  The stop rule reads two scalars and makes
+    no call.
     """
     m, n = a.shape
     tableau = np.empty((m + 1, n + 1))
@@ -305,7 +334,7 @@ def _phase1_simplex(
     tableau[m, n] = -tableau[:m, n].sum()
     cost, rhs = tableau[m, :n], tableau[:m, n]
     basis = np.arange(n, n + m)
-    ratios = np.empty(m)
+    bound = None
 
     iterations = degenerate = bland = stall = 0
     # Artificials never re-enter, so only the n structural costs are priced;
@@ -313,7 +342,13 @@ def _phase1_simplex(
     while n:
         if stall < m:
             entering = int(cost.argmin())
-            if cost[entering] >= -PIVOT_TOL:
+            reduced = float(cost[entering])
+            if reduced >= -PIVOT_TOL:
+                break
+            # Every x of mass <= 1 + eps_lp has at least this objective.
+            stop = reduced * (1.0 + eps_lp) - float(tableau[m, n])
+            if stop > eps_lp:
+                bound = stop
                 break
         else:
             eligible = cost < -PIVOT_TOL
@@ -326,20 +361,23 @@ def _phase1_simplex(
             raise SolverError(f"phase-I simplex exceeded {max_iter} iterations")
 
         col = tableau[:, entering]
-        # A right-hand side below 0 is rounding: it counts as 0, so no step
-        # is negative.  Only exact ties compete, so no other basic variable
-        # is pushed below 0 by a step longer than its own ratio.
-        ratios.fill(np.inf)
-        np.divide(np.maximum(rhs, 0.0), col[:m], out=ratios, where=col[:m] > PIVOT_TOL)
-        best = ratios.min()
-        if best == np.inf:
+        # Candidates are the rows where col > PIVOT_TOL; the cost row's entry
+        # is below -PIVOT_TOL, so it is never one.  A right-hand side below
+        # 0 is rounding: it counts as 0, so no step is negative.  Only exact
+        # ties compete, so no other basic variable is pushed below 0 by a
+        # step longer than its own ratio.
+        rows = np.flatnonzero(col > PIVOT_TOL)
+        if not rows.size:
             raise SolverError("phase-I objective unbounded; matrix is malformed")
-        if best <= PIVOT_TOL:
+        ratios = np.maximum(rhs[rows], 0.0) / col[rows]
+        # Sorted by ratio, then by basic index: ties go to the smallest.
+        first = np.lexsort((basis[rows], ratios))[0]
+        leaving = int(rows[first])
+        if ratios[first] <= PIVOT_TOL:
             degenerate += 1
             stall += 1
         else:
             stall = 0
-        leaving = int(np.where(ratios == best, basis, INTP_MAX).argmin())
 
         pivot_row = tableau[leaving] / tableau[leaving, entering]
         tableau -= np.multiply.outer(col, pivot_row)
@@ -349,7 +387,8 @@ def _phase1_simplex(
     x = np.zeros(n)
     structural = basis < n
     x[basis[structural]] = rhs[structural]
-    return float(-tableau[m, n]), x, iterations, degenerate, bland
+    optimum = float(-tableau[m, n])
+    return optimum, optimum if bound is None else bound, x, iterations, degenerate, bland
 
 
 def _residual(fs: FeasibilitySystem, q: np.ndarray) -> float:
@@ -414,11 +453,17 @@ def solve_feasibility(
     out more, never less: it admits no mass, not even within eps_lp, on a
     cell observed to be impossible.
 
-    Ruled out when the phase-I optimum on the pivoted rows exceeds
+    Ruled out when the phase-I objective on the pivoted rows exceeds
     ``eps_lp`` (they are a relaxation of the full system), or when q's
     max |M q - p| over all rows does (p breaks a linear dependency among
     M's rows, so no coupling exists).  Otherwise consistent, with the
-    witness validated against the full M and p.  The residual is computed
+    witness validated against the full M and p.  The simplex stops early,
+    ruling the system out, once a basis shows that every point of mass at
+    most 1 + eps_lp has a phase-I objective above eps_lp; every witness
+    has such a mass, so this changes no verdict, and a consistent system
+    keeps every pivot.  The verdict's ``optimum`` is the objective at the
+    last basis and ``bound`` the lower bound the rule compared, below the
+    optimum exactly when the simplex stopped early.  The residual is computed
     once, on q as the witness holds it; a q that fails the witness contract
     raises UsageError, as ``make_witness`` does, and is never a verdict.
     More than ``max_iter`` pivots (default 50 (basis rows + all columns) +
@@ -429,8 +474,8 @@ def solve_feasibility(
         max_iter = 50 * (len(fs.basis) + n) + 1000
     rows = fs.basis[fs.p[fs.basis] > 0]
     cols = np.flatnonzero(~fs.matrix[fs.p == 0].any(axis=0))
-    optimum, x, iterations, degenerate, bland = _phase1_simplex(
-        fs.matrix[np.ix_(rows, cols)], fs.p[rows], max_iter
+    optimum, bound, x, iterations, degenerate, bland = _phase1_simplex(
+        fs.matrix[np.ix_(rows, cols)], fs.p[rows], eps_lp, max_iter
     )
     feasible, witness = False, None
     if optimum <= eps_lp:
@@ -442,7 +487,7 @@ def solve_feasibility(
         if feasible:
             witness = _witness(fs, q, residual, eps_lp)
     return LpVerdict(
-        feasible, witness, iterations, rows.size, cols.size, degenerate, bland, optimum
+        feasible, witness, iterations, rows.size, cols.size, degenerate, bland, optimum, bound
     )
 
 

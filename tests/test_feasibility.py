@@ -252,20 +252,28 @@ class TestBuild:
             assert np.array_equal(fs.matrix, expected)
 
     def test_column_cap(self, monkeypatch):
-        # The 2x2 binary tableau is 16 x (16 + 16 + 1) float64 entries.
-        monkeypatch.setattr(feasibility, "TABLEAU_BYTE_CAP", 4224)
-        build_feasibility_system(feasible_binary_system())
-        monkeypatch.setattr(feasibility, "TABLEAU_BYTE_CAP", 4223)
-        with pytest.raises(CapacityError, match="decompose"):
-            build_feasibility_system(feasible_binary_system())
+        """The cap charges M as int8 and two float64 arrays of (r + 1) x
+        (columns + 1), r = prod(m_k (v_k - 1) + 1): 2x2 binary, 16 x 16 + 2 x
+        10 x 17 x 8 bytes; 3x3 ternary, 81 x 729 + 2 x 50 x 730 x 8."""
+        for system, solve_bytes in (
+            (feasible_binary_system(), 2976),
+            (uniform_system(crossed((3, 3), (3, 3))), 643049),
+        ):
+            monkeypatch.setattr(feasibility, "TABLEAU_BYTE_CAP", solve_bytes)
+            build_feasibility_system(system)
+            monkeypatch.setattr(feasibility, "TABLEAU_BYTE_CAP", solve_bytes - 1)
+            with pytest.raises(CapacityError, match=f"{solve_bytes} bytes.*decompose"):
+                build_feasibility_system(system)
 
     def test_tableau_cap_rejects_before_allocating(self):
-        """Two 5-level inputs, 5-valued outputs: 5**10 columns and 625 rows,
-        a 48.8 GB tableau, refused before M or the column labels exist."""
-        design = crossed((5, 5), (5, 5))
-        system = system_from_tables(design, {t: {(0, 0): 1.0} for t in design.treatments})
-        with pytest.raises(CapacityError, match="48831255000 bytes.*decompose"):
-            build_feasibility_system(system)
+        """Two 5-level inputs, refused before M or the column labels exist:
+        5-valued outputs, 625 rows, 5**10 columns and r = 441, 75.2 GB;
+        4-valued outputs, 400 rows, 4**10 columns and r = 256, 4.7 GB."""
+        for values, solve_bytes in (((5, 5), 75166022697), ((4, 4), 4731179024)):
+            design = crossed((5, 5), values)
+            system = system_from_tables(design, {t: {(0, 0): 1.0} for t in design.treatments})
+            with pytest.raises(CapacityError, match=f"{solve_bytes} bytes.*decompose"):
+                build_feasibility_system(system)
 
     def test_tableau_cap_admits_the_3x3x3_ternary_design(self):
         fs = build_feasibility_system(uniform_system(crossed((3, 3, 3), (3, 3, 3))))
@@ -443,7 +451,8 @@ class TestSolve:
             assert type(v.feasible) is bool
             for value in (v.rows, v.columns, v.degenerate, v.bland, v.iterations):
                 assert type(value) is int
-            assert type(v.optimum) is float
+            assert type(v.optimum) is type(v.bound) is float
+            assert v.bound == v.optimum  # both ran to an optimal basis
 
     def test_marginal_violation_is_ruled_out_by_the_full_residual(self):
         """The basis rows alone are satisfiable; p breaks marginal selectivity,
@@ -734,11 +743,13 @@ class TestSupport:
         assert columns[-1e-12] == base.columns < columns[1e-300]
 
 
-#: Recorded before the criterion matrix was cached per design and the
-#: tableau lost its artificial columns: (iterations, degenerate, bland, rows,
-#: columns) and the nonzero entries of q (none when ruled out) for the latent
-#: system from ``rng(40 + shape index)`` and its 0.8 PR mixture, on the four
-#: shapes of the benchmark's ``lp_criterion`` workload.
+#: (iterations, degenerate, bland, rows, columns) and the nonzero entries of
+#: q (none when ruled out) for the latent system from ``rng(40 + shape
+#: index)`` and its 0.8 PR mixture, on the four shapes of the benchmark's
+#: ``lp_criterion`` workload.  The latent entries were recorded before the
+#: criterion matrix was cached per design and the tableau lost its
+#: artificial columns; the PR mixtures stop early, after the first pivots of
+#: the run to the optimum (``TestPivotOracle``).
 PIVOTS_ON_LP_SHAPES = {
     ((2, 2, 2, 2), (2, 2, 2, 2), "latent"): (
         (10, 1, 0, 44, 10),
@@ -748,7 +759,7 @@ PIVOTS_ON_LP_SHAPES = {
             205: 0.11043060292059538, 206: 0.11043060292059538, 207: 0.11718699020196759,
         },
     ),
-    ((2, 2, 2, 2), (2, 2, 2, 2), "pr0.8"): ((12, 1, 0, 51, 13), {}),
+    ((2, 2, 2, 2), (2, 2, 2, 2), "pr0.8"): ((4, 0, 0, 51, 13), {}),
     ((3, 3), (3, 3), "latent"): (
         (34, 16, 0, 27, 59),
         {
@@ -761,7 +772,7 @@ PIVOTS_ON_LP_SHAPES = {
             672: 0.024724809300912608, 682: 0.010547794853643955, 727: 0.023478546840323508,
         },
     ),
-    ((3, 3), (3, 3), "pr0.8"): ((35, 7, 0, 39, 151), {}),
+    ((3, 3), (3, 3), "pr0.8"): ((9, 1, 0, 39, 151), {}),
     ((2, 2, 2), (3, 3, 3), "latent"): (
         (8, 0, 0, 26, 8),
         {
@@ -770,7 +781,7 @@ PIVOTS_ON_LP_SHAPES = {
             533: 0.23180179067903528, 647: 0.1769332604209774,
         },
     ),
-    ((2, 2, 2), (3, 3, 3), "pr0.8"): ((8, 0, 0, 40, 8), {}),
+    ((2, 2, 2), (3, 3, 3), "pr0.8"): ((1, 0, 0, 40, 8), {}),
     ((3, 3, 3), (2, 2, 2), "latent"): (
         (15, 4, 0, 51, 17),
         {
@@ -780,7 +791,7 @@ PIVOTS_ON_LP_SHAPES = {
             486: 0.010866142461735617,
         },
     ),
-    ((3, 3, 3), (2, 2, 2), "pr0.8"): ((21, 8, 0, 52, 21), {}),
+    ((3, 3, 3), (2, 2, 2), "pr0.8"): ((9, 3, 0, 52, 21), {}),
 }
 LP_SHAPES = list(dict.fromkeys(key[:2] for key in PIVOTS_ON_LP_SHAPES))
 
@@ -803,6 +814,7 @@ class TestDesignCache:
         assert (
             verdict.iterations, verdict.degenerate, verdict.bland, verdict.rows, verdict.columns
         ) == counts
+        assert (verdict.bound < verdict.optimum) is (kind == "pr0.8")
         if cells:
             expected = np.zeros(fs.matrix.shape[1])
             expected[list(cells)] = list(cells.values())
@@ -946,12 +958,15 @@ class TestFineInequalities:
         assert outcomes[True] > 0 and outcomes[False] > 0
 
 
-def reference_phase1_simplex(a, b, max_iter):
+def reference_phase1_simplex(a, b, max_iter, trace=None):
     """A phase-I simplex with the pivot rules of ``feasibility._phase1_simplex``
     written row by row: a cost vector beside the tableau, the eligible
     columns found by ``flatnonzero``, a ratio test over the gathered rows and
-    an update of the touched rows in blocks of 32.  The oracle that the
-    solver's pivots are checked against, bit for bit."""
+    an update of the touched rows in blocks of 32.  It has no early stop and
+    always runs to the optimum.  The oracle that the solver's pivots are
+    checked against, bit for bit.  ``trace``, when given, receives the
+    objective and the degenerate and Bland pivot counts at the start and
+    after each pivot."""
     m, n = a.shape
     tableau = np.empty((m, n + 1))
     tableau[:, :n] = a
@@ -963,6 +978,8 @@ def reference_phase1_simplex(a, b, max_iter):
     cost[-1] = -tableau[:, -1].sum()
 
     iterations = degenerate = bland = stall = 0
+    if trace is not None:
+        trace.append((float(-cost[-1]), degenerate, bland))
     while True:
         eligible = np.flatnonzero(cost[:n] < -feasibility.PIVOT_TOL)
         if eligible.size == 0:
@@ -998,6 +1015,8 @@ def reference_phase1_simplex(a, b, max_iter):
         tableau[leaving] = pivot_row
         cost -= cost[entering] * pivot_row
         basis[leaving] = entering
+        if trace is not None:
+            trace.append((float(-cost[-1]), degenerate, bland))
 
     x = np.zeros(n)
     structural = basis < n
@@ -1030,22 +1049,134 @@ PIVOT_ORACLE_CASES = pivot_oracle_cases()
 
 
 class TestPivotOracle:
+    def test_stop_rule_compares_the_bound_with_eps_lp(self):
+        """One row, one column, b = 1 + k eps_lp: the start's bound is
+        b - (1 + eps_lp) = (k - 1) eps_lp, so the loop stops there only when
+        k > 2, and otherwise pivots to the optimum 0."""
+        eps_lp = feasibility.EPS_LP
+        a = np.ones((1, 1))
+        for k in (1.5, 2.5):
+            b = np.array([1 + k * eps_lp])
+            optimum, bound, x, *counts = feasibility._phase1_simplex(a, b, eps_lp, 10)
+            if k > 2:
+                assert bound == pytest.approx(1.5 * eps_lp, abs=1e-15)
+                assert (optimum, x.tolist(), counts) == (b[0], [0.0], [0, 0, 0])
+            else:
+                assert (optimum, bound, x.tolist(), counts) == (0.0, 0.0, b.tolist(), [1, 0, 0])
+
     @pytest.mark.parametrize(
         "name, system", PIVOT_ORACLE_CASES, ids=[name for name, _ in PIVOT_ORACLE_CASES]
     )
     def test_pivots_match_the_row_by_row_reference_bit_for_bit(self, name, system):
+        """A solve that ends at an optimal basis matches the reference bit
+        for bit.  The PR mixtures stop early: their k pivots are the
+        reference's first k (objective bits and counts after pivot k), and
+        the reference, run to its optimum, rules them out as well."""
         fs = build_feasibility_system(system)
         rows = fs.basis[fs.p[fs.basis] > 0]
         cols = np.flatnonzero(~fs.matrix[fs.p == 0].any(axis=0))
         a, b = fs.matrix[np.ix_(rows, cols)], fs.p[rows]
         max_iter = 50 * (len(fs.basis) + fs.matrix.shape[1]) + 1000
-        optimum, x, *counts = feasibility._phase1_simplex(a, b, max_iter)
-        expected_optimum, expected_x, *expected_counts = reference_phase1_simplex(a, b, max_iter)
-        assert optimum.hex() == expected_optimum.hex()
-        assert x.tobytes() == expected_x.tobytes()
-        assert counts == expected_counts
+        eps_lp = feasibility.EPS_LP
+        optimum, bound, x, *counts = feasibility._phase1_simplex(a, b, eps_lp, max_iter)
+        trace = []
+        expected_optimum, expected_x, *expected_counts = reference_phase1_simplex(
+            a, b, max_iter, trace
+        )
         iterations, degenerate, bland = counts
+        objective, *counts_at_k = trace[iterations]
+        assert optimum.hex() == objective.hex()
+        assert [degenerate, bland] == counts_at_k
+        assert (bound < optimum) is name.endswith("pr0.8")
+        if bound < optimum:
+            assert eps_lp < bound
+            assert iterations < expected_counts[0]
+            assert expected_optimum > eps_lp
+        else:
+            assert bound == optimum
+            assert optimum.hex() == expected_optimum.hex()
+            assert x.tobytes() == expected_x.tobytes()
+            assert counts == expected_counts
         if name == "stall":
             assert bland > 0
         if name == "pr-box":
             assert cols.size == iterations == 0
+
+
+#: 2x2 binary and the four shapes of the benchmark's ``lp_criterion`` workload.
+BOUNDARY_SHAPES = [((2, 2), (2, 2))] + LP_SHAPES
+
+
+def verdict_run_to_the_optimum(fs, monkeypatch):
+    """``solve_feasibility``'s verdict with ``reference_phase1_simplex``,
+    which has no early stop, in place of the solver's pivot loop."""
+
+    def run_to_the_optimum(a, b, eps_lp, max_iter):
+        optimum, x, *counts = reference_phase1_simplex(a, b, max_iter)
+        return (optimum, optimum, x, *counts)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(feasibility, "_phase1_simplex", run_to_the_optimum)
+        return solve_feasibility(fs)
+
+
+class TestBoundary:
+    """Near the feasibility boundary the early stop changes no verdict: each
+    equals the verdict of the reference simplex run to its optimum."""
+
+    def test_pr_mixtures_around_weight_three_quarters(self, monkeypatch):
+        """A coupling exists exactly up to PR weight 3/4."""
+        offsets = (0, 1e-9, -1e-9, 3e-9, -3e-9, 1e-8, -1e-8, 3e-8, -3e-8, 1e-7, -1e-7, 1e-6, -1e-6)
+        for shape in BOUNDARY_SHAPES:
+            design = crossed(*shape)
+            for delta in offsets:
+                fs = build_feasibility_system(pr_mixture(design, 0.75 + delta))
+                verdict = solve_feasibility(fs)
+                assert verdict.feasible == verdict_run_to_the_optimum(fs, monkeypatch).feasible
+                if abs(delta) >= 1e-7:
+                    assert verdict.feasible is (delta < 0)
+
+    def test_latent_and_pr_blends_across_the_threshold(self, monkeypatch):
+        """Two seeded latent systems per shape, each mixed with the PR box
+        at the weight where the solver's verdict flips (bisected), just off
+        it, and on a grid from 0.1 to 1."""
+        verdicts = {True: 0, False: 0}
+        early = pivots = reference_pivots = 0
+        for index, shape in enumerate(BOUNDARY_SHAPES):
+            design = crossed(*shape)
+            box = pr_mixture(design, 1.0).array
+            for k in range(2):
+                latent = latent_system(design, np.random.default_rng([50, index, k])).array
+
+                def blended(alpha):
+                    mix = System.from_array(design, (1 - alpha) * latent + alpha * box)
+                    return build_feasibility_system(mix)
+
+                lo, hi = 0.0, 1.0
+                for _ in range(40):
+                    mid = 0.5 * (lo + hi)
+                    if solve_feasibility(blended(mid)).feasible:
+                        lo = mid
+                    else:
+                        hi = mid
+                offsets = (0, 1e-9, -1e-9, 1e-8, -1e-8, 1e-6, -1e-6)
+                alphas = [lo + offset for offset in offsets] + list(np.linspace(0.1, 1, 10))
+                for alpha in alphas:
+                    if not 0 <= alpha <= 1:
+                        continue
+                    fs = blended(alpha)
+                    verdict = solve_feasibility(fs)
+                    reference = verdict_run_to_the_optimum(fs, monkeypatch)
+                    assert verdict.feasible == reference.feasible
+                    verdicts[verdict.feasible] += 1
+                    if verdict.bound < verdict.optimum:
+                        assert not verdict.feasible
+                        assert verdict.iterations < reference.iterations
+                        early += 1
+                    else:
+                        assert verdict.iterations == reference.iterations
+                    if not verdict.feasible:
+                        pivots += verdict.iterations
+                        reference_pivots += reference.iterations
+        assert verdicts[True] > 0 and verdicts[False] > 0
+        assert early > 0 and pivots < reference_pivots

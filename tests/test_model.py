@@ -124,6 +124,28 @@ class TestValidateSystem:
             "treatment (2, 1): mass sum inf != 1",
         ]
 
+    def test_the_vectorized_check_passes_only_what_the_walk_passes(self):
+        """A lone infinity leaves the smallest mass finite, and is caught by
+        its treatment's sum; a mass of exactly -eps_prob passes, as does a
+        sum exactly eps_prob off 1, and twice either is reported."""
+        system = feasible_binary_system()
+        array = system.array.copy()
+        array[2, 1, 1] = np.inf
+        assert validate_system(System.from_array(system.design, array)) == [
+            "treatment (2, 1): non-finite mass inf at (2, 2)",
+            "treatment (2, 1): mass sum inf != 1",
+        ]
+        negative, heavy = np.full((2, 4, 2, 2), 0.25)  # masses and sums exact in binary
+        negative[0, 0, :] = -1 / 8, 5 / 8
+        heavy[1, 0, 0] += 1 / 8
+        for array, message in (
+            (negative, "treatment (1, 1): negative mass -0.125 at (1, 1)"),
+            (heavy, "treatment (1, 2): mass sum 1.125 != 1"),
+        ):
+            defective = System.from_array(system.design, array)
+            assert validate_system(defective, 1 / 8) == []
+            assert validate_system(defective, 1 / 16) == [message]
+
     def test_undeclared_level_in_treatment_is_rejected(self):
         with pytest.raises(UsageError, match=r"\(1, 3\)"):
             Design(
