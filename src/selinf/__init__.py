@@ -17,7 +17,6 @@ from .architectures import (
 )
 from .cosphericity import (
     CosphericityResult,
-    correlation,
     cosphericity_report,
     run_cosphericity,
 )
@@ -106,7 +105,6 @@ __all__ = [
     "check_marginal_selectivity",
     "classify_architecture",
     "compose_rt",
-    "correlation",
     "cosphericity_report",
     "enumerate_test_sequences",
     "extract_coupling_marginals",

@@ -29,8 +29,7 @@ import numpy as np
 
 from .errors import UsageError
 from .model import Design, LatentModel
-
-EPS_TEST = 1e-9
+from .tolerances import CDF_TOL, EPS_TEST
 
 RULES = ("plus", "min", "max")
 PARALLEL_OR = "parallel-OR"
@@ -53,6 +52,8 @@ class RtSystem:
         grid = np.asarray(self.grid, dtype=np.float64)
         if grid.ndim != 1 or grid.size < 2:
             raise UsageError("grid must be a 1-D array with at least two points")
+        if not np.isfinite(grid).all():
+            raise UsageError(f"grid has non-finite point {grid[~np.isfinite(grid)][0]}")
         if not np.all(np.diff(grid) > 0):
             raise UsageError("grid must be strictly increasing")
         cdfs = {}
@@ -63,9 +64,11 @@ class RtSystem:
             arr = np.asarray(values, dtype=np.float64)
             if arr.shape != grid.shape:
                 raise UsageError(f"cdf {key}: length {arr.size} != grid length {grid.size}")
-            if np.any(arr < -1e-12) or np.any(arr > 1 + 1e-12):
+            if not np.isfinite(arr).all():
+                raise UsageError(f"cdf {key}: non-finite value {arr[~np.isfinite(arr)][0]}")
+            if np.any(arr < -CDF_TOL) or np.any(arr > 1 + CDF_TOL):
                 raise UsageError(f"cdf {key}: values outside [0, 1]")
-            if np.any(np.diff(arr) < -1e-12):
+            if np.any(np.diff(arr) < -CDF_TOL):
                 raise UsageError(f"cdf {key}: not nondecreasing")
             cdfs[key] = arr
         object.__setattr__(self, "grid", grid)
@@ -125,11 +128,7 @@ def _durations(design: Design, model: LatentModel) -> dict:
     for spec in design.inputs:
         if len(spec.levels) != 2:
             raise UsageError(f"input {spec.name!r} must have exactly two levels")
-    needed = set()
-    for i in (0, 1):
-        for j in (0, 1):
-            needed.add((design.inputs[0].levels[i], design.inputs[1].levels[j]))
-    if not needed <= set(design.treatments):
+    if not design.is_fully_crossed():
         raise UsageError("all four level combinations must be allowable treatments")
     g: dict[tuple[int, int], dict] = {}
     for k in (0, 1):
@@ -157,6 +156,22 @@ def _durations(design: Design, model: LatentModel) -> dict:
     return g
 
 
+def _completion_times(design: Design, model: LatentModel, rule: str) -> dict:
+    """Per treatment (i, j), i and j in 1..2, the (completion time, latent
+    mass) pairs over the latent pmf's support, under a composition rule."""
+    if rule not in RULES:
+        raise UsageError(f"rule must be one of {RULES}, got {rule!r}")
+    comp = {"plus": lambda a, b: a + b, "min": min, "max": max}[rule]
+    g = _durations(design, model)
+    return {
+        (i + 1, j + 1): [
+            (comp(g[(0, i)][r], g[(1, j)][r]), mass) for (r,), mass in model.latent.items()
+        ]
+        for i in (0, 1)
+        for j in (0, 1)
+    }
+
+
 def compose_rt(
     design: Design,
     model: LatentModel,
@@ -169,21 +184,14 @@ def compose_rt(
     treatment cdf is a mixture of unit steps at comp(g1_i(r), g2_j(r)),
     weighted by the latent pmf.
     """
-    if rule not in RULES:
-        raise UsageError(f"rule must be one of {RULES}, got {rule!r}")
-    comp = {"plus": lambda a, b: a + b, "min": min, "max": max}[rule]
-    g = _durations(design, model)
+    times = _completion_times(design, model, rule)
     grid = np.asarray(grid, dtype=np.float64)
     cdfs = {}
-    for i in (0, 1):
-        for j in (0, 1):
-            values = []
-            for (r,), mass in model.latent.items():
-                values.append((comp(g[(0, i)][r], g[(1, j)][r]), mass))
-            cdf = np.zeros_like(grid)
-            for jump, mass in values:
-                cdf += mass * (grid >= jump)
-            cdfs[(i + 1, j + 1)] = np.clip(cdf, 0.0, 1.0)
+    for treatment, values in times.items():
+        cdf = np.zeros_like(grid)
+        for jump, mass in values:
+            cdf += mass * (grid >= jump)
+        cdfs[treatment] = np.clip(cdf, 0.0, 1.0)
     return RtSystem(grid, cdfs)
 
 
@@ -206,14 +214,5 @@ def bracketing_grid(points, pad: float = 1.0) -> np.ndarray:
 
 def jump_points(design: Design, model: LatentModel, rule: str) -> np.ndarray:
     """Sorted distinct completion times across all treatments and latent values."""
-    if rule not in RULES:
-        raise UsageError(f"rule must be one of {RULES}, got {rule!r}")
-    comp = {"plus": lambda a, b: a + b, "min": min, "max": max}[rule]
-    g = _durations(design, model)
-    points = {
-        comp(g[(0, i)][r], g[(1, j)][r])
-        for i in (0, 1)
-        for j in (0, 1)
-        for r in model.latent_values()
-    }
-    return np.array(sorted(points))
+    times = _completion_times(design, model, rule)
+    return np.array(sorted({jump for values in times.values() for jump, _ in values}))

@@ -15,7 +15,6 @@ import math
 import sys
 from typing import Any
 
-from . import cosphericity, feasibility, marginal, model
 from . import io as sio
 from .architectures import classify_architecture, interaction_contrast
 from .cosphericity import cosphericity_report
@@ -25,6 +24,7 @@ from .feasibility import build_feasibility_system, fine_inequality_check, lp_rep
 from .marginal import check_marginal_selectivity
 from .model import System, validate_system
 from .report import CONSISTENT, INAPPLICABLE, RULED_OUT, TestReport
+from .tolerances import EPS_COSPHERICAL, EPS_LP, EPS_PROB, EPS_TEST
 from .transforms import generate_battery, run_battery
 
 SCHEMA = "selinf-report/1"
@@ -185,13 +185,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="distance metric: 'power:p=<x>' or 'class:<v,v|v;...>' (repeatable)",
     )
     parser.add_argument("--transforms", help="path to a JSON battery of transforms")
-    parser.add_argument("--eps-prob", type=float, default=model.EPS_PROB)
-    parser.add_argument("--eps-test", type=float, default=marginal.EPS_TEST)
-    parser.add_argument("--eps-lp", type=float, default=feasibility.EPS_LP)
+    parser.add_argument("--eps-prob", type=float, default=EPS_PROB)
+    parser.add_argument("--eps-test", type=float, default=EPS_TEST)
+    parser.add_argument("--eps-lp", type=float, default=EPS_LP)
     parser.add_argument(
         "--eps-cospherical",
         type=float,
-        default=cosphericity.EPS_TEST,
+        default=EPS_COSPHERICAL,
         help="tolerance for the correlation inequality",
     )
     parser.add_argument(

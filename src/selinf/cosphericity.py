@@ -20,52 +20,21 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InapplicableError, UsageError
-from .model import DESIGN_CACHE_SIZE, JointPmf, Level, System, TreatmentIndex, treatment_index
+from .errors import InapplicableError
+from .model import DESIGN_CACHE_SIZE, Level, System, TreatmentIndex, treatment_index
 from .report import CONSISTENT, INAPPLICABLE, RULED_OUT, TestReport
-
-EPS_TEST = 1e-6
-_VAR_RTOL = 1e-9  # variances below (rtol * spread)^2 count as zero
-
-
-def correlation(pmf: JointPmf, numeric_x, numeric_y) -> float:
-    """Pearson correlation of a bivariate pmf under given value payloads.
-
-    ``numeric_x``/``numeric_y`` map value labels to reals.  Raises
-    InapplicableError when either marginal has (numerically) zero variance.
-    Central moments are accumulated in two passes: the naive E[X^2] - E[X]^2
-    form cancels catastrophically for nearly degenerate marginals.
-    """
-    if pmf.arity != 2:
-        raise UsageError(f"correlation needs a bivariate pmf, got arity {pmf.arity}")
-    points = [(numeric_x(a), numeric_y(b), mass) for (a, b), mass in pmf.items()]
-    ex = sum(x * m for x, _, m in points)
-    ey = sum(y * m for _, y, m in points)
-    var_x = var_y = cov = 0.0
-    spread_x = spread_y = 0.0
-    for x, y, m in points:
-        dx, dy = x - ex, y - ey
-        var_x += dx * dx * m
-        var_y += dy * dy * m
-        cov += dx * dy * m
-        spread_x = max(spread_x, abs(dx))
-        spread_y = max(spread_y, abs(dy))
-    if var_x <= (_VAR_RTOL * max(spread_x, 1.0)) ** 2 or var_y <= (
-        _VAR_RTOL * max(spread_y, 1.0)
-    ) ** 2:
-        raise InapplicableError("correlation undefined: zero-variance marginal")
-    rho = cov / math.sqrt(var_x * var_y)
-    return max(-1.0, min(1.0, rho))
+from .tolerances import EPS_COSPHERICAL, VAR_RTOL
 
 
 def _correlations(pmf2: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``correlation`` at every treatment of a (treatments, values, values)
-    2-marginal under payloads x and y: (rho, defined), rho 0 where undefined."""
+    """Pearson correlation at every treatment of a (treatments, values,
+    values) 2-marginal under payloads x and y, central moments in two passes
+    (E[X^2] - E[X]^2 cancels on nearly degenerate marginals): (rho, defined),
+    rho 0 where a marginal's variance is zero by the ``VAR_RTOL`` rule."""
     support = pmf2 != 0.0
     ex = (pmf2 * x[:, None]).sum(axis=(1, 2))
     ey = (pmf2 * y[None, :]).sum(axis=(1, 2))
@@ -76,8 +45,8 @@ def _correlations(pmf2: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.nd
     cov = (dx * dy * pmf2).sum(axis=(1, 2))
     spread_x = np.where(support, np.abs(dx), 0.0).max(axis=(1, 2), initial=0.0)
     spread_y = np.where(support, np.abs(dy), 0.0).max(axis=(1, 2), initial=0.0)
-    defined = (var_x > (_VAR_RTOL * np.maximum(spread_x, 1.0)) ** 2) & (
-        var_y > (_VAR_RTOL * np.maximum(spread_y, 1.0)) ** 2
+    defined = (var_x > (VAR_RTOL * np.maximum(spread_x, 1.0)) ** 2) & (
+        var_y > (VAR_RTOL * np.maximum(spread_y, 1.0)) ** 2
     )
     rho = np.divide(cov, np.sqrt(var_x * var_y), out=np.zeros_like(cov), where=defined)
     return np.clip(rho, -1.0, 1.0), defined
@@ -136,7 +105,7 @@ def _crossed_subdesigns(index: TreatmentIndex) -> tuple:
 
 
 def run_cosphericity(
-    system: System, eps_test: float = EPS_TEST
+    system: System, eps_test: float = EPS_COSPHERICAL
 ) -> list[CosphericityResult]:
     """Evaluate the correlation inequality on every eligible sub-design.
 
@@ -179,7 +148,7 @@ def run_cosphericity(
     ]
 
 
-def cosphericity_report(system: System, eps_test: float = EPS_TEST) -> TestReport:
+def cosphericity_report(system: System, eps_test: float = EPS_COSPHERICAL) -> TestReport:
     """Overall verdict: ruled out as soon as any sub-design fails."""
     name = "cosphericity"
     try:

@@ -26,10 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InapplicableError, UsageError
-from .marginal import EPS_TEST, check_marginal_selectivity
+from .marginal import check_marginal_selectivity
 from .model import DESIGN_CACHE_SIZE, Design, Level, System, Treatment
 from .model import TreatmentIndex, treatment_index
 from .report import CONSISTENT, INAPPLICABLE, RULED_OUT, TestReport
+from .tolerances import EPS_TEST
 
 MAX_SEQUENCE_LENGTH = 6
 

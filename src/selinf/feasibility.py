@@ -31,11 +31,10 @@ artificials) over the kept rows, and the max-abs residual max |M q - p| of
 the solution, scattered back to all columns, over all rows of M.  The
 second catches a p that breaks a linear dependency among M's rows (marginal
 selectivity or equal total mass), which the basis rows alone cannot see.
-A design whose solve would allocate more than ``TABLEAU_BYTE_CAP`` bytes,
-M as int8 plus the float64 tableau on at most r = prod(m_k (v_k - 1) + 1)
-rows and its update temporary, raises CapacityError before M is built:
-decompose the design.  The solver's tableau is (rows + 1) x (columns + 1)
-on the pivoted rows and columns only, its reduced-cost row included.
+A design whose solve exceeds ``TABLEAU_BYTE_CAP`` raises CapacityError
+before M is built: decompose the design.  The solver's tableau is
+(rows + 1) x (columns + 1) on the pivoted rows and columns only, its
+reduced-cost row included.
 Each pivot makes thirteen numpy calls whatever the row count; its ratio
 test reads only the rows where the entering column is positive, and its
 rank-1 update allocates one temporary the size of the tableau.
@@ -54,18 +53,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapacityError, SolverError, UsageError
-from .marginal import EPS_TEST, check_marginal_selectivity
-from .model import DESIGN_CACHE_SIZE, EPS_PROB, JointPmf, Level, System, Treatment, _table
+from .marginal import check_marginal_selectivity
+from .model import DESIGN_CACHE_SIZE, Design, JointPmf, Level, System, Treatment, _table
 from .model import validate_system
 from .report import CONSISTENT, INAPPLICABLE, RULED_OUT, TestReport
-
-EPS_LP = 1e-8
-PIVOT_TOL = 1e-10
-#: Largest design admitted, as the bytes the solve path allocates at most:
-#: M as int8, rows x columns, and two float64 arrays of (r + 1) x (columns +
-#: 1), the phase-I tableau and the temporary of its rank-1 update, where r =
-#: prod(m_k (v_k - 1) + 1) bounds the pivoted rows (``rank_bound``).
-TABLEAU_BYTE_CAP = 2**30
+from .tolerances import EPS_LP, EPS_PROB, EPS_TEST, PIVOT_TOL, TABLEAU_BYTE_CAP
 
 
 @dataclass(frozen=True)
@@ -109,15 +101,6 @@ class FeasibilitySystem:
             return self.coords.index((k, level))
         except ValueError:
             raise UsageError(f"no coupling coordinate for input {k}, level {level!r}") from None
-
-    def rank_bound(self) -> int:
-        """Upper bound on rank(M), prod(m_k (v_k - 1) + 1); equal to it,
-        and to ``len(basis)``, on a fully crossed design."""
-        design = self.system.design
-        bound = 1
-        for spec, out in zip(design.inputs, design.outputs):
-            bound *= len(spec.levels) * (len(out.values) - 1) + 1
-        return bound
 
     def format_grid(self) -> str:
         """Plain-text 0/1 grid of M with row and column labels.
@@ -199,6 +182,16 @@ class LpVerdict:
     bound: float
 
 
+def rank_bound(design: Design) -> int:
+    """Upper bound on rank(M), prod(m_k (v_k - 1) + 1) over the inputs'
+    level counts m_k and the outputs' value counts v_k; equal to it, and to
+    ``len(basis)``, on a fully crossed design."""
+    return math.prod(
+        len(spec.levels) * (len(out.values) - 1) + 1
+        for spec, out in zip(design.inputs, design.outputs)
+    )
+
+
 def build_feasibility_system(system: System, eps_prob: float = EPS_PROB) -> FeasibilitySystem:
     """Construct M and p for ``system``, which must pass ``validate_system``
     at ``eps_prob`` (UsageError otherwise); CapacityError, raised before the
@@ -214,9 +207,8 @@ def build_feasibility_system(system: System, eps_prob: float = EPS_PROB) -> Feas
     outcome_shape = tuple(len(out.values) for out in design.outputs)
     n_rows = len(design.treatments) * math.prod(outcome_shape)
     n_cols = math.prod(outcome_shape[k] for k, _ in coords)
-    # The pivoted rows are basis rows, at most ``rank_bound()`` of them.
-    n_basis = math.prod(len(lv) * (v - 1) + 1 for lv, v in zip(levels, outcome_shape))
-    solve_bytes = n_rows * n_cols + 2 * (n_basis + 1) * (n_cols + 1) * 8
+    # The pivoted rows are basis rows, at most ``rank_bound`` of them.
+    solve_bytes = n_rows * n_cols + 2 * (rank_bound(design) + 1) * (n_cols + 1) * 8
     if solve_bytes > TABLEAU_BYTE_CAP:
         raise CapacityError(
             f"criterion matrix and phase-I tableau need {solve_bytes} bytes, over "

@@ -17,7 +17,7 @@ from typing import Any
 from .architectures import RtSystem
 from .errors import UsageError
 from .model import Design, InputSpec, JointPmf, OutputSpec, System
-from .transforms import OutputTransform, TransformSpec
+from .transforms import OutputTransform, TransformSpec, identity_transform
 
 
 def _number(raw: Any, where: str) -> float:
@@ -185,12 +185,16 @@ def rt_from_dict(doc: dict) -> RtSystem:
     """Parse the optional 'rt' block into an RtSystem."""
     if "grid" not in _object(doc, "rt") or "cdfs" not in doc:
         raise UsageError("rt: need 'grid' and 'cdfs'")
-    cdfs = {}
+    cdfs, keys = {}, {}
     for key, values in _object(doc["cdfs"], "rt.cdfs").items():
         parts = [p.strip() for p in str(key).split(",")]
         if len(parts) != 2 or not all(p in ("1", "2") for p in parts):
             raise UsageError(f"rt.cdfs: key {key!r} must be 'i,j' with i,j in 1..2")
-        cdfs[(int(parts[0]), int(parts[1]))] = [
+        treatment = (int(parts[0]), int(parts[1]))
+        if treatment in keys:
+            raise UsageError(f"rt.cdfs: keys {keys[treatment]!r} and {key!r} name one treatment")
+        keys[treatment] = key
+        cdfs[treatment] = [
             _number(v, f"rt.cdfs[{key}]") for v in _list(values, f"rt.cdfs[{key}]")
         ]
     return RtSystem(
@@ -205,6 +209,7 @@ def transforms_from_file(path: str, design: Design) -> list[TransformSpec]:
     if not isinstance(doc, list):
         raise UsageError("transforms file must contain a list of transform specs")
     by_name = {out.name: k for k, out in enumerate(design.outputs)}
+    identity = identity_transform(design).outputs
     specs = []
     for si, entry in enumerate(doc):
         where = f"transforms[{si}]"
@@ -245,13 +250,9 @@ def transforms_from_file(path: str, design: Design) -> list[TransformSpec]:
                     for old, new in _object(mapping, f"{owhere}.map").items()
                 }
             per_output[k] = OutputTransform(target, maps)
-        missing = [k for k in range(design.n) if k not in per_output]
-        for k in missing:  # untouched outputs get the identity
-            out = design.outputs[k]
-            per_output[k] = OutputTransform(out, {None: {v: v for v in out.values}})
         specs.append(
             TransformSpec(
-                tuple(per_output[k] for k in range(design.n)),
+                tuple(per_output.get(k, identity[k]) for k in range(design.n)),
                 name=_name(entry.get("name", f"transform-{si}"), f"{where}.name"),
             )
         )

@@ -17,8 +17,7 @@ import numpy as np
 
 from .errors import UsageError
 from .model import DESIGN_CACHE_SIZE, System, Treatment
-
-EPS_TEST = 1e-9
+from .tolerances import EPS_TEST
 
 
 @dataclass(frozen=True)

@@ -27,14 +27,10 @@ from typing import Hashable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import CapacityError, UsageError
-
-#: Default tolerance for probability-mass bookkeeping.
-EPS_PROB = 1e-9
+from .tolerances import ARRAY_BYTE_CAP, EPS_PROB
 
 #: Distinct designs whose derived lookups (index, chains) are kept.
 DESIGN_CACHE_SIZE = 8
-#: Largest dense pmf array, in bytes, that ``System.array`` will allocate.
-ARRAY_BYTE_CAP = 2**30
 
 Level = Hashable
 Value = Hashable
@@ -239,12 +235,6 @@ class JointPmf:
 
     def support(self) -> list[tuple]:
         return list(self.table.keys())
-
-    def allclose(self, other: "JointPmf", tol: float = EPS_PROB) -> bool:
-        if self.arity != other.arity:
-            return False
-        keys = set(self.table) | set(other.table)
-        return all(abs(self.mass(k) - other.mass(k)) <= tol for k in keys)
 
 
 class System:

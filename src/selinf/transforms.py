@@ -50,27 +50,6 @@ class TransformSpec:
     outputs: tuple[OutputTransform, ...]
     name: str = ""
 
-    def validate(self, design: Design) -> None:
-        if len(self.outputs) != design.n:
-            raise UsageError("one transform per output is required")
-        for k, (tr, spec, inp) in enumerate(
-            zip(self.outputs, design.outputs, design.inputs)
-        ):
-            targets = set(tr.target.values)
-            for level in inp.levels:
-                mapping = tr.map_for(level)
-                for value in spec.values:
-                    if value not in mapping:
-                        raise UsageError(
-                            f"output {spec.name!r}: value {value!r} unmapped "
-                            f"at level {level!r}"
-                        )
-                    if mapping[value] not in targets:
-                        raise UsageError(
-                            f"output {spec.name!r}: image {mapping[value]!r} "
-                            f"not in target values"
-                        )
-
 
 def identity_transform(design: Design) -> TransformSpec:
     return TransformSpec(
@@ -89,10 +68,13 @@ def apply_transform(system: System, spec: TransformSpec) -> System:
     masses are summed into its level's images by one product with a 0/1
     index matrix.  The transformed system is made from that array alone; its
     tables are built only if a caller reads them.  Its design shares the
-    parent's inputs and treatments, which are not checked again.
+    parent's inputs and treatments, which are not checked again.  UsageError
+    unless ``spec`` has one transform per output, each mapping every value
+    at every level of its input into its target values.
     """
     design = system.design
-    spec.validate(design)
+    if len(spec.outputs) != design.n:
+        raise UsageError("one transform per output is required")
     new_design = design.with_outputs(tr.target for tr in spec.outputs)
     array = system.array
     rows = np.arange(len(design.treatments))[:, None]
@@ -101,7 +83,17 @@ def apply_transform(system: System, spec: TransformSpec) -> System:
         images = {}
         for level in design.inputs[k].levels:
             mapping = tr.map_for(level)
-            images[level] = [target[mapping[v]] for v in out.values]
+            images[level] = []
+            for value in out.values:
+                if value not in mapping:
+                    raise UsageError(
+                        f"output {out.name!r}: value {value!r} unmapped at level {level!r}"
+                    )
+                if mapping[value] not in target:
+                    raise UsageError(
+                        f"output {out.name!r}: image {mapping[value]!r} not in target values"
+                    )
+                images[level].append(target[mapping[value]])
         onehot = np.zeros((len(design.treatments), len(out.values), len(target)))
         onehot[rows, np.arange(len(out.values)), [images[t[k]] for t in design.treatments]] = 1.0
         moved = np.moveaxis(array, k + 1, -1)

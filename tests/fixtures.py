@@ -8,11 +8,13 @@ satisfy selective influences by construction.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
 from selinf import (
     Design,
+    InapplicableError,
     InputSpec,
     JointPmf,
     LatentModel,
@@ -20,8 +22,10 @@ from selinf import (
     OutputTransform,
     System,
     TransformSpec,
+    UsageError,
     generate_system,
 )
+from selinf.tolerances import EPS_PROB, VAR_RTOL
 
 
 def binary_design(values1=(1, 2), values2=(1, 2), numeric=False) -> Design:
@@ -345,3 +349,46 @@ def random_rt_setup(rng: np.random.Generator, max_latent: int = 6):
         tuple(itertools.product((1, 2), (1, 2))),
     )
     return design, LatentModel(latent, tuple(responses))
+
+
+# ------------------------------------------------------------------ oracles
+
+
+def allclose(pmf: JointPmf, other: JointPmf, tol: float = EPS_PROB) -> bool:
+    """Equal arity and every mass of either pmf within ``tol`` of the other's."""
+    if pmf.arity != other.arity:
+        return False
+    keys = set(pmf.table) | set(other.table)
+    return all(abs(pmf.mass(k) - other.mass(k)) <= tol for k in keys)
+
+
+def correlation(pmf: JointPmf, numeric_x, numeric_y) -> float:
+    """Pearson correlation of a bivariate pmf under given value payloads: the
+    scalar, table-walking oracle of the cosphericity test's correlations.
+
+    ``numeric_x``/``numeric_y`` map value labels to reals.  Raises
+    InapplicableError when either marginal has (numerically) zero variance,
+    by the library's rule: variance at most (VAR_RTOL * max(spread, 1))**2.
+    Central moments are accumulated in two passes: the naive E[X^2] - E[X]^2
+    form cancels catastrophically for nearly degenerate marginals.
+    """
+    if pmf.arity != 2:
+        raise UsageError(f"correlation needs a bivariate pmf, got arity {pmf.arity}")
+    points = [(numeric_x(a), numeric_y(b), mass) for (a, b), mass in pmf.items()]
+    ex = sum(x * m for x, _, m in points)
+    ey = sum(y * m for _, y, m in points)
+    var_x = var_y = cov = 0.0
+    spread_x = spread_y = 0.0
+    for x, y, m in points:
+        dx, dy = x - ex, y - ey
+        var_x += dx * dx * m
+        var_y += dy * dy * m
+        cov += dx * dy * m
+        spread_x = max(spread_x, abs(dx))
+        spread_y = max(spread_y, abs(dy))
+    if var_x <= (VAR_RTOL * max(spread_x, 1.0)) ** 2 or var_y <= (
+        VAR_RTOL * max(spread_y, 1.0)
+    ) ** 2:
+        raise InapplicableError("correlation undefined: zero-variance marginal")
+    rho = cov / math.sqrt(var_x * var_y)
+    return max(-1.0, min(1.0, rho))

@@ -322,3 +322,14 @@ class TestClassify:
                     for k in [(1, 1), (1, 2), (2, 1), (2, 2)]
                 },
             )
+
+    def test_non_finite_grid_or_cdf_is_usage_error(self):
+        keys = [(1, 1), (1, 2), (2, 1), (2, 2)]
+        for bad in (np.nan, np.inf):
+            with pytest.raises(UsageError, match=f"grid has non-finite point {bad}"):
+                RtSystem(np.array([0.0, 1.0, bad]), {k: np.array([0.0, 1.0, 1.0]) for k in keys})
+        for bad in (np.nan, np.inf, -np.inf):
+            cdfs = {k: np.array([0.0, 0.5, 1.0]) for k in keys}
+            cdfs[(2, 1)] = np.array([0.0, bad, 1.0])
+            with pytest.raises(UsageError, match=rf"cdf \(2, 1\): non-finite value {bad}"):
+                RtSystem(np.array([0.0, 1.0, 2.0]), cdfs)

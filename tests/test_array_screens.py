@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from fixtures import (
+    correlation,
     feasible_binary_system,
     pr_box_system,
     random_selective_system,
@@ -33,7 +34,6 @@ from selinf import (
     apply_transform,
     build_feasibility_system,
     check_marginal_selectivity,
-    correlation,
     cosphericity_report,
     fine_inequality_check,
     lp_report,
@@ -44,7 +44,7 @@ from selinf import (
     run_distance_test,
 )
 from selinf import model
-from selinf.cosphericity import _VAR_RTOL
+from selinf.tolerances import VAR_RTOL
 from test_distances import random_class_metric
 from test_marginal import _oracle_discrepancy, perturbed
 
@@ -242,7 +242,7 @@ def test_correlations_match_the_scalar_oracle_per_subdesign(seed):
 
 def near_degenerate_system(q, scale=1.0, unobserved=False):
     """2x2 design; at treatment (2, 2) output 1 is 1 with mass q only, so its
-    variance is about q * scale**2 against the (_VAR_RTOL * spread)**2 rule;
+    variance is about q * scale**2 against the (VAR_RTOL * spread)**2 rule;
     elsewhere both outputs are perfectly (anti-)correlated.  ``unobserved``
     gives output 1 a third value, far away and never observed, which must
     not count towards the spread."""
@@ -267,7 +267,7 @@ def test_zero_variance_rule_skips_exactly_what_the_scalar_rule_rejects(scale, un
         return dict_correlations(near_degenerate_system(q, scale, unobserved)) != []
 
     # the scalar rule's boundary: lo is rejected, the next float up is not
-    lo = (_VAR_RTOL * scale) ** 2 / scale**2
+    lo = (VAR_RTOL * scale) ** 2 / scale**2
     toward = 0.0 if defined(lo) else 1.0
     for _ in range(1000):
         if defined(lo) != defined(float(np.nextafter(lo, 1.0))):

@@ -332,6 +332,24 @@ def test_contrast_test_via_rt_block(tmp_path, capsys):
     assert contrast["details"]["labels"] == ["parallel-AND", "parallel-OR", "serial"]
 
 
+@pytest.mark.parametrize(
+    "grid, cdfs, message",
+    [
+        ([0.0, 1.0, 2.0], {"1,2": [0.0, float("nan"), 1.0]}, "cdf (1, 2): non-finite value nan"),
+        ([0.0, 1.0, "inf"], {}, "grid has non-finite point inf"),
+        ([0.0, 1.0, 2.0], {"1, 1": [0.0, 0.5, 1.0]}, "keys '1,1' and '1, 1' name one treatment"),
+    ],
+)
+def test_malformed_rt_block_exit_two(tmp_path, capsys, grid, cdfs, message):
+    flat = [0.0, 0.5, 1.0]
+    doc = {"rt": {"grid": grid, "cdfs": {f"{i},{j}": flat for i in (1, 2) for j in (1, 2)}}}
+    doc["rt"]["cdfs"].update(cdfs)
+    path = tmp_path / "rt.json"
+    path.write_text(json.dumps(doc))
+    assert main([str(path), "--tests", "contrast"]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_contrast_without_rt_block_exit_two(tmp_path, capsys):
     path = write_system(tmp_path, feasible_binary_system())
     assert main([path, "--tests", "contrast"]) == 2

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fixtures import (
+    correlation,
     cosphericity_system,
     random_selective_system,
     squash_five_transform,
@@ -21,7 +22,6 @@ from selinf import (
     System,
     apply_transform,
     build_feasibility_system,
-    correlation,
     cosphericity_report,
     marginalize,
     run_cosphericity,

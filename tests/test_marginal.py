@@ -28,7 +28,7 @@ from selinf import (
     run_distance_test,
     solve_feasibility,
 )
-from selinf.marginal import EPS_TEST
+from selinf.tolerances import EPS_TEST
 from test_feasibility import blend, crossed, latent_system, pr_mixture
 
 
