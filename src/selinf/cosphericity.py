@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InapplicableError
-from .model import DESIGN_CACHE_SIZE, Level, System, TreatmentIndex, treatment_index
+from .model import DESIGN_CACHE_SIZE, Level, System, TreatmentIndex
 from .report import CONSISTENT, INAPPLICABLE, RULED_OUT, TestReport
 from .tolerances import EPS_COSPHERICAL, VAR_RTOL
 
@@ -116,7 +116,7 @@ def run_cosphericity(
     checked on all sub-designs at once.
     """
     design = system.design
-    subdesigns, rows_by_pair, cells = _crossed_subdesigns(treatment_index(design))
+    subdesigns, rows_by_pair, cells = _crossed_subdesigns(design.index)
     if not subdesigns:
         raise InapplicableError(
             "no pair of inputs forms a completely crossed 2x2 sub-design"

@@ -27,8 +27,7 @@ import numpy as np
 
 from .errors import InapplicableError, UsageError
 from .marginal import check_marginal_selectivity
-from .model import DESIGN_CACHE_SIZE, Design, Level, System, Treatment
-from .model import TreatmentIndex, treatment_index
+from .model import DESIGN_CACHE_SIZE, Design, Level, System, Treatment, TreatmentIndex
 from .report import CONSISTENT, INAPPLICABLE, RULED_OUT, TestReport
 from .tolerances import EPS_TEST
 
@@ -173,19 +172,17 @@ def enumerate_test_sequences(
     realizing treatments: closing first, then one per consecutive link, each
     the first matching treatment in declared order.
 
-    Chains are compiled once per distinct (inputs, treatments, max_length)
-    into a table of their distinct links, shared by every later call, battery
-    members included; each call returns a new list, which the caller owns.
+    Chains are compiled once per design index and max_length into a table
+    of their distinct links, shared by every later call, battery members
+    included; each call returns a new list, which the caller owns.
     """
-    sequences, ids, _, realizers = _chains(
-        treatment_index(design), design.is_fully_crossed(), max_length
-    )
+    sequences, ids, _, realizers = _chains(design.index, max_length)
     first = [design.treatments[b] for b in realizers[:, 0].tolist()]
     return [(s, tuple(first[i] for i in row[: len(s)])) for s, row in zip(sequences, ids.tolist())]
 
 
 @functools.lru_cache(maxsize=DESIGN_CACHE_SIZE)
-def _chains(index: TreatmentIndex, fully_crossed: bool, max_length: int) -> tuple:
+def _chains(index: TreatmentIndex, max_length: int) -> tuple:
     """(sequences, ids, pairs, realizers): the chains; per chain the closing
     link's id, then the consecutive links' ids, padded with the number of
     distinct (a, b) links; per link its output pair (k_a, k_b); and per link
@@ -194,7 +191,7 @@ def _chains(index: TreatmentIndex, fully_crossed: bool, max_length: int) -> tupl
         raise UsageError("max_length must be at least 3")
     inputs = index.inputs
     sequences = []
-    if fully_crossed:
+    if index.fully_crossed:
         for k, k_prime in itertools.permutations(range(len(inputs)), 2):
             for j1, j3 in itertools.permutations(inputs[k].levels, 2):
                 for j2, j4 in itertools.permutations(inputs[k_prime].levels, 2):
@@ -217,7 +214,7 @@ def _chains(index: TreatmentIndex, fully_crossed: bool, max_length: int) -> tupl
             extend([start])
 
     link_ids: dict[tuple[SequenceElement, SequenceElement], int] = {}
-    ids = np.full((len(sequences), 4 if fully_crossed else max_length), -1, dtype=np.intp)
+    ids = np.full((len(sequences), 4 if index.fully_crossed else max_length), -1, dtype=np.intp)
     for c, seq in enumerate(sequences):
         pairs = [(seq[0], seq[-1]), *zip(seq, seq[1:])]
         ids[c, : len(seq)] = [link_ids.setdefault(pair, len(link_ids)) for pair in pairs]
@@ -267,9 +264,7 @@ def run_distance_test(
     treatment_dependent = not ms.passed
     details = {"treatment_dependent_links": treatment_dependent}
 
-    sequences, ids, pairs, realizers = _chains(
-        treatment_index(design), design.is_fully_crossed(), max_length
-    )
+    sequences, ids, pairs, realizers = _chains(design.index, max_length)
     if not treatment_dependent:
         realizers = realizers[:, :1]
     n = design.n

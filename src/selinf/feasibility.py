@@ -55,7 +55,7 @@ import numpy as np
 from .errors import CapacityError, SolverError, UsageError
 from .marginal import check_marginal_selectivity
 from .model import DESIGN_CACHE_SIZE, Design, JointPmf, Level, System, Treatment, _table
-from .model import validate_system
+from .model import TreatmentIndex, validate_system
 from .report import CONSISTENT, INAPPLICABLE, RULED_OUT, TestReport
 from .tolerances import EPS_LP, EPS_PROB, EPS_TEST, PIVOT_TOL, TABLEAU_BYTE_CAP
 
@@ -202,8 +202,7 @@ def build_feasibility_system(system: System, eps_prob: float = EPS_PROB) -> Feas
         raise UsageError("invalid system: " + "; ".join(violations[:3]))
     design = system.design
 
-    levels = tuple(spec.levels for spec in design.inputs)
-    coords = tuple((k, level) for k, lv in enumerate(levels) for level in lv)
+    coords = tuple((k, level) for k, spec in enumerate(design.inputs) for level in spec.levels)
     outcome_shape = tuple(len(out.values) for out in design.outputs)
     n_rows = len(design.treatments) * math.prod(outcome_shape)
     n_cols = math.prod(outcome_shape[k] for k, _ in coords)
@@ -216,38 +215,34 @@ def build_feasibility_system(system: System, eps_prob: float = EPS_PROB) -> Feas
             "values) before testing"
         )
 
-    matrix, basis = _criterion_matrix(levels, outcome_shape, design.treatments)
+    matrix, basis = _criterion_matrix(design.index, outcome_shape)
     return FeasibilitySystem(system, coords, matrix, system.array.reshape(-1), basis)
 
 
 @functools.lru_cache(maxsize=DESIGN_CACHE_SIZE)
 def _criterion_matrix(
-    levels: tuple[tuple[Level, ...], ...],
-    outcome_shape: tuple[int, ...],
-    treatments: tuple[Treatment, ...],
+    index: TreatmentIndex, outcome_shape: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
     """M (int8) and the indices of a basis of its row space, both read-only,
-    built once per design: the inputs' levels, the outputs' value counts and
-    the allowable treatments.  Only label equality is used, so designs whose
-    labels are equal but of another type share an entry."""
-    coords = [(k, level) for k, lv in enumerate(levels) for level in lv]
+    built once per design index and outputs' value counts."""
+    coords = [(k, level) for k, spec in enumerate(index.inputs) for level in spec.levels]
     grid = tuple(outcome_shape[k] for k, _ in coords)
     block = math.prod(outcome_shape)
     # Columns are the coupling grid in C order; in column j, treatment t's
     # block has its 1 at the outcome-grid position of t's coordinates' values.
     value_index = dict(zip(coords, np.indices(grid, sparse=True)))
     cols = np.arange(math.prod(grid))
-    matrix = np.zeros((len(treatments) * block, cols.size), dtype=np.int8)
-    for b, t in enumerate(treatments):
+    matrix = np.zeros((len(index.treatments) * block, cols.size), dtype=np.int8)
+    for b, t in enumerate(index.treatments):
         selected = [value_index[(k, level)] for k, level in enumerate(t)]
         outcome = np.ravel_multi_index(selected, outcome_shape)
         matrix[b * block + np.broadcast_to(outcome, grid).ravel(), cols] = 1
-    basis = _row_basis(outcome_shape, treatments)
+    basis = _row_basis(index, outcome_shape)
     matrix.flags.writeable = basis.flags.writeable = False
     return matrix, basis
 
 
-def _row_basis(outcome_shape: tuple[int, ...], treatments: tuple[Treatment, ...]) -> np.ndarray:
+def _row_basis(index: TreatmentIndex, outcome_shape: tuple[int, ...]) -> np.ndarray:
     """Indices of a basis of M's row space, from the design alone.
 
     Row (t, o) is kept exactly when t is the first allowable treatment, in
@@ -256,20 +251,12 @@ def _row_basis(outcome_shape: tuple[int, ...], treatments: tuple[Treatment, ...]
     joint-distribution-criterion marginals (outputs in S(o) take o's values
     at t's levels), which span M's rows and are independent.
     """
-    subsets = [
-        tuple(k for k, v in enumerate(outcome_shape) if o[k] < v - 1)
-        for o in itertools.product(*(range(v) for v in outcome_shape))
-    ]
-    first: dict[tuple, int] = {}
-    return np.array(
-        [
-            b * len(subsets) + j
-            for b, t in enumerate(treatments)
-            for j, subset in enumerate(subsets)
-            if first.setdefault((subset, tuple(t[k] for k in subset)), b) == b
-        ],
-        dtype=np.intp,
-    )
+    outcomes = list(itertools.product(*(range(v) for v in outcome_shape)))
+    keep = np.zeros((len(index.treatments), len(outcomes)), dtype=bool)
+    for j, o in enumerate(outcomes):
+        subset = tuple(k for k, v in enumerate(outcome_shape) if o[k] < v - 1)
+        keep[[group[0] for group in index.groups(subset).values()], j] = True
+    return np.flatnonzero(keep)
 
 
 def _phase1_simplex(

@@ -129,6 +129,9 @@ def system_from_dict(doc: dict) -> System:
             resolve_label(spec.levels, levels[spec.name], f"{where}.levels.{spec.name}")
             for spec in inputs
         )
+        if t in distributions:
+            first = treatments.index(t)
+            raise UsageError(f"{where}.levels: same treatment as treatments[{first}]")
         table: dict[tuple, float] = {}
         for ci, cell in enumerate(_list(entry["pmf"], f"{where}.pmf")):
             cwhere = f"{where}.pmf[{ci}]"
@@ -221,6 +224,11 @@ def transforms_from_file(path: str, design: Design) -> list[TransformSpec]:
             if not isinstance(output, str) or output not in by_name:
                 raise UsageError(f"{owhere}: unknown output {output!r}")
             k = by_name[output]
+            if k in per_output:
+                first = [e["output"] for e in outputs[:oi]].index(output)
+                raise UsageError(
+                    f"{owhere}: output {output!r} already mapped at {where}.outputs[{first}]"
+                )
             source = design.outputs[k]
             if "values" not in oentry:
                 raise UsageError(f"{owhere}: need 'values' (the target value set)")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .model import DESIGN_CACHE_SIZE, System, Treatment
+from .model import DESIGN_CACHE_SIZE, System, Treatment, TreatmentIndex
 from .tolerances import EPS_TEST
 
 
@@ -46,7 +46,7 @@ class MarginalReport:
 
 
 @functools.lru_cache(maxsize=DESIGN_CACHE_SIZE)
-def _comparisons(treatments: tuple[Treatment, ...], n: int, max_subset_size: int) -> tuple:
+def _comparisons(index: TreatmentIndex, max_subset_size: int) -> tuple:
     """The comparison table of a design, in test order: output subsets by
     size, then in combination order; within a subset, the treatment pairs
     that agree on the subset's inputs, groups in order of their first
@@ -55,19 +55,15 @@ def _comparisons(treatments: tuple[Treatment, ...], n: int, max_subset_size: int
     Returns (subsets, axes summed out per subset, pairs): subsets without a
     pair are left out, and ``pairs`` is a read-only (2, pairs) intp array of
     positions s * len(treatments) + b, subset s at treatment b, in the
-    stacked sub-marginals.  Only label equality is used, so equal labels of
-    another type may share an entry."""
+    stacked sub-marginals."""
+    n = len(index.inputs)
     subsets, axes, pairs = [], [], []
     for size in range(1, max_subset_size + 1):
         for subset in itertools.combinations(range(n), size):
-            groups: dict[tuple, list[int]] = {}
-            for b, t in enumerate(treatments):
-                groups.setdefault(tuple(t[k] for k in subset), []).append(b)
-            found = [
-                pair for members in groups.values() for pair in itertools.combinations(members, 2)
-            ]
+            groups = index.groups(subset).values()
+            found = [pair for group in groups for pair in itertools.combinations(group, 2)]
             if found:
-                offset = len(subsets) * len(treatments)
+                offset = len(subsets) * len(index.treatments)
                 pairs += [(offset + b1, offset + b2) for b1, b2 in found]
                 subsets.append(subset)
                 axes.append(tuple(k + 1 for k in range(n) if k not in subset))
@@ -99,7 +95,7 @@ def check_marginal_selectivity(
 
     array = system.array
     n_treatments = len(design.treatments)
-    subsets, axes, pairs = _comparisons(design.treatments, n, max_subset_size)
+    subsets, axes, pairs = _comparisons(design.index, max_subset_size)
     margins = [array.sum(axis=summed).reshape(n_treatments, -1) for summed in axes]
     # Each subset's sub-marginals sum every cell's mass, so a non-finite
     # mass leaves a non-finite entry in the first subset's.

@@ -150,14 +150,20 @@ class Design:
             raise UsageError("inputs and outputs must be index-paired (equal counts)")
         design = copy.copy(self)
         object.__setattr__(design, "outputs", outputs)
+        object.__setattr__(design, "index", self.index)
         return design
+
+    @functools.cached_property
+    def index(self) -> TreatmentIndex:
+        """The treatment index, looked up once per Design object and shared
+        by designs with equal inputs and treatments while cached; the key's
+        repr keeps equal labels of different types (1, 1.0) apart."""
+        key = (self.inputs, self.treatments)
+        return _treatment_index(*key, repr(key))
 
     def is_fully_crossed(self) -> bool:
         """True when every combination of input levels is allowable."""
-        full = 1
-        for spec in self.inputs:
-            full *= len(spec.levels)
-        return len(self.treatments) == full
+        return self.index.fully_crossed
 
     def outcome_tuples(self) -> Iterable[tuple[Value, ...]]:
         """All output-value tuples in lexicographic declared-value order."""
@@ -165,31 +171,37 @@ class Design:
 
 
 class TreatmentIndex:
-    """Allowable treatments by the (input, level) pairs they contain.
+    """Allowable treatments grouped by the levels they share.
 
-    ``realizers(a, b)`` gives, ascending, the positions in the design's
-    treatment order of the treatments housing both ``a = (k, level)`` and
-    ``b = (k', level')`` with k != k'; empty when none does.  Obtain one
-    through ``treatment_index``.
+    ``groups(subset)`` maps each tuple of levels that treatments take on
+    ``subset`` (distinct input indices) to their ascending positions in the
+    design's treatment order, in order of first treatment; it is built when
+    first asked for, then kept, and is not to be mutated.
+    ``realizers(a, b)`` is the group of the treatments housing both
+    ``a = (k, level)`` and ``b = (k', level')``, empty when k == k' or when
+    none does.  A design's index is ``Design.index``.
     """
 
     def __init__(self, inputs: tuple[InputSpec, ...], treatments: tuple[Treatment, ...]):
         self.inputs = inputs
-        self._pairs: dict[tuple, tuple[int, ...]] = {}
-        for b, t in enumerate(treatments):
-            for k, k_prime in itertools.permutations(range(len(inputs)), 2):
-                key = ((k, t[k]), (k_prime, t[k_prime]))
-                self._pairs[key] = self._pairs.get(key, ()) + (b,)
+        self.treatments = treatments
+        self.fully_crossed = len(treatments) == math.prod(len(spec.levels) for spec in inputs)
+        self._groups: dict[tuple[int, ...], dict[tuple, tuple[int, ...]]] = {}
+
+    def groups(self, subset: tuple[int, ...]) -> dict[tuple, tuple[int, ...]]:
+        if subset not in self._groups:
+            groups: dict[tuple, list[int]] = {}
+            for b, t in enumerate(self.treatments):
+                groups.setdefault(tuple(t[k] for k in subset), []).append(b)
+            self._groups[subset] = {levels: tuple(group) for levels, group in groups.items()}
+        return self._groups[subset]
 
     def realizers(self, a: tuple[int, Level], b: tuple[int, Level]) -> tuple[int, ...]:
-        return self._pairs.get((a, b), ())
-
-
-def treatment_index(design: Design) -> TreatmentIndex:
-    """The index of ``design``, built once per distinct (inputs, treatments);
-    the key's repr keeps equal labels of different types (1, 1.0) apart."""
-    key = (design.inputs, design.treatments)
-    return _treatment_index(*key, repr(key))
+        if a[0] == b[0]:
+            return ()
+        if a[0] > b[0]:
+            a, b = b, a
+        return self.groups((a[0], b[0])).get((a[1], b[1]), ())
 
 
 @functools.lru_cache(maxsize=DESIGN_CACHE_SIZE)

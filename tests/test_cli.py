@@ -318,6 +318,21 @@ def test_transform_battery_from_file(tmp_path, capsys):
     assert battery_report["verdict"] == "ruled-out"
 
 
+def test_transform_entry_naming_an_output_twice_exit_two(tmp_path, capsys):
+    # [A1, A2] rules the band fixture out and [A1, A2'] does not: A2' must
+    # not silently replace A2.
+    path = write_system(tmp_path, d1_system())
+    values = [{"label": 1, "numeric": 1}, {"label": 2, "numeric": 2}]
+    maps = [("A1", {"0": 2, "2": 1, "4": 1}), ("A2", {"0": 2, "1": 1, "2": 1}),
+            ("A2", {"0": 1, "1": 1, "2": 2})]
+    battery = [{"outputs": [{"output": o, "values": values, "map": m} for o, m in maps]}]
+    tpath = tmp_path / "battery.json"
+    tpath.write_text(json.dumps(battery))
+    assert main([path, "--tests", "battery", "--transforms", str(tpath)]) == 2
+    message = "transforms[0].outputs[2]: output 'A2' already mapped at transforms[0].outputs[1]"
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_contrast_test_via_rt_block(tmp_path, capsys):
     grid = [0.0, 1.0, 2.0, 3.0]
     flat = [0.0, 0.5, 1.0, 1.0]
@@ -409,6 +424,14 @@ def test_unknown_tuple_label_is_flagged_with_path():
         ],
     }
     with pytest.raises(UsageError, match=r"treatments\[0\].pmf\[0\].tuple"):
+        system_from_dict(doc)
+
+
+def test_repeated_treatment_is_flagged_with_both_entries():
+    doc = system_to_dict(feasible_binary_system())
+    doc["treatments"][2]["levels"] = dict(doc["treatments"][0]["levels"])
+    message = r"^treatments\[2\]\.levels: same treatment as treatments\[0\]$"
+    with pytest.raises(UsageError, match=message):
         system_from_dict(doc)
 
 

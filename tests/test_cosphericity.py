@@ -12,7 +12,6 @@ from fixtures import (
     squash_five_transform,
 )
 from selinf.cosphericity import _crossed_subdesigns
-from selinf.model import treatment_index
 from selinf import (
     Design,
     InapplicableError,
@@ -141,7 +140,7 @@ class TestRunCosphericity:
                     if all(found):
                         expected.append(((k, kp, i, ip, j, jp), [f[0] for f in found]))
         assert expected and len(expected) < 2 * 3 * 3  # some sub-designs drop out
-        subdesigns, _, cells = _crossed_subdesigns(treatment_index(design))
+        subdesigns, _, cells = _crossed_subdesigns(design.index)
         table = [(sub, [design.treatments[b] for b in row]) for sub, row in zip(subdesigns, cells)]
         assert table == expected
         results = run_cosphericity(system)

@@ -10,12 +10,17 @@ from hypothesis import strategies as st
 from fixtures import (
     allclose,
     binary_design,
+    cosphericity_system,
+    d1_system,
     feasible_binary_system,
     random_latent_setup,
     three_variable_pmf,
 )
 from selinf import (
     Design,
+    apply_transform,
+    check_marginal_selectivity,
+    generate_battery,
     InputSpec,
     JointPmf,
     LatentModel,
@@ -244,3 +249,62 @@ class TestGenerateSystem:
                         assert allclose(marg, seen[t[k]], tol=1e-12)
                     else:
                         seen[t[k]] = marg
+
+
+def scan_groups(design, subset):
+    """Oracle for ``TreatmentIndex.groups``: one pass over the treatments
+    per distinct level tuple, tuples in order of first appearance."""
+    on_subset = [tuple(t[k] for k in subset) for t in design.treatments]
+    return {
+        levels: tuple(b for b, other in enumerate(on_subset) if other == levels)
+        for levels in dict.fromkeys(on_subset)
+    }
+
+
+class TestTreatmentIndex:
+    def test_a_design_has_one_index_shared_by_its_output_variants(self):
+        design = d1_system().design
+        index = design.index
+        assert design.index is index
+        assert design.with_outputs(reversed(design.outputs)).index is index
+        members = [apply_transform(d1_system(), spec) for spec in generate_battery(design)]
+        assert members and all(m.design.index is index for m in members)
+
+    def test_equal_designs_share_an_index_and_label_types_do_not(self):
+        design = d1_system().design
+        assert Design(design.inputs, design.outputs, design.treatments).index is design.index
+        as_float = Design(
+            tuple(InputSpec(s.name, tuple(float(x) for x in s.levels)) for s in design.inputs),
+            design.outputs,
+            tuple(tuple(float(x) for x in t) for t in design.treatments),
+        )
+        assert as_float == design and as_float.index is not design.index
+        assert as_float.index.realizers((0, 1.0), (1, 2.0)) == design.index.realizers(
+            (0, 1), (1, 2)
+        )
+
+    def test_groups_are_built_per_subset_on_first_use(self):
+        design = Design(
+            (InputSpec("x", ("a", "b")), InputSpec("y", ("c",)), InputSpec("z", ("d", "e"))),
+            tuple(OutputSpec(f"A{k}", (0, 1)) for k in range(3)),
+            (("a", "c", "d"), ("b", "c", "d"), ("a", "c", "e")),
+        )
+        assert design.index._groups == {}
+        check_marginal_selectivity(System.from_array(design, np.full((3, 2, 2, 2), 0.125)), 1)
+        assert sorted(design.index._groups) == [(0,), (1,), (2,)]
+        assert design.index.groups((1,)) is design.index.groups((1,))
+        groups = {("a", "d"): (0,), ("b", "d"): (1,), ("a", "e"): (2,)}
+        assert design.index.groups((0, 2)) == groups
+        assert not design.index.fully_crossed and design.index.realizers((0, "a"), (0, "a")) == ()
+
+    def test_groups_match_a_plain_scan_on_every_subset(self):
+        rng = np.random.default_rng(52)
+        designs = [random_latent_setup(rng, column_cap=800)[0] for _ in range(30)]
+        fixed = (feasible_binary_system(), d1_system(), cosphericity_system())
+        designs += [s.design for s in fixed]
+        assert any(not d.is_fully_crossed() for d in designs)
+        for design in designs:
+            for size in range(design.n + 1):
+                for subset in itertools.combinations(range(design.n), size):
+                    groups = design.index.groups(subset)
+                    assert list(groups.items()) == list(scan_groups(design, subset).items())
