@@ -23,9 +23,15 @@ of p: the basis rows with p > 0 and the columns with no 1 in a row where p
 is exactly 0.  The restriction is exact.
 M is 0/1 and q >= 0, so a row with p = 0 forces q_j = 0 on every column j
 with a 1 in it; every coupling lives on the kept columns, where the dropped
-rows read 0 = 0.  The simplex stops early once its basis proves that no
-point of mass at most 1 + eps_lp reaches a phase-I objective of eps_lp: a
-coupling has mass 1, so none is missed (see ``_phase1_simplex``).
+rows read 0 = 0.  Before its first pivot the simplex rules the system out
+when the row-cap floor exceeds eps_lp: a column carries at most the least
+p of the rows it passes through, so a row whose columns' caps sum to less
+than its own p stays short by the difference at every point.  The floor,
+the sum of those shortfalls, is y p for an integer Farkas vector y with
+y M_j <= 0 on every kept column j.  Otherwise the simplex stops early once
+its basis proves that no point of mass at most 1 + eps_lp reaches a
+phase-I objective of eps_lp: a coupling has mass 1, so none is missed (see
+``_phase1_simplex``).
 ``eps_lp`` bounds two things: the phase-I objective (the sum of the
 artificials) over the kept rows, and the max-abs residual max |M q - p| of
 the solution, scattered back to all columns, over all rows of M.  The
@@ -166,10 +172,11 @@ class LpVerdict:
     coupling columns with no 1 in a row where p = 0), ``iterations``,
     ``degenerate`` pivots and pivots chosen by Bland's rule (``bland``)
     among them.  ``optimum`` is the phase-I objective over those rows at
-    the last basis, and ``bound`` the value the early-stop rule compared
-    with eps_lp: a lower bound on that objective over every point of mass
-    at most 1 + eps_lp.  ``bound < optimum`` when the simplex stopped
-    early; otherwise the last basis is optimal and ``bound == optimum``."""
+    the last basis, and ``bound`` the value an early-stop rule compared
+    with eps_lp, the row-cap floor or the Dantzig-step bound: a lower bound
+    on that objective over every point of mass at most 1 + eps_lp.
+    ``bound < optimum`` when the simplex stopped early; otherwise the last
+    basis is optimal and ``bound == optimum``."""
 
     feasible: bool
     witness: CouplingWitness | None
@@ -262,9 +269,9 @@ def _row_basis(index: TreatmentIndex, outcome_shape: tuple[int, ...]) -> np.ndar
 def _phase1_simplex(
     a: np.ndarray, b: np.ndarray, eps_lp: float, max_iter: int
 ) -> tuple[float, float, np.ndarray, int, int, int]:
-    """Minimize the sum of artificials for a x = b, x >= 0, where b > 0,
-    or stop as soon as no x of mass sum(x) <= 1 + eps_lp can bring it to
-    eps_lp.
+    """Minimize the sum of artificials for a x = b, x >= 0, where a is 0/1
+    with a 1 in every column and b > 0, or stop as soon as no x of mass
+    sum(x) <= 1 + eps_lp can bring it to eps_lp.
 
     Returns (optimum, bound, x, iterations, degenerate pivots, Bland
     pivots): ``optimum`` is the objective at the last basis, x that basis's
@@ -276,8 +283,18 @@ def _phase1_simplex(
     ends any stall and each nondegenerate pivot lowers the objective, so the
     method cannot cycle; the iteration cap only guards against oversized
     instances.  Of the rows tied at the minimum ratio, the smallest basic
-    index leaves.  With no columns no pivot is made, and the optimum is the
-    sum of b.
+    index leaves.
+
+    The floor.  Before the tableau is built: a x <= b and x >= 0 give
+    x_j <= ub_j, the least b_r over the rows r where a_rj = 1, so every
+    point has objective at least floor = sum_r max(0, b_r - sum_j a_rj ub_j).
+    When the floor exceeds eps_lp no pivot is made, and the return is the
+    artificial basis (optimum = sum of b, x = 0) with bound = floor.  With
+    R the rows of a positive term, r(j) a row where ub_j is attained and
+    c_j the number of rows of R that column j has a 1 in, the integer
+    y = 1_R - sum_j c_j e_r(j) has y a <= 0 and y b = floor: a Farkas
+    certificate that a x = b has no x >= 0.  With no columns the floor is
+    the sum of b, the optimum.
 
     The stop rule.  At a basis with objective w and reduced costs d_j, each
     x >= 0 that solves the rows (with the artificials that left at 0) has
@@ -299,12 +316,18 @@ def _phase1_simplex(
     entry.  Each pivot makes the same thirteen numpy calls whatever m is
     (fourteen under Bland's rule): pricing (one), the ratio test and the
     choice of the leaving row (eight, on the rows where the entering column
-    is positive only, the ties settled by one ``lexsort`` on (ratio, basic
-    index)), the pivot row (one) and one rank-1 update of every row, the
-    cost row included (three).  The stop rule reads two scalars and makes
-    no call.
+    is positive only, found by ``nonzero``, the ties settled by one
+    ``lexsort`` on (ratio, basic index)), the pivot row (one) and one
+    rank-1 update of every row, the cost row included (three).  The stop
+    rule reads two scalars and makes no call.
     """
     m, n = a.shape
+    # Column j carries at most ub_j, the least b_r on its rows, so row r
+    # stays short by at least b_r - sum_j a_rj ub_j whatever the pivots.
+    ub = np.where(a, b[:, None], np.inf).min(axis=0)
+    floor = float(np.maximum(b - a @ ub, 0.0).sum())
+    if floor > eps_lp:
+        return float(b.sum()), floor, np.zeros(n), 0, 0, 0
     tableau = np.empty((m + 1, n + 1))
     tableau[:m, :n] = a
     tableau[:m, n] = b
@@ -345,7 +368,7 @@ def _phase1_simplex(
         # 0 is rounding: it counts as 0, so no step is negative.  Only exact
         # ties compete, so no other basic variable is pushed below 0 by a
         # step longer than its own ratio.
-        rows = np.flatnonzero(col > PIVOT_TOL)
+        rows = (col > PIVOT_TOL).nonzero()[0]
         if not rows.size:
             raise SolverError("phase-I objective unbounded; matrix is malformed")
         ratios = np.maximum(rhs[rows], 0.0) / col[rows]
@@ -437,14 +460,16 @@ def solve_feasibility(
     max |M q - p| over all rows does (p breaks a linear dependency among
     M's rows, so no coupling exists).  Otherwise consistent, with the
     witness validated against the full M and p.  The simplex stops early,
-    ruling the system out, once a basis shows that every point of mass at
+    ruling the system out, when the row-cap floor exceeds eps_lp (before
+    its first pivot) or once a basis shows that every point of mass at
     most 1 + eps_lp has a phase-I objective above eps_lp; every witness
-    has such a mass, so this changes no verdict, and a consistent system
-    keeps every pivot.  The verdict's ``optimum`` is the objective at the
-    last basis and ``bound`` the lower bound the rule compared, below the
-    optimum exactly when the simplex stopped early.  The residual is computed
-    once, on q as the witness holds it; a q that fails the witness contract
-    raises UsageError, as ``make_witness`` does, and is never a verdict.
+    has such a mass and an objective at least the floor, so this changes
+    no verdict, and a consistent system keeps every pivot.  The verdict's
+    ``optimum`` is the objective at the last basis and ``bound`` the lower
+    bound a rule compared, below the optimum exactly when the simplex
+    stopped early.  The residual is computed once, on q as the witness
+    holds it; a q that fails the witness contract raises UsageError, as
+    ``make_witness`` does, and is never a verdict.
     More than ``max_iter`` pivots (default 50 (basis rows + all columns) +
     1000) raise SolverError.
     """
@@ -454,7 +479,7 @@ def solve_feasibility(
     rows = fs.basis[fs.p[fs.basis] > 0]
     cols = np.flatnonzero(~fs.matrix[fs.p == 0].any(axis=0))
     optimum, bound, x, iterations, degenerate, bland = _phase1_simplex(
-        fs.matrix[np.ix_(rows, cols)], fs.p[rows], eps_lp, max_iter
+        fs.matrix[rows][:, cols], fs.p[rows], eps_lp, max_iter
     )
     feasible, witness = False, None
     if optimum <= eps_lp:

@@ -207,10 +207,12 @@ def rt_from_dict(doc: dict) -> RtSystem:
 
 
 def transforms_from_file(path: str, design: Design) -> list[TransformSpec]:
-    """Parse a list of transform specs against a concrete design."""
+    """Parse a non-empty list of transform specs against a concrete design."""
     doc = load_document(path)
     if not isinstance(doc, list):
         raise UsageError("transforms file must contain a list of transform specs")
+    if not doc:
+        raise UsageError("transforms file lists no transform")
     by_name = {out.name: k for k, out in enumerate(design.outputs)}
     identity = identity_transform(design).outputs
     specs = []

@@ -333,6 +333,17 @@ def test_transform_entry_naming_an_output_twice_exit_two(tmp_path, capsys):
     assert f"error: {message}" in capsys.readouterr().err
 
 
+def test_empty_transforms_file_exit_two(tmp_path, capsys):
+    # A battery asked for with no member is a usage error, not a vacuous pass.
+    path = write_system(tmp_path, d1_system())
+    tpath = tmp_path / "empty.json"
+    tpath.write_text("[]")
+    assert main([path, "--tests", "battery", "--transforms", str(tpath)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: transforms file lists no transform\n"
+
+
 def test_contrast_test_via_rt_block(tmp_path, capsys):
     grid = [0.0, 1.0, 2.0, 3.0]
     flat = [0.0, 0.5, 1.0, 1.0]

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -750,8 +751,8 @@ class TestSupport:
 #: index)`` and its 0.8 PR mixture, on the four shapes of the benchmark's
 #: ``lp_criterion`` workload.  The latent entries were recorded before the
 #: criterion matrix was cached per design and the tableau lost its
-#: artificial columns; the PR mixtures stop early, after the first pivots of
-#: the run to the optimum (``TestPivotOracle``).
+#: artificial columns; the PR mixtures stop early, before their first pivot,
+#: at the row-cap floor (``TestPivotOracle``).
 PIVOTS_ON_LP_SHAPES = {
     ((2, 2, 2, 2), (2, 2, 2, 2), "latent"): (
         (10, 1, 0, 44, 10),
@@ -761,7 +762,7 @@ PIVOTS_ON_LP_SHAPES = {
             205: 0.11043060292059538, 206: 0.11043060292059538, 207: 0.11718699020196759,
         },
     ),
-    ((2, 2, 2, 2), (2, 2, 2, 2), "pr0.8"): ((4, 0, 0, 51, 13), {}),
+    ((2, 2, 2, 2), (2, 2, 2, 2), "pr0.8"): ((0, 0, 0, 51, 13), {}),
     ((3, 3), (3, 3), "latent"): (
         (34, 16, 0, 27, 59),
         {
@@ -774,7 +775,7 @@ PIVOTS_ON_LP_SHAPES = {
             672: 0.024724809300912608, 682: 0.010547794853643955, 727: 0.023478546840323508,
         },
     ),
-    ((3, 3), (3, 3), "pr0.8"): ((9, 1, 0, 39, 151), {}),
+    ((3, 3), (3, 3), "pr0.8"): ((0, 0, 0, 39, 151), {}),
     ((2, 2, 2), (3, 3, 3), "latent"): (
         (8, 0, 0, 26, 8),
         {
@@ -783,7 +784,7 @@ PIVOTS_ON_LP_SHAPES = {
             533: 0.23180179067903528, 647: 0.1769332604209774,
         },
     ),
-    ((2, 2, 2), (3, 3, 3), "pr0.8"): ((1, 0, 0, 40, 8), {}),
+    ((2, 2, 2), (3, 3, 3), "pr0.8"): ((0, 0, 0, 40, 8), {}),
     ((3, 3, 3), (2, 2, 2), "latent"): (
         (15, 4, 0, 51, 17),
         {
@@ -793,7 +794,7 @@ PIVOTS_ON_LP_SHAPES = {
             486: 0.010866142461735617,
         },
     ),
-    ((3, 3, 3), (2, 2, 2), "pr0.8"): ((9, 3, 0, 52, 21), {}),
+    ((3, 3, 3), (2, 2, 2), "pr0.8"): ((0, 0, 0, 52, 21), {}),
 }
 LP_SHAPES = list(dict.fromkeys(key[:2] for key in PIVOTS_ON_LP_SHAPES))
 
@@ -1105,6 +1106,64 @@ class TestPivotOracle:
             assert cols.size == iterations == 0
 
 
+def floor_certificate(a, b):
+    """The row-cap floor of a x = b, x >= 0 (a 0/1, b > 0) in exact
+    arithmetic, with its integer Farkas vector y.  Column j's cap ub_j is
+    the least b_r on its rows, attained first at row r(j); R holds the rows
+    r with b_r > sum_j a_rj ub_j, c_j counts column j's rows in R, and
+    y = 1_R - sum_j c_j e_r(j)."""
+    m, n = a.shape
+    b = [Fraction(v) for v in b.tolist()]
+    ones = [[r for r in range(m) if a[r, j]] for j in range(n)]
+    cap_row = [min(rows, key=lambda r: (b[r], r)) for rows in ones]
+    short = [b[r] - sum(b[cap_row[j]] for j in range(n) if a[r, j]) for r in range(m)]
+    in_r = [gap > 0 for gap in short]
+    y = [int(flag) for flag in in_r]
+    for j, rows in enumerate(ones):
+        y[cap_row[j]] -= sum(in_r[r] for r in rows)
+    return sum(gap for gap in short if gap > 0), y
+
+
+def floor_cases():
+    """``PIVOT_ORACLE_CASES`` and three more 0.8 PR mixtures of latent
+    systems on each of the four ``lp_criterion`` shapes."""
+    cases = list(PIVOT_ORACLE_CASES)
+    for index, shape in enumerate(LP_SHAPES):
+        design = crossed(*shape)
+        for k in range(3):
+            latent = latent_system(design, np.random.default_rng([60, index, k]))
+            cases.append((f"{shape}-{k}-pr0.8", blend(latent, pr_mixture(design, 1.0), 0.8)))
+    return cases
+
+
+class TestFloorCertificate:
+    def test_each_floor_rule_out_carries_an_integer_farkas_certificate(self):
+        """Whenever the exact floor exceeds eps_lp the solver stops before
+        its first pivot, with the floor as its bound; y a <= 0 on every kept
+        column and y b = floor > eps_lp then prove, without the solver, that
+        a x = b has no x >= 0.  Otherwise the floor does not stop it."""
+        eps_lp = Fraction(feasibility.EPS_LP)
+        stopped = []
+        for name, system in floor_cases():
+            fs = build_feasibility_system(system)
+            rows = fs.basis[fs.p[fs.basis] > 0]
+            cols = np.flatnonzero(~fs.matrix[fs.p == 0].any(axis=0))
+            a, b = fs.matrix[rows][:, cols], fs.p[rows]
+            floor, y = floor_certificate(a, b)
+            verdict = solve_feasibility(fs)
+            if floor <= eps_lp:
+                assert verdict.iterations > 0 or verdict.feasible, name
+                continue
+            stopped.append(name)
+            assert not verdict.feasible and verdict.iterations == verdict.degenerate == 0
+            assert verdict.bound == pytest.approx(float(floor), rel=1e-12)
+            assert all(sum(y[r] for r in np.flatnonzero(column)) <= 0 for column in a.T)
+            assert sum(yr * Fraction(br) for yr, br in zip(y, b.tolist())) == floor
+        oracle_mixtures = {name for name, _ in PIVOT_ORACLE_CASES if name.endswith("pr0.8")}
+        assert oracle_mixtures | {"3x3x3-pr-product", "pr-box"} <= set(stopped)
+        assert len(stopped) > len(oracle_mixtures) + 2
+
+
 #: 2x2 binary and the four shapes of the benchmark's ``lp_criterion`` workload.
 BOUNDARY_SHAPES = [((2, 2), (2, 2))] + LP_SHAPES
 
@@ -1134,7 +1193,9 @@ class TestBoundary:
             for delta in offsets:
                 fs = build_feasibility_system(pr_mixture(design, 0.75 + delta))
                 verdict = solve_feasibility(fs)
-                assert verdict.feasible == verdict_run_to_the_optimum(fs, monkeypatch).feasible
+                reference = verdict_run_to_the_optimum(fs, monkeypatch)
+                assert verdict.feasible == reference.feasible
+                assert verdict.bound <= reference.optimum + 1e-12
                 if abs(delta) >= 1e-7:
                     assert verdict.feasible is (delta < 0)
 
@@ -1170,6 +1231,7 @@ class TestBoundary:
                     verdict = solve_feasibility(fs)
                     reference = verdict_run_to_the_optimum(fs, monkeypatch)
                     assert verdict.feasible == reference.feasible
+                    assert verdict.bound <= reference.optimum + 1e-12
                     verdicts[verdict.feasible] += 1
                     if verdict.bound < verdict.optimum:
                         assert not verdict.feasible
