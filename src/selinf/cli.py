@@ -132,8 +132,17 @@ def run_tests(args, system: System | None, rt, fs=None) -> list[TestReport]:
             else:
                 specs = generate_battery(sys_.design, seed=args.seed)
 
+            for metric in metrics:  # a partition must cover the system's own values
+                if isinstance(metric, ClassificationMetric):
+                    metric.validate(sys_.design)
+
             def expanded(s: System) -> TestReport:
                 for metric in metrics:
+                    if isinstance(metric, ClassificationMetric):
+                        try:
+                            metric.validate(s.design)
+                        except UsageError:  # a grouping relabeled the values
+                            continue
                     r = run_distance_test(s, metric, eps_test=args.eps_test)
                     if r.verdict == RULED_OUT:
                         return r

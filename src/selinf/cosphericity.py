@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,17 +105,10 @@ def _crossed_subdesigns(index: TreatmentIndex) -> tuple:
     return tuple(subdesigns), rows, cells
 
 
-def run_cosphericity(
-    system: System, eps_test: float = EPS_COSPHERICAL
-) -> list[CosphericityResult]:
-    """Evaluate the correlation inequality on every eligible sub-design.
-
-    Sub-designs with a zero-variance marginal are skipped (the inequality is
-    vacuous without a defined correlation).  Raises InapplicableError when no
-    eligible sub-design exists at all.  Correlations come once per (output
-    pair, treatment) from ``system.pair_marginals``; the inequality is then
-    checked on all sub-designs at once.
-    """
+def _evaluate(system: System) -> tuple:
+    """(kept, rho, lhs, rhs): the sub-designs whose four correlations are all
+    defined, in test order, with their correlations and both sides of the
+    inequality, all at once; InapplicableError when none is crossed."""
     design = system.design
     subdesigns, rows_by_pair, cells = _crossed_subdesigns(design.index)
     if not subdesigns:
@@ -134,34 +128,78 @@ def run_cosphericity(
         )
         rho[rows] = r[cells[rows]]
         defined[rows] = ok[cells[rows]]
+    keep = defined.all(axis=1)
+    rho = rho[keep]
     r11, r12, r21, r22 = rho.T
     lhs = np.abs(r11 * r12 - r21 * r22)
     rhs = np.sqrt(np.maximum(0.0, 1 - r11**2)) * np.sqrt(
         np.maximum(0.0, 1 - r12**2)
     ) + np.sqrt(np.maximum(0.0, 1 - r21**2)) * np.sqrt(np.maximum(0.0, 1 - r22**2))
-    passed = lhs <= rhs + eps_test
-    boundary = np.abs(lhs - rhs) <= eps_test
-    return [
-        CosphericityResult(subdesigns[s], tuple(rho[s].tolist()), float(lhs[s]),
-                           float(rhs[s]), bool(passed[s]), bool(boundary[s]))
-        for s in np.flatnonzero(defined.all(axis=1)).tolist()
-    ]
+    return [subdesigns[s] for s in np.flatnonzero(keep).tolist()], rho, lhs, rhs
+
+
+class _Results(Sequence):
+    """``run_cosphericity``'s list over ``_evaluate``'s arrays, read-only: its
+    length, the sub-designs checked, needs no build; the first read of an
+    element builds the list, once."""
+
+    def __init__(self, arrays: tuple, eps_test: float):
+        self.arrays, self.eps_test = arrays, eps_test
+
+    def __len__(self) -> int:
+        return len(self.arrays[0])
+
+    @functools.cached_property
+    def _list(self) -> list[CosphericityResult]:
+        kept, rho, lhs, rhs = self.arrays
+        passed, boundary = lhs <= rhs + self.eps_test, np.abs(lhs - rhs) <= self.eps_test
+        return list(map(CosphericityResult, kept, map(tuple, rho.tolist()), lhs.tolist(),
+                        rhs.tolist(), passed.tolist(), boundary.tolist()))
+
+    def __getitem__(self, i):
+        return self._list[i]
+
+    def __eq__(self, other) -> bool:
+        return self._list == other
+
+    def __repr__(self) -> str:
+        return repr(self._list)
+
+
+def run_cosphericity(
+    system: System, eps_test: float = EPS_COSPHERICAL
+) -> list[CosphericityResult]:
+    """Evaluate the correlation inequality on every eligible sub-design.
+
+    Sub-designs with a zero-variance marginal are skipped (the inequality is
+    vacuous without a defined correlation).  Raises InapplicableError when no
+    eligible sub-design exists at all.  Correlations come once per (output
+    pair, treatment) from ``system.pair_marginals``; the inequality is then
+    checked on all sub-designs at once, and read off with one ``tolist``.
+    """
+    return _Results(_evaluate(system), eps_test)._list
 
 
 def cosphericity_report(system: System, eps_test: float = EPS_COSPHERICAL) -> TestReport:
-    """Overall verdict: ruled out as soon as any sub-design fails."""
+    """Overall verdict: ruled out as soon as any sub-design fails.  Decided on
+    arrays: the only result built is the witness, the first failing sub-design
+    with the largest lhs - rhs.  ``details["results"]`` equals
+    ``run_cosphericity``'s list, read-only; its length is free, and its
+    results are built when first read."""
     name = "cosphericity"
     try:
-        results = run_cosphericity(system, eps_test)
+        results = _Results(_evaluate(system), eps_test)
     except InapplicableError as exc:
         return TestReport(name, INAPPLICABLE, str(exc))
     if not results:
         return TestReport(
             name, INAPPLICABLE, "no sub-design with numeric payloads and nonzero variance"
         )
-    failing = [r for r in results if not r.passed]
+    _, _, lhs, rhs = results.arrays
+    failing = np.flatnonzero(~(lhs <= rhs + eps_test)).tolist()
     if failing:
-        worst = max(failing, key=lambda r: r.lhs - r.rhs)
+        s = max(failing, key=(lhs - rhs).tolist().__getitem__)
+        worst = _Results(tuple(a[s : s + 1] for a in results.arrays), eps_test)[0]
         return TestReport(
             name,
             RULED_OUT,
@@ -169,7 +207,7 @@ def cosphericity_report(system: System, eps_test: float = EPS_COSPHERICAL) -> Te
             witness=worst,
             details={"results": results},
         )
-    flagged = sum(r.boundary for r in results)
+    flagged = int(np.count_nonzero(np.abs(lhs - rhs) <= eps_test))
     summary = f"all {len(results)} sub-designs pass"
     if flagged:
         summary += f" ({flagged} within tolerance of the bound)"

@@ -176,17 +176,18 @@ def enumerate_test_sequences(
     of their distinct links, shared by every later call, battery members
     included; each call returns a new list, which the caller owns.
     """
-    sequences, ids, _, realizers = _chains(design.index, max_length)
+    sequences, ids, _, _, realizers = _chains(design.index, max_length)
     first = [design.treatments[b] for b in realizers[:, 0].tolist()]
     return [(s, tuple(first[i] for i in row[: len(s)])) for s, row in zip(sequences, ids.tolist())]
 
 
 @functools.lru_cache(maxsize=DESIGN_CACHE_SIZE)
 def _chains(index: TreatmentIndex, max_length: int) -> tuple:
-    """(sequences, ids, pairs, realizers): the chains; per chain the closing
-    link's id, then the consecutive links' ids, padded with the number of
-    distinct (a, b) links; per link its output pair (k_a, k_b); and per link
-    its realizers' treatment positions in declared order, padded with -1."""
+    """(sequences, ids, pairs, directed, realizers): the chains; per chain the
+    closing link's id, then the consecutive links' ids, padded with the number
+    of distinct (a, b) links; per link its output pair (k_a, k_b); the
+    distinct output pairs among the links; and per link its realizers'
+    treatment positions in declared order, padded with -1."""
     if max_length < 3:
         raise UsageError("max_length must be at least 3")
     inputs = index.inputs
@@ -226,7 +227,8 @@ def _chains(index: TreatmentIndex, max_length: int) -> tuple:
     pairs = np.array([(a[0], b[0]) for a, b in link_ids], dtype=np.intp).reshape(-1, 2)
     for table in (ids, pairs, realizers):
         table.setflags(write=False)
-    return tuple(sequences), ids, pairs, realizers
+    directed = tuple(dict.fromkeys(map(tuple, pairs.tolist())))
+    return tuple(sequences), ids, pairs, directed, realizers
 
 
 def run_distance_test(
@@ -264,12 +266,12 @@ def run_distance_test(
     treatment_dependent = not ms.passed
     details = {"treatment_dependent_links": treatment_dependent}
 
-    sequences, ids, pairs, realizers = _chains(design.index, max_length)
+    sequences, ids, pairs, directed, realizers = _chains(design.index, max_length)
     if not treatment_dependent:
         realizers = realizers[:, :1]
     n = design.n
     by_pair = np.zeros((n * n, len(design.treatments)))
-    for k_from, k_to in set(map(tuple, pairs.tolist())):
+    for k_from, k_to in directed:
         by_pair[k_from * n + k_to] = _directed(system, metric, k_from, k_to)
     values = by_pair[(pairs[:, 0] * n + pairs[:, 1])[:, None], realizers]
     padding = realizers < 0

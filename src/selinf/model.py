@@ -265,11 +265,13 @@ class System:
     @classmethod
     def from_array(cls, design: Design, array: np.ndarray) -> "System":
         """The system whose ``array`` is ``array`` (shaped as that property
-        describes).  Masses in (-EPS_PROB, 0) become 0, as ``JointPmf``
-        clips them."""
+        describes), stored C-contiguous whatever the strides given, since the
+        screens sum in memory order.  Masses in (-EPS_PROB, 0) become 0, as
+        ``JointPmf`` clips them."""
         system = cls.__new__(cls)
         system.design = design
-        system.array = np.where((array < 0.0) & (array > -EPS_PROB), 0.0, array)
+        clipped = np.where((array < 0.0) & (array > -EPS_PROB), 0.0, array)
+        system.array = np.ascontiguousarray(clipped)
         system.array.flags.writeable = False
         return system
 

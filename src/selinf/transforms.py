@@ -66,11 +66,13 @@ def apply_transform(system: System, spec: TransformSpec) -> System:
 
     Works on ``system.array``: along each output's axis, every treatment's
     masses are summed into its level's images by one product with a 0/1
-    index matrix.  The transformed system is made from that array alone; its
-    tables are built only if a caller reads them.  Its design shares the
-    parent's inputs and treatments, which are not checked again.  UsageError
-    unless ``spec`` has one transform per output, each mapping every value
-    at every level of its input into its target values.
+    index matrix, unless value i goes to target value i at every level (a
+    monotone relabeling, an order-preserving grouping of two values): that
+    axis is kept as it is.  The transformed system is made from that array
+    alone, C-ordered; its tables are built only if a caller reads them.  Its
+    design shares the parent's inputs and treatments, which are not checked
+    again.  UsageError unless ``spec`` has one transform per output, each
+    mapping every value at every level of its input into its target values.
     """
     design = system.design
     if len(spec.outputs) != design.n:
@@ -94,6 +96,8 @@ def apply_transform(system: System, spec: TransformSpec) -> System:
                         f"output {out.name!r}: image {mapping[value]!r} not in target values"
                     )
                 images[level].append(target[mapping[value]])
+        if all(im == list(range(len(target))) for im in images.values()):
+            continue  # value i goes to target value i at every level: the axis stays
         onehot = np.zeros((len(design.treatments), len(out.values), len(target)))
         onehot[rows, np.arange(len(out.values)), [images[t[k]] for t in design.treatments]] = 1.0
         moved = np.moveaxis(array, k + 1, -1)

@@ -491,3 +491,31 @@ def test_battery_members_build_no_tables(monkeypatch):
     for system in systems:
         run_battery(system, generate_battery(system.design, 3, 3, seed=len(members)), member)
     assert len(members) > len(systems) and built == []
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_screens_do_not_depend_on_the_callers_memory_layout(seed):
+    """``from_array`` stores the masses C-ordered, so a Fortran-ordered or
+    strided copy of the same masses gives the same reports to the last bit."""
+    rng = np.random.default_rng(seed)
+    compared = 0
+    for system in seeded_systems(seed, count=8):
+        design, array = system.design, system.array
+        copies = [np.asfortranarray(array), np.flip(np.flip(array, -1).copy(), -1)]
+        if array.ndim > 2:
+            copies.append(np.moveaxis(np.moveaxis(array, 1, -1).copy(), -1, 1))
+        metric = random_class_metric(rng, design)
+        for copy in copies:
+            again = System.from_array(design, copy)
+            assert again.array.flags.c_contiguous
+            assert again.array.tobytes() == array.tobytes()
+            for screen in (
+                check_marginal_selectivity,
+                lambda s: run_distance_test(s, PowerMetric(1.0)),
+                lambda s: run_distance_test(s, PowerMetric(0.5)),
+                lambda s: run_distance_test(s, metric),
+                cosphericity_report,
+            ):
+                assert repr(screen(again)) == repr(screen(system))
+            compared += 1
+    assert compared > 30

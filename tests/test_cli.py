@@ -449,3 +449,24 @@ def test_repeated_treatment_is_flagged_with_both_entries():
 def test_rt_parsing_validates_keys():
     with pytest.raises(UsageError, match="i,j"):
         rt_from_dict({"grid": [0, 1], "cdfs": {"3,1": [0, 1]}})
+
+
+def test_class_metric_applies_to_the_battery_members_it_partitions(tmp_path, capsys):
+    """Grouping members relabel values to g0, g1, ...; a class metric skips
+    them (as a power metric skips members without payloads) and still runs on
+    the members that keep the values, while a partition that does not cover
+    the system's own values stays a usage error."""
+    d1 = write_system(tmp_path, d1_system(), "d1.json")
+    assert main([d1, "--tests", "battery", "--metric", "class:0|2,4;0|1,2"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] battery: transform 'grouping-6' fails the expanded test" in out
+
+    binary = write_system(tmp_path, feasible_binary_system(), "binary.json")
+    code = main([binary, "--tests", "battery", "--metric", "class:1|2;1|2"])
+    assert code == 0
+    assert "[PASS] battery: 25/25 applicable members pass" in capsys.readouterr().out
+
+    assert main([d1, "--tests", "battery", "--metric", "class:0|2;0|1,2"]) == 2
+    err = capsys.readouterr().err
+    assert "output 'A1': partition must cover its values disjointly" in err
+    assert main([d1, "--tests", "distance", "--metric", "class:0|2,4;0|1,2"]) == 1

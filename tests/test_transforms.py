@@ -208,3 +208,117 @@ class TestBattery:
             for o1, o2 in zip(s1.outputs, s2.outputs):
                 assert o1.target == o2.target
                 assert o1.maps == o2.maps
+
+
+# ------------------------------------------------ identity axes stay as given
+
+
+def reference_apply_transform(system, spec):
+    """Every output's axis pushed through its 0/1 index matrix, identity maps
+    included: ``apply_transform`` without the kept axes."""
+    from selinf import System
+
+    design = system.design
+    new_design = design.with_outputs(tr.target for tr in spec.outputs)
+    array = system.array
+    rows = np.arange(len(design.treatments))[:, None]
+    for k, (tr, out) in enumerate(zip(spec.outputs, design.outputs)):
+        target = {v: i for i, v in enumerate(tr.target.values)}
+        images = {
+            level: [target[tr.map_for(level)[value]] for value in out.values]
+            for level in design.inputs[k].levels
+        }
+        onehot = np.zeros((len(design.treatments), len(out.values), len(target)))
+        onehot[rows, np.arange(len(out.values)), [images[t[k]] for t in design.treatments]] = 1.0
+        moved = np.moveaxis(array, k + 1, -1)
+        summed = moved.reshape(len(design.treatments), -1, len(out.values)) @ onehot
+        array = np.moveaxis(summed.reshape(moved.shape[:-1] + (len(target),)), -1, k + 1)
+    return System.from_array(new_design, array)
+
+
+def permutation_transform(design, level=None):
+    """Every output's values rotated by one place, at ``level`` of its input
+    only (identity elsewhere) or, with None, at every level."""
+    from selinf import OutputTransform, TransformSpec
+
+    outputs = []
+    for k, out in enumerate(design.outputs):
+        rotated = dict(zip(out.values, out.values[1:] + out.values[:1]))
+        maps = {None: rotated} if level is None else {
+            lv: rotated if lv == level else {v: v for v in out.values}
+            for lv in design.inputs[k].levels
+        }
+        outputs.append(OutputTransform(out, maps))
+    return TransformSpec(tuple(outputs), name="rotation")
+
+
+def transform_systems():
+    rng = np.random.default_rng(61)
+    systems = [d1_system(), feasible_binary_system(), transform_base_system()]
+    systems += [random_selective_system(rng, column_cap=3000, allow_partial=True) for _ in range(12)]
+    return systems
+
+
+def is_kept(spec, design):
+    """Whether every output sends its i-th value to the i-th target value at
+    every level, onto as many target values."""
+    return all(
+        len(tr.target.values) == len(out.values)
+        and tr.map_for(level) == dict(zip(out.values, tr.target.values))
+        for tr, out, spec_in in zip(spec.outputs, design.outputs, design.inputs)
+        for level in spec_in.levels
+    )
+
+
+class TestIdentityAxes:
+    def check(self, system, spec, monkeypatch):
+        moved = []
+        original = np.moveaxis
+
+        def counting(*args, **kwargs):
+            moved.append(args[1])
+            return original(*args, **kwargs)
+
+        expected = reference_apply_transform(system, spec)
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "moveaxis", counting)
+            member = apply_transform(system, spec)
+        assert member.array.flags.c_contiguous and expected.array.flags.c_contiguous
+        assert member.array.shape == expected.array.shape
+        assert member.array.tobytes() == expected.array.tobytes()
+        return moved
+
+    def test_kept_axes_match_the_full_push_bit_for_bit(self, monkeypatch):
+        kept = 0
+        for system in transform_systems():
+            design = system.design
+            specs = [identity_transform(design)] + generate_battery(design, 6, 6, seed=design.n)
+            for spec in specs:
+                moved = self.check(system, spec, monkeypatch)
+                if not spec.name.startswith("grouping"):
+                    assert is_kept(spec, design)
+                assert (moved == []) == is_kept(spec, design)
+                kept += moved == []
+        assert kept > 12  # identities, monotone members and ordered binary groupings
+
+    def test_binary_groupings_in_order_are_kept(self, monkeypatch):
+        system = feasible_binary_system()
+        groupings = generate_battery(system.design, 12, 0, seed=3)
+        kinds = set()
+        for spec in groupings:
+            moved = self.check(system, spec, monkeypatch)
+            kinds.add(is_kept(spec, system.design))
+            assert (moved == []) == is_kept(spec, system.design)
+        assert kinds == {True, False}
+
+    def test_maps_that_move_values_are_pushed(self, monkeypatch):
+        cases = [(transform_base_system(), level_specific_transform())]
+        for system in transform_systems():
+            if all(len(out.values) > 1 for out in system.design.outputs):
+                cases.append((system, permutation_transform(system.design)))
+                first = system.design.inputs[0].levels[0]
+                cases.append((system, permutation_transform(system.design, level=first)))
+        for system, spec in cases:
+            assert not is_kept(spec, system.design)
+            assert self.check(system, spec, monkeypatch) != []
+        assert len(cases) > 10
