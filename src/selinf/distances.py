@@ -145,9 +145,12 @@ def pairwise_distance(
     k_prime: int,
 ) -> tuple[float, float]:
     """Both directed distances between outputs k and k' at one treatment."""
+    design = system.design
+    for index in (k, k_prime):
+        if not 0 <= index < design.n:
+            raise UsageError(f"output index {index} is outside [0, {design.n})")
     if k == k_prime:
         raise UsageError("pairwise distance needs two distinct outputs")
-    design = system.design
     if isinstance(metric, ClassificationMetric):
         metric.validate(design)
     try:

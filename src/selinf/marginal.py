@@ -11,12 +11,20 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import UsageError
-from .model import DESIGN_CACHE_SIZE, System, Treatment, TreatmentIndex
+from .model import (
+    MARGIN_CACHE_SIZE,
+    System,
+    Treatment,
+    TreatmentIndex,
+    margin_layout,
+    sub_marginals,
+)
 from .tolerances import EPS_TEST
 
 
@@ -24,10 +32,12 @@ from .tolerances import EPS_TEST
 class MarginalReport:
     """Worst observed marginal discrepancy over all checked comparisons.
 
-    ``discrepancy`` is the sup-norm difference between two sub-marginal
-    tables (sharpest single violating cell); ``total_variation`` is reported
-    for the same pair, informationally.  ``worst_subset``/``worst_pair`` are
-    None when no comparable pair exists (vacuous pass).
+    ``discrepancy`` is the largest sup-norm difference between the
+    sub-marginal tables of a compared pair (sharpest single violating cell);
+    ``total_variation`` is reported for the worst pair, informationally.
+    ``worst_subset``/``worst_pair`` are None when no compared pair differs
+    (vacuous pass).  ``comparisons`` is the number of (subset, treatment
+    pair) comparisons made; it is left out of ``to_json`` and of equality.
     """
 
     worst_subset: tuple[int, ...] | None
@@ -35,6 +45,7 @@ class MarginalReport:
     discrepancy: float
     total_variation: float
     passed: bool
+    comparisons: int = field(default=0, compare=False)
 
     def to_json(self) -> dict:
         return {
@@ -45,31 +56,38 @@ class MarginalReport:
         }
 
 
-@functools.lru_cache(maxsize=DESIGN_CACHE_SIZE)
-def _comparisons(index: TreatmentIndex, max_subset_size: int) -> tuple:
-    """The comparison table of a design, in test order: output subsets by
-    size, then in combination order; within a subset, the treatment pairs
-    that agree on the subset's inputs, groups in order of their first
-    treatment, pairs in combination order within each group.
+@functools.lru_cache(maxsize=MARGIN_CACHE_SIZE)
+def _comparisons(index: TreatmentIndex, shape: tuple[int, ...], max_subset_size: int) -> tuple:
+    """The comparison table of a design and outcome shape, in test order:
+    output subsets by size, then in combination order; within a subset, the
+    treatment pairs that agree on the subset's inputs, groups in order of
+    their first treatment, pairs in combination order within each group.
 
-    Returns (subsets, axes summed out per subset, pairs): subsets without a
-    pair are left out, and ``pairs`` is a read-only (2, pairs) intp array of
-    positions s * len(treatments) + b, subset s at treatment b, in the
-    stacked sub-marginals."""
-    n = len(index.inputs)
-    subsets, axes, pairs = [], [], []
-    for size in range(1, max_subset_size + 1):
-        for subset in itertools.combinations(range(n), size):
+    Returns (gather, owners, pairs).  ``gather`` is a read-only, C-contiguous
+    (2, cells, comparisons) intp array: ``gather[i, c, j]`` is the flat
+    position, in the ``sub_marginals`` table, of cell c of comparison j's
+    subset at the pair's i-th treatment; cells past the subset's own repeat
+    its last, which leaves every maximum unchanged.  ``owners[j]`` is
+    comparison j's subset, by its position in ``margin_layout``'s subsets,
+    and ``pairs[:, j]`` its two treatment positions."""
+    layout = margin_layout(shape, max_subset_size)
+    columns = layout.offsets[-1]
+    owners, pairs = [], []
+    for s, subset in enumerate(layout.subsets):
+        if subset:
             groups = index.groups(subset).values()
             found = [pair for group in groups for pair in itertools.combinations(group, 2)]
-            if found:
-                offset = len(subsets) * len(index.treatments)
-                pairs += [(offset + b1, offset + b2) for b1, b2 in found]
-                subsets.append(subset)
-                axes.append(tuple(k + 1 for k in range(n) if k not in subset))
-    table = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    table.setflags(write=False)
-    return tuple(subsets), tuple(axes), table
+            owners += [s] * len(found)
+            pairs += found
+    owners = np.array(owners, dtype=np.intp)
+    pairs = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    lo, hi = np.array(layout.offsets[:-1])[owners], np.array(layout.offsets[1:])[owners]
+    width = int((hi - lo).max(initial=1))
+    cells = lo + np.minimum(np.arange(width)[:, None], hi - lo - 1)
+    gather = np.ascontiguousarray(pairs[:, None, :] * columns + cells)
+    for table in (gather, owners, pairs):
+        table.setflags(write=False)
+    return gather, owners, pairs
 
 
 def check_marginal_selectivity(
@@ -80,11 +98,16 @@ def check_marginal_selectivity(
     """Run the complete marginal selectivity test up to ``max_subset_size``.
 
     The default cap is n-1 (the complete test); pass 1 for the simple test.
-    Each subset's sub-marginals are one sum over ``system.array``, stacked
-    into one zero-padded table; every agreeing treatment pair of every
-    subset is then compared in one pass.  The worst pair is the first, in
-    test order, with the largest sup-norm difference.  A non-finite mass
-    raises UsageError.
+    Every sub-marginal is one column block of ``sub_marginals``, a single
+    matrix product; every agreeing treatment pair of every subset is then
+    compared in one gather on that table.  The verdict compares the largest
+    sup-norm difference with ``eps_test``.  The worst pair is the first, in
+    test order, whose sup is within 4 c eps s of the largest, c the cells of
+    the outcome (the most summed into one margin cell, a treatment's total),
+    eps the float64 epsilon and s the largest absolute total: in any
+    summation order a sup is within c eps s of its exact value, so pairs
+    tied in exact arithmetic stay tied.  A non-finite mass raises
+    UsageError naming the first treatment that has one.
     """
     design = system.design
     n = design.n
@@ -94,35 +117,35 @@ def check_marginal_selectivity(
         raise UsageError(f"max_subset_size must be in [1, {n - 1}]")
 
     array = system.array
-    n_treatments = len(design.treatments)
-    subsets, axes, pairs = _comparisons(design.index, max_subset_size)
-    margins = [array.sum(axis=summed).reshape(n_treatments, -1) for summed in axes]
-    # Each subset's sub-marginals sum every cell's mass, so a non-finite
-    # mass leaves a non-finite entry in the first subset's.
-    masses = margins[0] if margins else array.reshape(n_treatments, -1)
-    if not np.isfinite(masses).all():
-        b = int(np.flatnonzero(~np.isfinite(masses).all(axis=1))[0])
+    shape = array.shape[1:]
+    max_subset_size = max(0, min(max_subset_size, n - 1))
+    table = sub_marginals(array, max_subset_size)
+    totals = table[:, 0]
+    scale = float(np.abs(totals).max())  # NaN or inf when a total is
+    if not math.isfinite(scale):
+        b = int(np.flatnonzero(~np.isfinite(totals))[0])
         raise UsageError(f"non-finite mass at treatment {design.treatments[b]!r}")
-    if not margins:
+    gather, owners, pairs = _comparisons(design.index, shape, max_subset_size)
+    if not owners.size:
         return MarginalReport(None, None, 0.0, 0.0, True)
 
-    # Cell-major, so that every per-pair reduction runs across whole rows.
-    stack = np.zeros((max(m.shape[1] for m in margins), len(margins), n_treatments))
-    for s, margin in enumerate(margins):
-        stack[: margin.shape[1], s] = margin.T
-    cells = stack.reshape(stack.shape[0], -1).take(pairs, axis=1)
-    diffs = np.abs(cells[:, 0] - cells[:, 1])
+    cells = table.take(gather)
+    diffs = np.subtract(cells[0], cells[1], out=cells[0])
+    np.abs(diffs, out=diffs)
     sups = diffs.max(axis=0)
-    c = int(sups.argmax())
-    if sups[c] == 0.0:
-        return MarginalReport(None, None, 0.0, 0.0, 0.0 <= eps_test)
-    s, first = divmod(int(pairs[0, c]), n_treatments)
-    second = int(pairs[1, c]) % n_treatments
-    discrepancy = float(sups[c])
+    largest = float(sups.max())
+    if largest == 0.0:
+        return MarginalReport(None, None, 0.0, 0.0, 0.0 <= eps_test, owners.size)
+    bound = 4 * math.prod(shape) * np.finfo(np.float64).eps * scale
+    c = int((sups >= largest - bound).argmax())
+    layout = margin_layout(shape, max_subset_size)
+    s = int(owners[c])
+    first, second = pairs[:, c].tolist()
     return MarginalReport(
-        subsets[s],
+        layout.subsets[s],
         (design.treatments[first], design.treatments[second]),
-        discrepancy,
-        float(0.5 * diffs[: margins[s].shape[1], c].sum()),
-        discrepancy <= eps_test,
+        largest,
+        float(0.5 * diffs[: layout.offsets[s + 1] - layout.offsets[s], c].sum()),
+        largest <= eps_test,
+        owners.size,
     )

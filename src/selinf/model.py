@@ -27,10 +27,15 @@ from typing import Hashable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import CapacityError, UsageError
-from .tolerances import ARRAY_BYTE_CAP, EPS_PROB
+from .tolerances import ARRAY_BYTE_CAP, EPS_PROB, MARGIN_BYTE_CAP
 
 #: Distinct designs whose derived lookups (index, chains) are kept.
 DESIGN_CACHE_SIZE = 8
+
+#: Distinct (outcome shape, subset size cap) aggregation plans kept, and
+#: (design, outcome shape, cap) comparison tables: a battery brings one new
+#: outcome shape per grouping member, so this holds several designs' worth.
+MARGIN_CACHE_SIZE = 64
 
 Level = Hashable
 Value = Hashable
@@ -69,6 +74,8 @@ class OutputSpec:
     name: str
     values: tuple[Value, ...]
     numeric: tuple[float | None, ...] | None = None
+    #: True when every value carries a numeric payload; set from ``numeric``.
+    has_numeric: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(self.values))
@@ -86,11 +93,9 @@ class OutputSpec:
                 if x is not None and not math.isfinite(x):
                     raise UsageError(f"output {self.name!r}: non-finite payload {x!r}")
             object.__setattr__(self, "numeric", numeric)
-
-    @property
-    def has_numeric(self) -> bool:
-        """True when every value carries a numeric payload."""
-        return self.numeric is not None and all(x is not None for x in self.numeric)
+        object.__setattr__(
+            self, "has_numeric", self.numeric is not None and None not in self.numeric
+        )
 
     def numeric_value(self, value: Value) -> float:
         """Payload of ``value``; raises UsageError when absent."""
@@ -336,15 +341,188 @@ class System:
     @functools.cached_property
     def pair_marginals(self) -> dict[tuple[int, int], np.ndarray]:
         """Read-only 2-marginals of ``array``, by output pair (k, k') with
-        k < k': each of shape (treatments, values of k, values of k')."""
-        n = self.design.n
-        out = {}
-        for k, k_prime in itertools.combinations(range(n), 2):
-            others = tuple(j + 1 for j in range(n) if j not in (k, k_prime))
-            marginal = self.array.sum(axis=others)
-            marginal.flags.writeable = False
-            out[(k, k_prime)] = marginal
-        return out
+        k < k': each of shape (treatments, values of k, values of k').  They
+        are the size-2 columns of one ``sub_marginals`` table, copied out, so
+        only the 2-marginals are kept; with two outputs, those columns are
+        the array itself."""
+        shape = self.array.shape
+        if len(shape) < 3:
+            return {}
+        if len(shape) == 3:
+            return {(0, 1): self.array}
+        layout = margin_layout(shape[1:], 2)
+        first = len(shape)  # the first pair, after the empty subset and the n singletons
+        start = layout.offsets[first]
+        block = sub_marginals(self.array, 2)[:, start:].copy()
+        block.flags.writeable = False
+        bounds = zip(layout.subsets[first:], layout.offsets[first:], layout.offsets[first + 1 :])
+        return {
+            (k, k_prime): block[:, lo - start : hi - start].reshape(
+                shape[0], shape[k + 1], shape[k_prime + 1]
+            )
+            for (k, k_prime), lo, hi in bounds
+        }
+
+
+@dataclass(frozen=True, eq=False)
+class MarginLayout:
+    """The columns of ``sub_marginals(array, max_size)`` and the plan that
+    computes them.
+
+    ``subsets`` are the output subsets of size at most the cap, by size,
+    then in combination order, the empty subset first; subset s holds the
+    columns ``offsets[s]:offsets[s + 1]``, its cells in C order over its
+    outputs.  ``steps`` aggregate one group of consecutive outputs each,
+    the last group first: (cells of the group, columns kept so far, the
+    group's dense 0/1 factor and the combined columns kept, or None for a
+    lone output and the columns that also keep its cells, its total being
+    kept beside every column); ``order`` takes the last step's columns to
+    the layout's, and ``block`` treatments go through the steps at a time.
+    ``order`` is None when a single factor gives the layout's columns in
+    order.
+    """
+
+    subsets: tuple[tuple[int, ...], ...]
+    offsets: tuple[int, ...]
+    steps: tuple[tuple[int, int, np.ndarray | None, np.ndarray | slice | None], ...]
+    order: np.ndarray | None
+    block: int
+
+
+def sub_marginals(array: np.ndarray, max_size: int) -> np.ndarray:
+    """Every sub-marginal of ``array`` (shaped as ``System.array``) over the
+    output subsets of size at most ``max_size``, as one (treatments, columns)
+    table laid out by ``margin_layout``; column 0 holds each treatment's total.
+
+    The table is ``array.reshape(treatments, -1) @ A``, A the Kronecker
+    product of [I_v | 1_v] over the outputs, restricted to the layout's
+    columns; A is applied as one factor per group of consecutive outputs
+    (see ``margin_layout``).  Sums run in BLAS order: a margin cell summing
+    c masses differs from their sum in any other order by at most
+    (c - 1) eps s, eps the float64 epsilon and s the sum of their absolute
+    values.  A non-finite mass leaves its treatment's total non-finite,
+    without a warning.
+    """
+    t = array.shape[0]
+    layout = margin_layout(array.shape[1:], max_size)
+    with np.errstate(invalid="ignore", over="ignore"):
+        if layout.order is None:
+            return np.dot(array.reshape(t, -1), layout.steps[0][2])
+        table = np.empty((t, layout.offsets[-1]))
+        for start in range(0, t, layout.block):
+            y = array[start : start + layout.block]
+            rows = len(y)
+            for cells, kept, factor, keep in layout.steps:
+                y = y.reshape(-1, cells, kept)
+                if factor is None:  # a lone output: its total, then its cells where kept
+                    y = np.concatenate((y.sum(axis=1), y[:, :, keep].reshape(len(y), -1)), axis=1)
+                elif kept == 1:  # one matmul for all rows, not one per row
+                    y = (y.reshape(-1, cells) @ factor)[:, keep]
+                else:
+                    y = np.matmul(factor.T, y).reshape(len(y), -1)[:, keep]
+            table[start : start + rows] = y[:, layout.order]
+        return table
+
+
+def _columns(shape: tuple[int, ...], max_size: int) -> tuple:
+    """(subsets, offsets, codes, sizes) of the layout of ``shape`` up to
+    ``max_size``; per column, ``codes`` is its index in the full Kronecker
+    product of [I_v | 1_v] over ``shape`` (digit k is the value index of
+    output k, or v_k where output k is summed out) and ``sizes`` its
+    subset's size."""
+    n = len(shape)
+    radix = [math.prod(v + 1 for v in shape[k + 1 :]) for k in range(n)]
+    summed = sum(v * r for v, r in zip(shape, radix))
+    subsets, offsets, codes, sizes = [], [0], [], []
+    for size in range(min(max_size, n) + 1):
+        for subset in itertools.combinations(range(n), size):
+            sub_shape = [shape[k] for k in subset]
+            cells = np.indices(sub_shape).reshape(size, math.prod(sub_shape))
+            code = np.full(cells.shape[1], summed, dtype=np.intp)
+            for digits, k in zip(cells, subset):
+                code += (digits - shape[k]) * radix[k]
+            subsets.append(subset)
+            offsets.append(offsets[-1] + len(code))
+            codes.append(code)
+            sizes.append(np.full(len(code), size, dtype=np.intp))
+    return tuple(subsets), tuple(offsets), np.concatenate(codes), np.concatenate(sizes)
+
+
+def _factor(shape: tuple[int, ...], max_size: int) -> np.ndarray:
+    """The dense 0/1 aggregation factor of ``shape`` up to ``max_size``:
+    (outcome cells, layout columns), 1 where the outcome falls in the cell."""
+    subsets, offsets, _, _ = _columns(shape, max_size)
+    outcomes = np.indices(shape).reshape(len(shape), math.prod(shape))
+    factor = np.zeros((outcomes.shape[1], offsets[-1]))
+    rows = np.arange(outcomes.shape[1])
+    for subset, offset in zip(subsets, offsets):
+        sub_shape = [shape[k] for k in subset]
+        cell = np.ravel_multi_index(outcomes[list(subset)], sub_shape) if subset else 0
+        factor[rows, offset + cell] = 1.0
+    return factor
+
+
+def _factor_bytes(shape: tuple[int, ...], max_size: int) -> int:
+    """Bytes of ``_factor(shape, max_size)``: columns are the elementary
+    symmetric sums of the value counts up to degree ``max_size``."""
+    degrees = [1]
+    for v in shape:
+        degrees = [a + v * b for a, b in zip(degrees + [0], [0] + degrees)][: max_size + 1]
+    return math.prod(shape) * sum(degrees) * 8
+
+
+@functools.lru_cache(maxsize=MARGIN_CACHE_SIZE)
+def margin_layout(shape: tuple[int, ...], max_size: int) -> MarginLayout:
+    """The layout and plan of ``sub_marginals`` for an outcome shape.
+
+    Consecutive outputs join a group while its dense factor stays within
+    MARGIN_BYTE_CAP.  The groups are aggregated from the last, each over the
+    axis of its cells, so no step transposes: a group of several outputs by
+    its dense factor, a lone output by one sum, keeping its cells only
+    beside columns below the cap (a pass over its values, where a dense
+    v x (v + 1) factor would cost v flops per cell).  With more than one
+    group, treatments go through the steps in blocks whose largest
+    temporary stays within MARGIN_BYTE_CAP, so the table's peak memory is
+    its own plus a few of those."""
+    subsets, offsets, codes, _ = _columns(shape, max_size)
+    groups = [0]
+    for stop in range(2, len(shape) + 1):
+        if _factor_bytes(shape[groups[-1] : stop], max_size) > MARGIN_BYTE_CAP:
+            groups.append(stop - 1)
+    groups.append(len(shape))
+    dense = [
+        _factor(shape[lo:hi], max_size) if hi - lo > 1 else None
+        for lo, hi in zip(groups, groups[1:])
+    ]
+    for factor in dense:
+        if factor is not None:
+            factor.flags.writeable = False
+    if len(dense) == 1 and dense[0] is not None:
+        return MarginLayout(subsets, offsets, ((math.prod(shape), 1, dense[0], None),), None, 1)
+    steps = []
+    largest = 1
+    kept_codes = kept_sizes = np.zeros(1, dtype=np.intp)
+    radix = 1  # of the codes over the outputs already aggregated
+    for lo, hi, factor in reversed(list(zip(groups, groups[1:], dense))):
+        cells, before, kept = math.prod(shape[lo:hi]), math.prod(shape[:lo]), len(kept_codes)
+        if factor is None:  # the total beside every kept column, the cells below the cap
+            keep, whole = np.flatnonzero(kept_sizes < max_size), kept
+            with_cells = (np.arange(cells)[:, None] * radix + kept_codes[keep]).ravel()
+            kept_codes = np.concatenate((cells * radix + kept_codes, with_cells))
+            kept_sizes = np.concatenate((kept_sizes, np.tile(kept_sizes[keep] + 1, cells)))
+        else:
+            _, _, part_codes, part_sizes = _columns(shape[lo:hi], max_size)
+            combined = (part_sizes[:, None] + kept_sizes).ravel()
+            keep, whole = np.flatnonzero(combined <= max_size), len(combined)
+            kept_codes = (part_codes[:, None] * radix + kept_codes).ravel()[keep]
+            kept_sizes = combined[keep]
+        largest = max(largest, before * cells * kept, before * whole, before * len(kept_codes))
+        radix *= math.prod(v + 1 for v in shape[lo:hi])
+        steps.append((cells, kept, factor, slice(None) if len(keep) == whole else keep))
+    sorter = np.argsort(kept_codes)
+    order = sorter[np.searchsorted(kept_codes, codes, sorter=sorter)]
+    block = max(1, MARGIN_BYTE_CAP // (8 * largest))
+    return MarginLayout(subsets, offsets, tuple(steps), order, block)
 
 
 def _table(values: Sequence[tuple[Value, ...]], array: np.ndarray) -> JointPmf:

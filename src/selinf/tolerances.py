@@ -48,6 +48,13 @@ CDF_TOL = 1e-12
 #: masses of shape (treatments, *outcome shape)).
 ARRAY_BYTE_CAP = 2**30
 
+#: Largest dense aggregation factor of ``model.sub_marginals``, in bytes:
+#: float64 0/1 entries, (cells of a group of consecutive outputs) x (cells of
+#: its sub-marginals up to the subset size cap).  The outputs are split into
+#: groups within it, one matmul each, so the whole product is never formed;
+#: with several groups, it also bounds the largest temporary of one step.
+MARGIN_BYTE_CAP = 2**19
+
 #: Largest criterion solve admitted, in bytes: M as int8, rows x columns,
 #: plus two float64 arrays of (r + 1) x (columns + 1), the phase-I tableau
 #: and the temporary of its rank-1 update, r = prod(m_k (v_k - 1) + 1) the

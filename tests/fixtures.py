@@ -221,6 +221,25 @@ def three_variable_pmf() -> JointPmf:
     )
 
 
+def four_output_system() -> System:
+    """Four binary inputs, fully crossed, and four three-valued outputs with
+    payloads: a seeded latent system with one treatment mixed with noise, so
+    that the marginal and distance tests both report sums of many masses."""
+    rng = np.random.default_rng(16)
+    levels = (1, 2)
+    inputs = tuple(InputSpec(f"l{k + 1}", levels) for k in range(4))
+    outputs = tuple(OutputSpec(f"A{k + 1}", (0, 1, 2), (0.0, 1.0, 2.0)) for k in range(4))
+    design = Design(inputs, outputs, tuple(itertools.product(levels, repeat=4)))
+    masses = rng.dirichlet(np.ones(6))
+    latent = JointPmf(1, {(r,): float(p) for r, p in enumerate(masses)})
+    responses = tuple(
+        {(level, r): int(rng.integers(3)) for level in levels for r in range(6)} for _ in range(4)
+    )
+    array = generate_system(design, LatentModel(latent, responses)).array.copy()
+    array[5] = 0.8 * array[5] + 0.2 * rng.dirichlet(np.ones(81)).reshape(3, 3, 3, 3)
+    return System.from_array(design, array)
+
+
 def random_latent_setup(
     rng: np.random.Generator,
     max_inputs: int = 3,

@@ -137,6 +137,12 @@ class TestPairwiseDistance:
         assert fwd == pytest.approx(0.55, abs=1e-12)
         assert back == pytest.approx(1.55, abs=1e-12)
 
+    @pytest.mark.parametrize("k, k_prime", [(0, 5), (2, 0), (-1, 1)])
+    def test_an_output_index_out_of_range_is_a_usage_error(self, k, k_prime):
+        bad = k_prime if k in (0, 1) else k
+        with pytest.raises(UsageError, match=rf"output index {bad} is outside \[0, 2\)"):
+            pairwise_distance(d1_system(), PowerMetric(1.0), (1, 1), k, k_prime)
+
     def test_diagonal_coupling_has_zero_distance(self):
         design = Design(
             (InputSpec("l1", (1,)), InputSpec("l2", (1,))),

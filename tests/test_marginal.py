@@ -1,12 +1,16 @@
 """Complete marginal selectivity: fixtures, oracle equivalence, LP linkage."""
 
 import itertools
+import time
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from fixtures import (
     binary_design,
+    d1_system,
     feasible_binary_system,
     marginal_violation_system,
     pr_box_system,
@@ -28,6 +32,7 @@ from selinf import (
     run_distance_test,
     solve_feasibility,
 )
+from selinf.model import margin_layout, sub_marginals
 from selinf.tolerances import EPS_TEST
 from test_feasibility import blend, crossed, latent_system, pr_mixture
 
@@ -97,19 +102,26 @@ def perturbed(system, rng, eps=0.2):
     return system_from_tables(design, tables)
 
 
+def rounding_bound(system):
+    """The tie bound of ``check_marginal_selectivity``: 4 c eps s, c the cells
+    of the outcome and s the largest treatment total."""
+    totals = system.array.reshape(len(system.design.treatments), -1).sum(axis=1)
+    cells = int(np.prod(system.array.shape[1:]))
+    return 4 * cells * np.finfo(np.float64).eps * float(np.abs(totals).max())
+
+
 def reference_marginal_selectivity(system, max_subset_size=None, eps_test=EPS_TEST):
     """The complete marginal test one output subset at a time: per subset,
-    its agreeing pairs, one sum, one gather and one comparison; a later
-    subset's worst pair replaces the kept one only when strictly worse.
-    The oracle that ``check_marginal_selectivity`` is checked against."""
+    its agreeing pairs, one sum, one gather and one comparison.  The worst
+    pair is the first, in test order, whose sup is within
+    ``rounding_bound`` of the largest.  The oracle that
+    ``check_marginal_selectivity`` is checked against."""
     design = system.design
     n = design.n
     if max_subset_size is None:
         max_subset_size = n - 1
-    worst = MarginalReport(None, None, 0.0, 0.0, True)
-    if n == 1 or len(design.treatments) < 2:
-        return worst
     array = system.array
+    found = []  # (subset, pair, sup, total variation) in test order
     for size in range(1, max_subset_size + 1):
         for subset in itertools.combinations(range(n), size):
             groups = {}
@@ -124,20 +136,30 @@ def reference_marginal_selectivity(system, max_subset_size=None, eps_test=EPS_TE
             others = tuple(k + 1 for k in range(n) if k not in subset)
             margins = array.sum(axis=others).reshape(len(design.treatments), -1)
             diffs = np.abs(margins[first] - margins[second])
-            sups = diffs.max(axis=1)
-            c = int(np.argmax(sups))
-            if sups[c] > worst.discrepancy:
-                pair = (design.treatments[first[c]], design.treatments[second[c]])
-                worst = MarginalReport(
-                    subset, pair, float(sups[c]), float(0.5 * diffs[c].sum()), True
-                )
-    return MarginalReport(
-        worst.worst_subset,
-        worst.worst_pair,
-        worst.discrepancy,
-        worst.total_variation,
-        worst.discrepancy <= eps_test,
+            for (b1, b2), row in zip(pairs, diffs):
+                pair = (design.treatments[b1], design.treatments[b2])
+                found.append((subset, pair, float(row.max()), float(0.5 * row.sum())))
+    largest = max((sup for _, _, sup, _ in found), default=0.0)
+    if largest == 0.0:
+        return MarginalReport(None, None, 0.0, 0.0, 0.0 <= eps_test, len(found))
+    bound = rounding_bound(system)
+    subset, pair, _, tv = next(f for f in found if f[2] >= largest - bound)
+    return MarginalReport(subset, pair, largest, tv, largest <= eps_test, len(found))
+
+
+def assert_matches_reference(report, system, max_subset_size=None):
+    """Witness, verdict and comparison count exactly as the reference; the
+    two sums within the rounding bound."""
+    expected = reference_marginal_selectivity(system, max_subset_size)
+    assert (report.worst_subset, report.worst_pair, report.passed) == (
+        expected.worst_subset,
+        expected.worst_pair,
+        expected.passed,
     )
+    assert report.comparisons == expected.comparisons
+    bound = rounding_bound(system)
+    assert abs(report.discrepancy - expected.discrepancy) <= bound
+    assert abs(report.total_variation - expected.total_variation) <= bound
 
 
 def test_ties_go_to_the_first_pair_in_test_order():
@@ -184,7 +206,7 @@ def test_reports_equal_the_per_subset_reference():
         n = system.design.n
         for max_subset_size in [None, *range(1, n)]:
             report = check_marginal_selectivity(system, max_subset_size)
-            assert report == reference_marginal_selectivity(system, max_subset_size)
+            assert_matches_reference(report, system, max_subset_size)
             failed += not report.passed
             sizes += report.worst_subset is not None and len(report.worst_subset) > 1
     assert any(not s.design.is_fully_crossed() for s in systems)
@@ -321,3 +343,129 @@ def test_failing_marginal_selectivity_implies_lp_infeasible():
 
 def test_feasible_fixture_passes():
     assert check_marginal_selectivity(feasible_binary_system()).passed
+
+
+def test_witness_survives_a_one_ulp_bump_of_any_mass():
+    # The first two systems tie 4 of 4 and 12 of 48 comparisons at their
+    # largest discrepancy in exact arithmetic, the third has one worst pair;
+    # one ulp on one mass must not hand the witness to another pair.
+    for system in (tied_outputs_system(), tied_sizes_system(), marginal_violation_system()):
+        expected = check_marginal_selectivity(system)
+        array = system.array
+        for cell in itertools.product(*map(range, array.shape)):
+            for toward in (0.0, 1.0):
+                bumped = array.copy()
+                bumped[cell] = np.nextafter(bumped[cell], toward)
+                report = check_marginal_selectivity(System.from_array(system.design, bumped))
+                witness = (report.worst_subset, report.worst_pair, report.passed)
+                assert witness == (expected.worst_subset, expected.worst_pair, expected.passed)
+
+
+def wide_system(rng, levels=(2,) * 7) -> System:
+    """Seven binary outputs, fully crossed: more cells than one aggregation
+    factor may hold, so the product runs as one matmul per output group."""
+    design = crossed(levels, (2,) * 7)
+    latent = latent_system(design, rng, n_latent=16)
+    return blend(latent, perturbed(latent, rng, eps=0.05), 0.5)
+
+
+def subset_sums(array, max_size):
+    """Every sub-marginal by its own ``array.sum``, in layout order."""
+    n = array.ndim - 1
+    return [
+        array.sum(axis=tuple(k + 1 for k in range(n) if k not in subset)).reshape(len(array), -1)
+        for size in range(max_size + 1)
+        for subset in itertools.combinations(range(n), size)
+    ]
+
+
+def best_of(repeats, fn):
+    """The shortest wall time of ``repeats`` calls, and the largest
+    tracemalloc peak."""
+    times, peaks = [], []
+    for _ in range(repeats):
+        tracemalloc.start()
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    return min(times), max(peaks)
+
+
+def test_wide_design_margins_match_the_per_subset_sums():
+    system = wide_system(np.random.default_rng(105))
+    array, n = system.array, system.design.n
+    layout = margin_layout(array.shape[1:], n - 1)
+    assert layout.order is not None and len(layout.steps) > 1  # more than one group
+    bound = rounding_bound(system)
+    table = sub_marginals(array, n - 1)
+    for s, margin in enumerate(subset_sums(array, n - 1)):
+        block = table[:, layout.offsets[s] : layout.offsets[s + 1]]
+        assert np.abs(block - margin).max() <= bound
+    # All subset sizes on eight treatments; the 128 have too many pairs.
+    few = wide_system(np.random.default_rng(106), levels=(2, 2, 2, 1, 1, 1, 1))
+    for checked, sizes in ((system, (1, 2)), (few, range(1, n))):
+        for max_subset_size in sizes:
+            report = check_marginal_selectivity(checked, max_subset_size)
+            assert_matches_reference(report, checked, max_subset_size)
+            assert not report.passed
+    product_s, product_peak = best_of(5, lambda: sub_marginals(array, n - 1))
+    sums_s, sums_peak = best_of(5, lambda: subset_sums(array, n - 1))
+    assert product_peak <= 2 * sums_peak
+    assert product_s <= 2 * sums_s
+
+
+def test_vacuous_designs_pass_without_comparisons():
+    one_output = Design((InputSpec("l1", (1, 2)),), (OutputSpec("A1", (0, 1)),), ((1,), (2,)))
+    one = System(one_output, {(t,): JointPmf(1, {(t - 1,): 1.0}) for t in (1, 2)})
+    # No two treatments share a level of either input.
+    diagonal = Design(
+        (InputSpec("l1", (1, 2)), InputSpec("l2", (1, 2))),
+        (OutputSpec("A1", (0, 1)), OutputSpec("A2", (0, 1))),
+        ((1, 1), (2, 2)),
+    )
+    apart = System(
+        diagonal, {(1, 1): JointPmf(2, {(0, 0): 1.0}), (2, 2): JointPmf(2, {(1, 1): 1.0})}
+    )
+    for system in (one, single_treatment_system(), apart):
+        report = check_marginal_selectivity(system)
+        assert report == MarginalReport(None, None, 0.0, 0.0, True)
+        assert report.comparisons == 0
+        assert report == reference_marginal_selectivity(system)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_a_non_finite_mass_names_the_first_bad_treatment_without_a_warning(bad):
+    base = tied_sizes_system()
+    array = base.array.copy()
+    array[5, 1, 0, 1] = bad
+    array[6, 0, 0, 0] = bad
+    system = System.from_array(base.design, array)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UsageError, match=r"non-finite mass at treatment \(2, 1, 2\)"):
+            check_marginal_selectivity(system)
+
+
+def brute_force_comparisons(design, max_subset_size):
+    return sum(
+        all(t1[k] == t2[k] for k in subset)
+        for size in range(1, max_subset_size + 1)
+        for subset in itertools.combinations(range(design.n), size)
+        for t1, t2 in itertools.combinations(design.treatments, 2)
+    )
+
+
+def test_comparisons_count_every_subset_and_agreeing_pair():
+    d1 = d1_system()
+    assert check_marginal_selectivity(d1).comparisons == 4 == brute_force_comparisons(d1.design, 1)
+    rng = np.random.default_rng(106)
+    partial = None
+    while partial is None or partial.design.is_fully_crossed() or partial.design.n < 3:
+        partial = random_selective_system(rng, column_cap=3000, allow_partial=True)
+    n = partial.design.n
+    for max_subset_size in range(1, n):
+        report = check_marginal_selectivity(partial, max_subset_size)
+        assert report.comparisons == brute_force_comparisons(partial.design, max_subset_size)
+    assert "comparisons" not in report.to_json()

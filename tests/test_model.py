@@ -34,6 +34,7 @@ from selinf import (
     solve_feasibility,
     validate_system,
 )
+from selinf.model import margin_layout, sub_marginals
 
 
 class TestMarginalize:
@@ -308,3 +309,73 @@ class TestTreatmentIndex:
                 for subset in itertools.combinations(range(design.n), size):
                     groups = design.index.groups(subset)
                     assert list(groups.items()) == list(scan_groups(design, subset).items())
+
+
+class TestOutputSpec:
+    @pytest.mark.parametrize(
+        "numeric",
+        [None, (1.0, None, 3.0), (None, None, None), (1.0, 2.0, 3.0), (0, -1, 2.5)],
+    )
+    def test_has_numeric_is_the_scan_of_the_payloads(self, numeric):
+        out = OutputSpec("A", ("x", "y", "z"), numeric)
+        scan = out.numeric is not None and all(x is not None for x in out.numeric)
+        assert out.has_numeric == scan
+
+    def test_has_numeric_stays_out_of_equality_and_repr(self):
+        out = OutputSpec("A", ("x", "y"), (1.0, 2.0))
+        assert out == OutputSpec("A", ("x", "y"), (1.0, 2.0))
+        assert hash(out) == hash(OutputSpec("A", ("x", "y"), (1.0, 2.0)))
+        assert "has_numeric" not in repr(out)
+        with pytest.raises(TypeError):
+            OutputSpec("A", ("x", "y"), (1.0, 2.0), True)
+
+
+class TestSubMarginals:
+    def test_pair_marginals_are_the_size_two_sums_and_nothing_more(self):
+        rng = np.random.default_rng(53)
+        for shape in ((2, 3), (2, 3, 4), (3, 2, 2, 2)):
+            array = rng.random((5, *shape))
+            pairs = System.from_array(_design(shape, 5), array).pair_marginals
+            assert list(pairs) == list(itertools.combinations(range(len(shape)), 2))
+            for (k, k_prime), marginal in pairs.items():
+                others = tuple(j + 1 for j in range(len(shape)) if j not in (k, k_prime))
+                assert marginal.shape == (5, shape[k], shape[k_prime])
+                np.testing.assert_allclose(marginal, array.sum(axis=others), rtol=0, atol=1e-13)
+                assert not marginal.flags.writeable
+            owners = {id(_owner(m)): _owner(m) for m in pairs.values()}
+            assert len(owners) == 1  # one block, holding the 2-marginals only
+            assert owners.popitem()[1].size == 5 * sum(shape[k] * shape[j] for k, j in pairs)
+
+    def test_no_pair_marginals_below_two_outputs(self):
+        assert System.from_array(_design((3,), 2), np.full((2, 3), 1 / 3)).pair_marginals == {}
+
+    @pytest.mark.parametrize("shape", [(), (4,), (2, 2), (300, 3), (2, 90, 2), (5, 6, 7), (2,) * 7])
+    def test_every_column_block_is_its_subsets_sum(self, shape):
+        rng = np.random.default_rng(54)
+        array = rng.random((3, *shape))
+        for max_size in range(len(shape) + 1):
+            layout = margin_layout(shape, max_size)
+            table = sub_marginals(array, max_size)
+            assert table.shape == (3, layout.offsets[-1])
+            assert [len(s) for s in layout.subsets] == sorted(len(s) for s in layout.subsets)
+            for s, subset in enumerate(layout.subsets):
+                others = tuple(k + 1 for k in range(len(shape)) if k not in subset)
+                expected = array.sum(axis=others).reshape(3, -1)
+                block = table[:, layout.offsets[s] : layout.offsets[s + 1]]
+                np.testing.assert_allclose(block, expected, rtol=0, atol=1e-12)
+
+
+def _owner(array):
+    while array.base is not None:
+        array = array.base
+    return array
+
+
+def _design(shape, treatments):
+    """One input with ``treatments`` levels, then dummy inputs; outputs of
+    ``shape``."""
+    inputs = [InputSpec("l0", tuple(range(treatments)))]
+    inputs += [InputSpec(f"l{k}", (0,)) for k in range(1, len(shape))]
+    outputs = tuple(OutputSpec(f"A{k}", tuple(range(v))) for k, v in enumerate(shape))
+    rest = (0,) * (len(shape) - 1)
+    return Design(tuple(inputs), outputs, tuple((b,) + rest for b in range(treatments)))

@@ -24,6 +24,7 @@ PINNED = {
     "VAR_RTOL": 1e-9,
     "CDF_TOL": 1e-12,
     "ARRAY_BYTE_CAP": 2**30,
+    "MARGIN_BYTE_CAP": 2**19,
     "TABLEAU_BYTE_CAP": 2**30,
 }
 GUARDED_NAME = re.compile(r"EPS_\w*|\w*_TOL|\w*_RTOL|\w*_CAP")
