@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InapplicableError
-from .model import DESIGN_CACHE_SIZE, Level, System, TreatmentIndex
+from .model import DESIGN_CACHE_SIZE, Design, Level, System, TreatmentIndex
 from .report import CONSISTENT, INAPPLICABLE, RULED_OUT, TestReport
 from .tolerances import EPS_COSPHERICAL, VAR_RTOL
 
@@ -80,15 +80,15 @@ class CosphericityResult:
 
 @functools.lru_cache(maxsize=DESIGN_CACHE_SIZE)
 def _crossed_subdesigns(index: TreatmentIndex) -> tuple:
-    """(subdesigns, rows, cells): every (k, k', i, i', j, j') whose four cells
-    ij, ij', i'j, i'j' are allowable, in test order; by output pair
-    (min(k, k'), max(k, k')), the rows of its sub-designs; and per sub-design
-    the positions of the first treatments of its four cells."""
-    inputs = index.inputs
+    """(subdesigns, rows, cells): every (k, k', i, i', j, j'), levels by
+    position, whose cells ij, ij', i'j, i'j' are allowable, in test order; by
+    output pair (min(k, k'), max(k, k')), the rows of its sub-designs; and
+    per sub-design the positions of its four cells' first treatments."""
+    counts = index.counts
     subdesigns, rows, cells = [], {}, []
-    for k, k_prime in itertools.permutations(range(len(inputs)), 2):
-        for i, i_prime in itertools.combinations(inputs[k].levels, 2):
-            for j, j_prime in itertools.combinations(inputs[k_prime].levels, 2):
+    for k, k_prime in itertools.permutations(range(len(counts)), 2):
+        for i, i_prime in itertools.combinations(range(counts[k]), 2):
+            for j, j_prime in itertools.combinations(range(counts[k_prime]), 2):
                 found = [
                     index.realizers((k, a), (k_prime, b))
                     for a, b in itertools.product((i, i_prime), (j, j_prime))
@@ -106,15 +106,13 @@ def _crossed_subdesigns(index: TreatmentIndex) -> tuple:
 
 
 def _evaluate(system: System) -> tuple:
-    """(kept, rho, lhs, rhs): the sub-designs whose four correlations are all
-    defined, in test order, with their correlations and both sides of the
-    inequality, all at once; InapplicableError when none is crossed."""
+    """(kept, rho, lhs, rhs): the indices of the sub-designs whose four
+    correlations are all defined, in test order, their correlations and both
+    sides of the inequality, all at once; InapplicableError if none is crossed."""
     design = system.design
     subdesigns, rows_by_pair, cells = _crossed_subdesigns(design.index)
     if not subdesigns:
-        raise InapplicableError(
-            "no pair of inputs forms a completely crossed 2x2 sub-design"
-        )
+        raise InapplicableError("no pair of inputs forms a completely crossed 2x2 sub-design")
     outputs = design.outputs
     rho = np.zeros((len(subdesigns), 4))
     defined = np.zeros((len(subdesigns), 4), dtype=bool)
@@ -135,16 +133,16 @@ def _evaluate(system: System) -> tuple:
     rhs = np.sqrt(np.maximum(0.0, 1 - r11**2)) * np.sqrt(
         np.maximum(0.0, 1 - r12**2)
     ) + np.sqrt(np.maximum(0.0, 1 - r21**2)) * np.sqrt(np.maximum(0.0, 1 - r22**2))
-    return [subdesigns[s] for s in np.flatnonzero(keep).tolist()], rho, lhs, rhs
+    return np.flatnonzero(keep), rho, lhs, rhs
 
 
 class _Results(Sequence):
     """``run_cosphericity``'s list over ``_evaluate``'s arrays, read-only: its
     length, the sub-designs checked, needs no build; the first read of an
-    element builds the list, once."""
+    element builds the list once, sub-designs in ``design``'s labels."""
 
-    def __init__(self, arrays: tuple, eps_test: float):
-        self.arrays, self.eps_test = arrays, eps_test
+    def __init__(self, design: Design, arrays: tuple, eps_test: float):
+        self.design, self.arrays, self.eps_test = design, arrays, eps_test
 
     def __len__(self) -> int:
         return len(self.arrays[0])
@@ -152,6 +150,12 @@ class _Results(Sequence):
     @functools.cached_property
     def _list(self) -> list[CosphericityResult]:
         kept, rho, lhs, rhs = self.arrays
+        subdesigns = _crossed_subdesigns(self.design.index)[0]
+        levels = [spec.levels for spec in self.design.inputs]
+        kept = [
+            (k, kp, levels[k][i], levels[k][ip], levels[kp][j], levels[kp][jp])
+            for k, kp, i, ip, j, jp in (subdesigns[s] for s in kept.tolist())
+        ]
         passed, boundary = lhs <= rhs + self.eps_test, np.abs(lhs - rhs) <= self.eps_test
         return list(map(CosphericityResult, kept, map(tuple, rho.tolist()), lhs.tolist(),
                         rhs.tolist(), passed.tolist(), boundary.tolist()))
@@ -177,7 +181,7 @@ def run_cosphericity(
     pair, treatment) from ``system.pair_marginals``; the inequality is then
     checked on all sub-designs at once, and read off with one ``tolist``.
     """
-    return _Results(_evaluate(system), eps_test)._list
+    return _Results(system.design, _evaluate(system), eps_test)._list
 
 
 def cosphericity_report(system: System, eps_test: float = EPS_COSPHERICAL) -> TestReport:
@@ -188,7 +192,7 @@ def cosphericity_report(system: System, eps_test: float = EPS_COSPHERICAL) -> Te
     results are built when first read."""
     name = "cosphericity"
     try:
-        results = _Results(_evaluate(system), eps_test)
+        results = _Results(system.design, _evaluate(system), eps_test)
     except InapplicableError as exc:
         return TestReport(name, INAPPLICABLE, str(exc))
     if not results:
@@ -199,7 +203,7 @@ def cosphericity_report(system: System, eps_test: float = EPS_COSPHERICAL) -> Te
     failing = np.flatnonzero(~(lhs <= rhs + eps_test)).tolist()
     if failing:
         s = max(failing, key=(lhs - rhs).tolist().__getitem__)
-        worst = _Results(tuple(a[s : s + 1] for a in results.arrays), eps_test)[0]
+        worst = _Results(system.design, tuple(a[s : s + 1] for a in results.arrays), eps_test)[0]
         return TestReport(
             name,
             RULED_OUT,

@@ -176,32 +176,39 @@ def enumerate_test_sequences(
     the first matching treatment in declared order.
 
     Chains are compiled once per design index and max_length into a table
-    of their distinct links, shared by every later call, battery members
-    included; each call returns a new list, which the caller owns.
+    of their distinct links, in level positions, shared by every design
+    equal up to labels, battery members included; each call labels them
+    with ``design``'s levels in a new list, which the caller owns.
     """
     sequences, ids, _, _, realizers = _chains(design.index, max_length)
     first = [design.treatments[b] for b in realizers[:, 0].tolist()]
-    return [(s, tuple(first[i] for i in row[: len(s)])) for s, row in zip(sequences, ids.tolist())]
+    chains = zip(sequences, ids.tolist())
+    return [(_labelled(design, s), tuple(first[i] for i in row[: len(s)])) for s, row in chains]
+
+
+def _labelled(design: Design, sequence: tuple) -> tuple[SequenceElement, ...]:
+    """``sequence``, a chain of (input, level position), in ``design``'s labels."""
+    return tuple((k, design.inputs[k].levels[i]) for k, i in sequence)
 
 
 @functools.lru_cache(maxsize=DESIGN_CACHE_SIZE)
 def _chains(index: TreatmentIndex, max_length: int) -> tuple:
-    """(sequences, ids, pairs, directed, realizers): the chains; per chain the
-    closing link's id, then the consecutive links' ids, padded with the number
-    of distinct (a, b) links; per link its output pair (k_a, k_b); the
-    distinct output pairs among the links; and per link its realizers'
-    treatment positions in declared order, padded with -1."""
+    """(sequences, ids, pairs, directed, realizers): the chains, elements
+    (input, level position); per chain the closing link's id, then the
+    consecutive links' ids, padded with the number of distinct (a, b) links;
+    per link its output pair (k_a, k_b); the distinct output pairs among the
+    links; and per link its realizers' treatment positions, padded with -1."""
     if max_length < 3:
         raise UsageError("max_length must be at least 3")
-    inputs = index.inputs
+    counts = index.counts
     sequences = []
     if index.fully_crossed:
-        for k, k_prime in itertools.permutations(range(len(inputs)), 2):
-            for j1, j3 in itertools.permutations(inputs[k].levels, 2):
-                for j2, j4 in itertools.permutations(inputs[k_prime].levels, 2):
+        for k, k_prime in itertools.permutations(range(len(counts)), 2):
+            for j1, j3 in itertools.permutations(range(counts[k]), 2):
+                for j2, j4 in itertools.permutations(range(counts[k_prime]), 2):
                     sequences.append(((k, j1), (k_prime, j2), (k, j3), (k_prime, j4)))
     else:
-        elements = [(k, level) for k in range(len(inputs)) for level in inputs[k].levels]
+        elements = [(k, i) for k, m in enumerate(counts) for i in range(m)]
         edges = {a: [b for b in elements if index.realizers(a, b)] for a in elements}
 
         def extend(seq: list[SequenceElement]):
@@ -258,12 +265,8 @@ def run_distance_test(
     design = system.design
     if isinstance(metric, ClassificationMetric):
         metric.validate(design)
-    elif isinstance(metric, PowerMetric) and not all(
-        o.has_numeric for o in design.outputs
-    ):
-        return TestReport(
-            name, INAPPLICABLE, "power metric needs numeric payloads on all outputs"
-        )
+    elif isinstance(metric, PowerMetric) and not all(o.has_numeric for o in design.outputs):
+        return TestReport(name, INAPPLICABLE, "power metric needs numeric payloads on all outputs")
 
     ms = check_marginal_selectivity(system, min(2, max(1, design.n - 1)))
     treatment_dependent = not ms.passed
@@ -293,13 +296,13 @@ def run_distance_test(
     gap = lhs - rhs
     bound = 4 * ids.shape[1] * np.finfo(np.float64).eps * (lhs + rhs)[violated].max()
     tied = np.flatnonzero(violated & (gap >= gap[violated].max() - bound))
-    c = min(tied, key=lambda i: repr(sequences[i]))
+    c = min(tied, key=lambda i: repr(_labelled(design, sequences[i])))
     row = ids[c, : len(sequences[c])]
     used = tuple(
         design.treatments[realizers[i, pick[i]]]
         for i, pick in zip(row, [closing] + [linking] * (len(row) - 1))
     )
-    worst = ChainViolation(sequences[c], float(lhs[c]), float(rhs[c]), used)
+    worst = ChainViolation(_labelled(design, sequences[c]), float(lhs[c]), float(rhs[c]), used)
     return TestReport(
         name,
         RULED_OUT,

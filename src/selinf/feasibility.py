@@ -14,13 +14,14 @@ purely from the design:
 M's rows are heavily redundant: its rank is the number of
 joint-distribution-criterion marginals, prod(m_k (v_k - 1) + 1) on a fully
 crossed design.  ``FeasibilitySystem.basis`` picks a basis of M's row space
-from the design alone.  M and its basis depend on the design only, so they
-are built once per design and shared, read-only, by every system on it (the
-last ``DESIGN_CACHE_SIZE`` designs stay cached).  The solver, a dense
-phase-I simplex (artificial variables, kept implicit; Dantzig pricing with
-Bland's rule during stalls), pivots the problem restricted to the support
-of p: the basis rows with p > 0 and the columns with no 1 in a row where p
-is exactly 0.  The restriction is exact.
+from the design alone.  M and its basis depend only on the design's level
+positions and the outputs' value counts, so they are built once per design
+index and shared, read-only, by every system on a design with those
+positions, whatever its labels (the last ``DESIGN_CACHE_SIZE`` designs stay
+cached).  The solver, a dense phase-I simplex (artificial variables, kept
+implicit; Dantzig pricing with Bland's rule during stalls), pivots the
+problem restricted to the support of p: the basis rows with p > 0 and the
+columns with no 1 in a row where p is exactly 0.  The restriction is exact.
 M is 0/1 and q >= 0, so a row with p = 0 forces q_j = 0 on every column j
 with a 1 in it; every coupling lives on the kept columns, where the dropped
 rows read 0 = 0.  Before its first pivot the simplex rules the system out
@@ -116,9 +117,7 @@ class FeasibilitySystem:
         one row per (treatment, outcome) with 1 for ones and '.' for zeros.
         """
         design = self.system.design
-        cell = max(
-            [len(str(v)) for out in design.outputs for v in out.values] + [1]
-        )
+        cell = max([len(str(v)) for out in design.outputs for v in out.values] + [1])
         header_rows = []
         for c, (k, level) in enumerate(self.coords):
             name = f"H({design.inputs[k].name}={level})"
@@ -126,24 +125,17 @@ class FeasibilitySystem:
             header_rows.append((name, cells))
         body_rows = []
         for (t, outcome), row in zip(self.row_labels, self.matrix):
-            tpart = ", ".join(
-                f"{spec.name}={lev}" for spec, lev in zip(design.inputs, t)
-            )
-            opart = ", ".join(
-                f"{out.name}={v}" for out, v in zip(design.outputs, outcome)
-            )
-            cells = " ".join(
-                (str(1) if e else ".").rjust(cell) for e in row
-            )
+            tpart = ", ".join(f"{spec.name}={lev}" for spec, lev in zip(design.inputs, t))
+            opart = ", ".join(f"{out.name}={v}" for out, v in zip(design.outputs, outcome))
+            cells = " ".join(("1" if e else ".").rjust(cell) for e in row)
             body_rows.append((f"{tpart} | {opart}", cells))
         width = max(len(label) for label, _ in header_rows + body_rows)
         lines = [f"{label.rjust(width)}  {cells}" for label, cells in header_rows]
         lines.append("-" * len(lines[0]))
-        prev_treatment = None
-        for (t, _), (label, cells) in zip(self.row_labels, body_rows):
-            if prev_treatment is not None and t != prev_treatment:
+        block = len(body_rows) // len(design.treatments)  # rows per treatment
+        for r, (label, cells) in enumerate(body_rows):
+            if r and r % block == 0:
                 lines.append("")
-            prev_treatment = t
             lines.append(f"{label.rjust(width)}  {cells}")
         return "\n".join(lines)
 
@@ -232,16 +224,16 @@ def _criterion_matrix(
 ) -> tuple[np.ndarray, np.ndarray]:
     """M (int8) and the indices of a basis of its row space, both read-only,
     built once per design index and outputs' value counts."""
-    coords = [(k, level) for k, spec in enumerate(index.inputs) for level in spec.levels]
+    coords = [(k, i) for k, m in enumerate(index.counts) for i in range(m)]
     grid = tuple(outcome_shape[k] for k, _ in coords)
     block = math.prod(outcome_shape)
     # Columns are the coupling grid in C order; in column j, treatment t's
     # block has its 1 at the outcome-grid position of t's coordinates' values.
     value_index = dict(zip(coords, np.indices(grid, sparse=True)))
     cols = np.arange(math.prod(grid))
-    matrix = np.zeros((len(index.treatments) * block, cols.size), dtype=np.int8)
-    for b, t in enumerate(index.treatments):
-        selected = [value_index[(k, level)] for k, level in enumerate(t)]
+    matrix = np.zeros((len(index.positions) * block, cols.size), dtype=np.int8)
+    for b, t in enumerate(index.positions.tolist()):
+        selected = [value_index[(k, i)] for k, i in enumerate(t)]
         outcome = np.ravel_multi_index(selected, outcome_shape)
         matrix[b * block + np.broadcast_to(outcome, grid).ravel(), cols] = 1
     basis = _row_basis(index, outcome_shape)
@@ -259,7 +251,7 @@ def _row_basis(index: TreatmentIndex, outcome_shape: tuple[int, ...]) -> np.ndar
     at t's levels), which span M's rows and are independent.
     """
     outcomes = list(itertools.product(*(range(v) for v in outcome_shape)))
-    keep = np.zeros((len(index.treatments), len(outcomes)), dtype=bool)
+    keep = np.zeros((len(index.positions), len(outcomes)), dtype=bool)
     for j, o in enumerate(outcomes):
         subset = tuple(k for k, v in enumerate(outcome_shape) if o[k] < v - 1)
         keep[[group[0] for group in index.groups(subset).values()], j] = True

@@ -58,9 +58,10 @@ def _name(raw: Any, where: str) -> str:
 
 
 def resolve_label(candidates, raw, where: str):
-    """Match a raw JSON label to a declared one, falling back to str equality."""
+    """The declared label that a raw JSON label names: the one equal to it
+    (1 for 1.0 or true), else the one with its string form."""
     if raw in candidates:
-        return raw
+        return candidates[candidates.index(raw)]
     by_str = [c for c in candidates if str(c) == str(raw)]
     if len(by_str) == 1:
         return by_str[0]

@@ -160,11 +160,11 @@ class Design:
 
     @functools.cached_property
     def index(self) -> TreatmentIndex:
-        """The treatment index, looked up once per Design object and shared
-        by designs with equal inputs and treatments while cached; the key's
-        repr keeps equal labels of different types (1, 1.0) apart."""
-        key = (self.inputs, self.treatments)
-        return _treatment_index(*key, repr(key))
+        """The treatment index, looked up once per Design object by level
+        counts and positions, so designs equal up to labels share it."""
+        levels = [spec.levels for spec in self.inputs]
+        positions = tuple(tuple(map(tuple.index, levels, t)) for t in self.treatments)
+        return _treatment_index(tuple(map(len, levels)), positions)
 
     def is_fully_crossed(self) -> bool:
         """True when every combination of input levels is allowable."""
@@ -176,32 +176,36 @@ class Design:
 
 
 class TreatmentIndex:
-    """Allowable treatments grouped by the levels they share.
+    """Allowable treatments grouped by the level positions they share.
 
-    ``groups(subset)`` maps each tuple of levels that treatments take on
-    ``subset`` (distinct input indices) to their ascending positions in the
+    It holds no labels: ``counts`` are the inputs' level counts m_k and
+    ``positions`` the read-only (treatments, inputs) intp array of their
+    level positions, 0..m_k - 1 in declared level order.
+    ``groups(subset)`` maps each tuple of positions that treatments take on
+    ``subset`` (distinct input indices) to their ascending rows in the
     design's treatment order, in order of first treatment; it is built when
     first asked for, then kept, and is not to be mutated.
     ``realizers(a, b)`` is the group of the treatments housing both
-    ``a = (k, level)`` and ``b = (k', level')``, empty when k == k' or when
-    none does.  A design's index is ``Design.index``.
+    ``a = (k, position)`` and ``b = (k', position')``, empty when k == k' or
+    when none does.  A design's index is ``Design.index``.
     """
 
-    def __init__(self, inputs: tuple[InputSpec, ...], treatments: tuple[Treatment, ...]):
-        self.inputs = inputs
-        self.treatments = treatments
-        self.fully_crossed = len(treatments) == math.prod(len(spec.levels) for spec in inputs)
+    def __init__(self, counts: tuple[int, ...], positions: tuple[tuple[int, ...], ...]):
+        self.counts = counts
+        self.positions = np.array(positions, dtype=np.intp)
+        self.positions.flags.writeable = False
+        self.fully_crossed = len(positions) == math.prod(counts)
         self._groups: dict[tuple[int, ...], dict[tuple, tuple[int, ...]]] = {}
 
     def groups(self, subset: tuple[int, ...]) -> dict[tuple, tuple[int, ...]]:
         if subset not in self._groups:
             groups: dict[tuple, list[int]] = {}
-            for b, t in enumerate(self.treatments):
-                groups.setdefault(tuple(t[k] for k in subset), []).append(b)
-            self._groups[subset] = {levels: tuple(group) for levels, group in groups.items()}
+            for b, on_subset in enumerate(self.positions[:, list(subset)].tolist()):
+                groups.setdefault(tuple(on_subset), []).append(b)
+            self._groups[subset] = {key: tuple(group) for key, group in groups.items()}
         return self._groups[subset]
 
-    def realizers(self, a: tuple[int, Level], b: tuple[int, Level]) -> tuple[int, ...]:
+    def realizers(self, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, ...]:
         if a[0] == b[0]:
             return ()
         if a[0] > b[0]:
@@ -209,9 +213,7 @@ class TreatmentIndex:
         return self.groups((a[0], b[0])).get((a[1], b[1]), ())
 
 
-@functools.lru_cache(maxsize=DESIGN_CACHE_SIZE)
-def _treatment_index(inputs, treatments, _labels: str) -> TreatmentIndex:
-    return TreatmentIndex(inputs, treatments)
+_treatment_index = functools.lru_cache(maxsize=DESIGN_CACHE_SIZE)(TreatmentIndex)
 
 
 @dataclass(frozen=True)

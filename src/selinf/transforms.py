@@ -79,13 +79,11 @@ def apply_transform(system: System, spec: TransformSpec) -> System:
         raise UsageError("one transform per output is required")
     new_design = design.with_outputs(tr.target for tr in spec.outputs)
     array = system.array
-    rows = np.arange(len(design.treatments))[:, None]
     for k, (tr, out) in enumerate(zip(spec.outputs, design.outputs)):
         target = {v: i for i, v in enumerate(tr.target.values)}
-        images = {}
+        images = []  # per level position, the target index of each value
         for level in design.inputs[k].levels:
             mapping = tr.map_for(level)
-            images[level] = []
             for value in out.values:
                 if value not in mapping:
                     raise UsageError(
@@ -95,11 +93,11 @@ def apply_transform(system: System, spec: TransformSpec) -> System:
                     raise UsageError(
                         f"output {out.name!r}: image {mapping[value]!r} not in target values"
                     )
-                images[level].append(target[mapping[value]])
-        if all(im == list(range(len(target))) for im in images.values()):
+            images.append([target[mapping[value]] for value in out.values])
+        if all(im == list(range(len(target))) for im in images):
             continue  # value i goes to target value i at every level: the axis stays
-        onehot = np.zeros((len(design.treatments), len(out.values), len(target)))
-        onehot[rows, np.arange(len(out.values)), [images[t[k]] for t in design.treatments]] = 1.0
+        # one 0/1 matrix per level position, gathered by each treatment's position
+        onehot = np.eye(len(target))[images][design.index.positions[:, k]]
         moved = np.moveaxis(array, k + 1, -1)
         summed = moved.reshape(len(design.treatments), -1, len(out.values)) @ onehot
         array = np.moveaxis(summed.reshape(moved.shape[:-1] + (len(target),)), -1, k + 1)

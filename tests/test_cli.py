@@ -426,6 +426,34 @@ def test_probabilities_accept_decimal_strings(tmp_path):
     assert system.pmf(("1",)).mass(("x",)) == 0.25
 
 
+@pytest.mark.parametrize("spelling", [1.0, True])
+def test_labels_written_in_another_form_resolve_to_the_declared_ones(tmp_path, capsys, spelling):
+    """A level or value declared as 1 and written as 1.0 or true is the
+    declared 1: the same design and tables, and the same reports byte for
+    byte."""
+    doc = system_to_dict(marginal_violation_system())
+    respelled = json.loads(json.dumps(doc))
+    for entry in respelled["treatments"]:
+        levels = entry["levels"]
+        entry["levels"] = {name: spelling if x == 1 else x for name, x in levels.items()}
+        for cell in entry["pmf"]:
+            cell["tuple"] = [spelling if x == 1 else x for x in cell["tuple"]]
+    path = tmp_path / "system.json"
+    reports = []
+    for variant in (doc, respelled):
+        system = system_from_dict(variant)
+        assert system.design == marginal_violation_system().design
+        tuples = [key for pmf in system.distributions.values() for key in pmf.table]
+        labels = [*system.design.treatments, *system.distributions, *tuples]
+        assert {type(x) for label in labels for x in label} == {int}
+        path.write_text(json.dumps(variant))
+        flag_sets = ([], ["--format", "json"], ["--tests", "marginal,distance,cosphericity"])
+        for flags in flag_sets:
+            reports.append((main([str(path), *flags]), capsys.readouterr().out))
+    assert reports[:3] == reports[3:]
+    assert "between treatments (1, 2) and (2, 2)" in reports[0][1]
+
+
 def test_unknown_tuple_label_is_flagged_with_path():
     doc = {
         "inputs": [{"name": "l1", "levels": ["1"]}],

@@ -142,7 +142,10 @@ class TestRunCosphericity:
                         expected.append(((k, kp, i, ip, j, jp), [f[0] for f in found]))
         assert expected and len(expected) < 2 * 3 * 3  # some sub-designs drop out
         subdesigns, _, cells = _crossed_subdesigns(design.index)
-        table = [(sub, [design.treatments[b] for b in row]) for sub, row in zip(subdesigns, cells)]
+        table = [
+            ((*sub[:2], *(levels[i] for i in sub[2:])), [design.treatments[b] for b in row])
+            for sub, row in zip(subdesigns, cells)
+        ]
         assert table == expected
         results = run_cosphericity(system)
         assert [r.subdesign for r in results] == [sub for sub, _ in expected]

@@ -44,6 +44,7 @@ from selinf import (
     marginalize,
     solve_feasibility,
 )
+from selinf import model
 
 # Golden 16x16 matrix for the 2x2 binary design, row by row ('.' = 0).
 GOLDEN_ROWS = [
@@ -830,6 +831,46 @@ class TestDesignCache:
         with pytest.raises(ValueError):
             fs.matrix[0, 0] = 0
         assert np.array_equal(fs.matrix, golden_matrix())
+
+    def test_relabelled_sub_designs_share_one_matrix(self):
+        """The 100 2x2 sub-designs of a 5x5 design with (4, 4) values, each
+        labelled with its own levels of the 5x5 design, have the same level
+        positions: solved twice each, they build one index and one M, and
+        every verdict is the one a fresh build gives."""
+        design = crossed((5, 5), (4, 4))
+        latent = latent_system(design, np.random.default_rng(17))
+        whole = blend(latent, pr_mixture(design, 1.0), 0.5)
+        rows = {t: b for b, t in enumerate(design.treatments)}
+        subsystems = []
+        for levels in itertools.product(
+            *(itertools.combinations(spec.levels, 2) for spec in design.inputs)
+        ):
+            treatments = tuple(itertools.product(*levels))
+            inputs = tuple(InputSpec(spec.name, pair) for spec, pair in zip(design.inputs, levels))
+            sub = Design(inputs, design.outputs, treatments)
+            subsystems.append(System.from_array(sub, whole.array[[rows[t] for t in treatments]]))
+
+        def verdict(system):
+            v = solve_feasibility(build_feasibility_system(system))
+            return v.feasible, v.iterations, v.optimum, v.bound, v.witness and v.witness.q.tolist()
+
+        def clear():
+            model._treatment_index.cache_clear()
+            feasibility._criterion_matrix.cache_clear()
+
+        clear()
+        twice = [verdict(system) for system in subsystems for _ in range(2)]
+        hits, misses, _, _ = feasibility._criterion_matrix.cache_info()
+        assert len(subsystems) == 100 and (hits, misses) == (199, 1)
+        assert model._treatment_index.cache_info().misses == 1
+        fresh = []
+        for system in subsystems:
+            clear()
+            d = system.design
+            copy = Design(d.inputs, d.outputs, d.treatments)
+            fresh.append(verdict(System.from_array(copy, system.array)))
+        assert twice[::2] == twice[1::2] == fresh
+        assert {feasible for feasible, *_ in fresh} == {True, False}
 
     def test_capacity_error_leaves_the_cache_untouched(self):
         build_feasibility_system(feasible_binary_system())

@@ -11,13 +11,17 @@ from fixtures import (
     allclose,
     binary_design,
     cosphericity_system,
+    d1_grouping_transform,
     d1_system,
     feasible_binary_system,
+    marginal_violation_system,
     random_latent_setup,
     three_variable_pmf,
 )
 from selinf import (
     Design,
+    InapplicableError,
+    PowerMetric,
     apply_transform,
     check_marginal_selectivity,
     generate_battery,
@@ -28,12 +32,16 @@ from selinf import (
     System,
     UsageError,
     build_feasibility_system,
+    enumerate_test_sequences,
     generate_system,
     lp_report,
     marginalize,
+    run_cosphericity,
+    run_distance_test,
     solve_feasibility,
     validate_system,
 )
+from selinf import cosphericity, distances, feasibility, marginal, model
 from selinf.model import margin_layout, sub_marginals
 
 
@@ -252,10 +260,72 @@ class TestGenerateSystem:
                         seen[t[k]] = marg
 
 
+def relabelled(system, rename):
+    """``system`` with each input's levels and each output's values renamed
+    by ``rename``, the i-th new label in place of the i-th declared one;
+    positions, payloads and masses stay as they are."""
+    design = system.design
+    levels = [dict(zip(s.levels, rename(s.levels))) for s in design.inputs]
+    return System.from_array(
+        Design(
+            tuple(InputSpec(s.name, rename(s.levels)) for s in design.inputs),
+            tuple(OutputSpec(o.name, rename(o.values), o.numeric) for o in design.outputs),
+            tuple(tuple(m[x] for m, x in zip(levels, t)) for t in design.treatments),
+        ),
+        system.array,
+    )
+
+
+def fresh(system):
+    """``system`` on a new Design object, after every design cache is cleared."""
+    for cache in (
+        model._treatment_index,
+        feasibility._criterion_matrix,
+        distances._chains,
+        cosphericity._crossed_subdesigns,
+        marginal._comparisons,
+    ):
+        cache.cache_clear()
+    design = system.design
+    return System.from_array(
+        Design(design.inputs, design.outputs, design.treatments), system.array
+    )
+
+
+def label_reports(system):
+    """The reprs of every report part that carries labels: the test
+    sequences, the distance witness, the cosphericity results, the marginal
+    worst pair, the LP witness's coord_values and M's labelled grid."""
+    design = system.design
+    fs = build_feasibility_system(system)
+    witness = solve_feasibility(fs).witness
+    try:
+        cospherical = run_cosphericity(system)
+    except InapplicableError:
+        cospherical = None
+    return tuple(
+        map(
+            repr,
+            (
+                enumerate_test_sequences(design),
+                run_distance_test(system, PowerMetric(1.0)).witness,
+                cospherical,
+                check_marginal_selectivity(system).worst_pair,
+                witness and witness.coord_values,
+                fs.format_grid(),
+                str(witness and witness.to_json()),
+            ),
+        )
+    )
+
+
 def scan_groups(design, subset):
     """Oracle for ``TreatmentIndex.groups``: one pass over the treatments
-    per distinct level tuple, tuples in order of first appearance."""
-    on_subset = [tuple(t[k] for k in subset) for t in design.treatments]
+    per distinct tuple of level positions, tuples in order of first
+    appearance."""
+    on_subset = [
+        tuple(design.inputs[k].levels.index(t[k]) for k in subset) for t in design.treatments
+    ]
     return {
         levels: tuple(b for b, other in enumerate(on_subset) if other == levels)
         for levels in dict.fromkeys(on_subset)
@@ -271,18 +341,41 @@ class TestTreatmentIndex:
         members = [apply_transform(d1_system(), spec) for spec in generate_battery(design)]
         assert members and all(m.design.index is index for m in members)
 
-    def test_equal_designs_share_an_index_and_label_types_do_not(self):
-        design = d1_system().design
-        assert Design(design.inputs, design.outputs, design.treatments).index is design.index
-        as_float = Design(
-            tuple(InputSpec(s.name, tuple(float(x) for x in s.levels)) for s in design.inputs),
-            design.outputs,
-            tuple(tuple(float(x) for x in t) for t in design.treatments),
+    def test_designs_equal_up_to_labels_share_an_index_and_report_their_own(self):
+        """Floats, strings or the reversed declared order in place of int
+        labels give the same level positions, so one index and one set of
+        design tables; every report still carries its own design's labels,
+        equal to the report made after every design cache is cleared."""
+        bases = (
+            apply_transform(d1_system(), d1_grouping_transform()),  # a chain fails
+            feasible_binary_system(),  # a coupling witness
+            marginal_violation_system(),  # a worst pair
+            cosphericity_system(),  # sub-designs
         )
-        assert as_float == design and as_float.index is not design.index
-        assert as_float.index.realizers((0, 1.0), (1, 2.0)) == design.index.realizers(
-            (0, 1), (1, 2)
+        renames = (
+            lambda labels: tuple(map(float, labels)),
+            lambda labels: tuple(map(str, labels)),
+            lambda labels: tuple(reversed(labels)),
         )
+        seen = []
+        for base in bases:
+            variants = [relabelled(base, rename) for rename in renames]
+            assert all(v.design.index is base.design.index for v in variants)
+            warm = [label_reports(system) for system in (base, *variants)]
+            for system, reports in zip((base, *variants), warm):
+                assert reports == label_reports(fresh(system))
+            for rename, reports in zip(renames, warm[1:]):
+                levels = [dict(zip(s.levels, rename(s.levels))) for s in base.design.inputs]
+                expected = [
+                    (
+                        tuple((k, levels[k][x]) for k, x in seq),
+                        tuple(tuple(m[x] for m, x in zip(levels, t)) for t in realizers),
+                    )
+                    for seq, realizers in enumerate_test_sequences(base.design)
+                ]
+                assert reports[0] == repr(expected)
+            seen.append(warm[0])
+        assert all(any(r[i] not in ("None", "[]") for r in seen) for i in range(7))
 
     def test_groups_are_built_per_subset_on_first_use(self):
         design = Design(
@@ -294,9 +387,9 @@ class TestTreatmentIndex:
         check_marginal_selectivity(System.from_array(design, np.full((3, 2, 2, 2), 0.125)), 1)
         assert sorted(design.index._groups) == [(0,), (1,), (2,)]
         assert design.index.groups((1,)) is design.index.groups((1,))
-        groups = {("a", "d"): (0,), ("b", "d"): (1,), ("a", "e"): (2,)}
+        groups = {(0, 0): (0,), (1, 0): (1,), (0, 1): (2,)}  # ("a", "d"), ("b", "d"), ("a", "e")
         assert design.index.groups((0, 2)) == groups
-        assert not design.index.fully_crossed and design.index.realizers((0, "a"), (0, "a")) == ()
+        assert not design.index.fully_crossed and design.index.realizers((0, 0), (0, 0)) == ()
 
     def test_groups_match_a_plain_scan_on_every_subset(self):
         rng = np.random.default_rng(52)
