@@ -71,10 +71,8 @@ class ClassificationMetric:
         for per_output, out in zip(self.partitions, design.outputs):
             if len(per_output) < 2:
                 raise UsageError(f"output {out.name!r}: at least 2 classes required")
-            seen: list = []
-            for cls in per_output:
-                seen.extend(cls)
-            if sorted(map(repr, seen)) != sorted(map(repr, out.values)):
+            labels = [label for cls in per_output for label in cls]
+            if len(labels) != len(out.values) or any(labels.count(v) != 1 for v in out.values):
                 raise UsageError(
                     f"output {out.name!r}: partition must cover its values disjointly"
                 )

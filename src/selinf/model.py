@@ -114,7 +114,8 @@ class Design:
 
     ``treatments`` is an ordered tuple of full level assignments (one level
     per input, in declared input order); order is preserved everywhere so
-    that derived matrices are reproducible.
+    that derived matrices are reproducible.  A level equal to a declared one
+    in another type (1.0 or True for 1) is stored as the declared label.
     """
 
     inputs: tuple[InputSpec, ...]
@@ -124,22 +125,25 @@ class Design:
     def __post_init__(self):
         object.__setattr__(self, "inputs", tuple(self.inputs))
         object.__setattr__(self, "outputs", tuple(self.outputs))
-        object.__setattr__(self, "treatments", tuple(tuple(t) for t in self.treatments))
+        treatments = tuple(tuple(t) for t in self.treatments)
         if len(self.inputs) != len(self.outputs):
             raise UsageError("inputs and outputs must be index-paired (equal counts)")
-        if not self.treatments:
+        if not treatments:
             raise UsageError("at least one allowable treatment is required")
-        if len(set(self.treatments)) != len(self.treatments):
+        if len(set(treatments)) != len(treatments):
             raise UsageError("duplicate treatments")
-        for t in self.treatments:
+        declared = [{level: level for level in spec.levels} for spec in self.inputs]
+        for t in treatments:
             if len(t) != len(self.inputs):
                 raise UsageError(f"treatment {t!r} must assign a level to every input")
-            for spec, level in zip(self.inputs, t):
-                if level not in spec.levels:
+            for spec, labels, level in zip(self.inputs, declared, t):
+                if level not in labels:
                     raise UsageError(
                         f"treatment {t!r} assigns undeclared level {level!r} "
                         f"to input {spec.name!r}"
                     )
+        treatments = tuple(tuple(map(dict.__getitem__, declared, t)) for t in treatments)
+        object.__setattr__(self, "treatments", treatments)
 
     @property
     def n(self) -> int:
@@ -374,21 +378,21 @@ class MarginLayout:
     ``subsets`` are the output subsets of size at most the cap, by size,
     then in combination order, the empty subset first; subset s holds the
     columns ``offsets[s]:offsets[s + 1]``, its cells in C order over its
-    outputs.  ``steps`` aggregate one group of consecutive outputs each,
-    the last group first: (cells of the group, columns kept so far, the
-    group's dense 0/1 factor and the combined columns kept, or None for a
-    lone output and the columns that also keep its cells, its total being
-    kept beside every column); ``order`` takes the last step's columns to
-    the layout's, and ``block`` treatments go through the steps at a time.
-    ``order`` is None when a single factor gives the layout's columns in
-    order.
+    outputs.  ``factor`` is the dense 0/1 factor (outcome cells, columns)
+    that gives every column in one product, or None for a wide shape.  A
+    wide shape is summed out one output per step, the last first:
+    ``steps`` are (the output's value count, the columns kept so far that
+    also keep its cells, or None for all; its total is kept beside every
+    column); ``order`` takes the last step's columns to the layout's, and
+    ``block`` treatments go through the steps at a time.
     """
 
     subsets: tuple[tuple[int, ...], ...]
     offsets: tuple[int, ...]
-    steps: tuple[tuple[int, int, np.ndarray | None, np.ndarray | slice | None], ...]
-    order: np.ndarray | None
-    block: int
+    factor: np.ndarray | None
+    steps: tuple[tuple[int, np.ndarray | None], ...] = ()
+    order: np.ndarray | None = None
+    block: int = 1
 
 
 def sub_marginals(array: np.ndarray, max_size: int) -> np.ndarray:
@@ -398,44 +402,46 @@ def sub_marginals(array: np.ndarray, max_size: int) -> np.ndarray:
 
     The table is ``array.reshape(treatments, -1) @ A``, A the Kronecker
     product of [I_v | 1_v] over the outputs, restricted to the layout's
-    columns; A is applied as one factor per group of consecutive outputs
-    (see ``margin_layout``).  Sums run in BLAS order: a margin cell summing
-    c masses differs from their sum in any other order by at most
-    (c - 1) eps s, eps the float64 epsilon and s the sum of their absolute
-    values.  A non-finite mass leaves its treatment's total non-finite,
-    without a warning.
+    columns; A is applied as one dense factor, or, for a wide shape, one
+    output at a time (see ``margin_layout``).  Sums run in BLAS order, or
+    einsum's on a wide shape: a margin cell summing c masses differs from
+    their sum in any other order by at most (c - 1) eps s, eps the float64
+    epsilon and s the sum of their absolute values.  A non-finite mass
+    leaves its treatment's total non-finite, without a warning.
     """
     t = array.shape[0]
     layout = margin_layout(array.shape[1:], max_size)
     with np.errstate(invalid="ignore", over="ignore"):
-        if layout.order is None:
-            return np.dot(array.reshape(t, -1), layout.steps[0][2])
+        if layout.factor is not None:
+            return np.dot(array.reshape(t, -1), layout.factor)
         table = np.empty((t, layout.offsets[-1]))
         for start in range(0, t, layout.block):
-            y = array[start : start + layout.block]
-            rows = len(y)
-            for cells, kept, factor, keep in layout.steps:
-                y = y.reshape(-1, cells, kept)
-                if factor is None:  # a lone output: its total, then its cells where kept
-                    y = np.concatenate((y.sum(axis=1), y[:, :, keep].reshape(len(y), -1)), axis=1)
-                elif kept == 1:  # one matmul for all rows, not one per row
-                    y = (y.reshape(-1, cells) @ factor)[:, keep]
-                else:
-                    y = np.matmul(factor.T, y).reshape(len(y), -1)[:, keep]
-            table[start : start + rows] = y[:, layout.order]
+            y = array[start : start + layout.block].reshape(-1, 1)
+            for values, keep in layout.steps:  # the total, then the cells where kept
+                y = y.reshape(-1, values, y.shape[1])
+                kept = y.shape[2]
+                step = np.empty((len(y), kept + values * (kept if keep is None else len(keep))))
+                np.einsum("ijk->ik", y, out=step[:, :kept])
+                cells = step[:, kept:].reshape(len(y), values, -1)
+                if keep is None:
+                    cells[...] = y
+                else:  # "clip" never clips here, but spares a buffer when cells is one row
+                    np.take(y, keep, axis=2, out=cells, mode="clip")
+                y = step
+            # "clip" never clips here, but lets take write into the table unbuffered
+            np.take(y, layout.order, axis=1, out=table[start : start + layout.block], mode="clip")
         return table
 
 
 def _columns(shape: tuple[int, ...], max_size: int) -> tuple:
-    """(subsets, offsets, codes, sizes) of the layout of ``shape`` up to
+    """(subsets, offsets, codes) of the layout of ``shape`` up to
     ``max_size``; per column, ``codes`` is its index in the full Kronecker
     product of [I_v | 1_v] over ``shape`` (digit k is the value index of
-    output k, or v_k where output k is summed out) and ``sizes`` its
-    subset's size."""
+    output k, or v_k where output k is summed out)."""
     n = len(shape)
     radix = [math.prod(v + 1 for v in shape[k + 1 :]) for k in range(n)]
     summed = sum(v * r for v, r in zip(shape, radix))
-    subsets, offsets, codes, sizes = [], [0], [], []
+    subsets, offsets, codes = [], [0], []
     for size in range(min(max_size, n) + 1):
         for subset in itertools.combinations(range(n), size):
             sub_shape = [shape[k] for k in subset]
@@ -446,85 +452,50 @@ def _columns(shape: tuple[int, ...], max_size: int) -> tuple:
             subsets.append(subset)
             offsets.append(offsets[-1] + len(code))
             codes.append(code)
-            sizes.append(np.full(len(code), size, dtype=np.intp))
-    return tuple(subsets), tuple(offsets), np.concatenate(codes), np.concatenate(sizes)
-
-
-def _factor(shape: tuple[int, ...], max_size: int) -> np.ndarray:
-    """The dense 0/1 aggregation factor of ``shape`` up to ``max_size``:
-    (outcome cells, layout columns), 1 where the outcome falls in the cell."""
-    subsets, offsets, _, _ = _columns(shape, max_size)
-    outcomes = np.indices(shape).reshape(len(shape), math.prod(shape))
-    factor = np.zeros((outcomes.shape[1], offsets[-1]))
-    rows = np.arange(outcomes.shape[1])
-    for subset, offset in zip(subsets, offsets):
-        sub_shape = [shape[k] for k in subset]
-        cell = np.ravel_multi_index(outcomes[list(subset)], sub_shape) if subset else 0
-        factor[rows, offset + cell] = 1.0
-    return factor
-
-
-def _factor_bytes(shape: tuple[int, ...], max_size: int) -> int:
-    """Bytes of ``_factor(shape, max_size)``: columns are the elementary
-    symmetric sums of the value counts up to degree ``max_size``."""
-    degrees = [1]
-    for v in shape:
-        degrees = [a + v * b for a, b in zip(degrees + [0], [0] + degrees)][: max_size + 1]
-    return math.prod(shape) * sum(degrees) * 8
+    return tuple(subsets), tuple(offsets), np.concatenate(codes)
 
 
 @functools.lru_cache(maxsize=MARGIN_CACHE_SIZE)
 def margin_layout(shape: tuple[int, ...], max_size: int) -> MarginLayout:
     """The layout and plan of ``sub_marginals`` for an outcome shape.
 
-    Consecutive outputs join a group while its dense factor stays within
-    MARGIN_BYTE_CAP.  The groups are aggregated from the last, each over the
-    axis of its cells, so no step transposes: a group of several outputs by
-    its dense factor, a lone output by one sum, keeping its cells only
-    beside columns below the cap (a pass over its values, where a dense
-    v x (v + 1) factor would cost v flops per cell).  With more than one
-    group, treatments go through the steps in blocks whose largest
-    temporary stays within MARGIN_BYTE_CAP, so the table's peak memory is
-    its own plus a few of those."""
-    subsets, offsets, codes, _ = _columns(shape, max_size)
-    groups = [0]
-    for stop in range(2, len(shape) + 1):
-        if _factor_bytes(shape[groups[-1] : stop], max_size) > MARGIN_BYTE_CAP:
-            groups.append(stop - 1)
-    groups.append(len(shape))
-    dense = [
-        _factor(shape[lo:hi], max_size) if hi - lo > 1 else None
-        for lo, hi in zip(groups, groups[1:])
-    ]
-    for factor in dense:
-        if factor is not None:
-            factor.flags.writeable = False
-    if len(dense) == 1 and dense[0] is not None:
-        return MarginLayout(subsets, offsets, ((math.prod(shape), 1, dense[0], None),), None, 1)
+    A shape whose dense factor fits in MARGIN_BYTE_CAP gets it.  A wider
+    shape is summed out one output at a time, the last first, over the axis
+    of its values, so no step transposes: each step keeps the output's
+    total beside every column and its cells only beside columns below the
+    cap (a pass over its values, where a dense v x (v + 1) factor would cost
+    v flops per cell).  Treatments go through the steps in blocks, as many
+    at a time as keep the largest temporary within MARGIN_BYTE_CAP (at least
+    one), so the table's peak memory is its own plus a few of those."""
+    subsets, offsets, codes = _columns(shape, max_size)
+    if math.prod(shape) * offsets[-1] * 8 <= MARGIN_BYTE_CAP:
+        # 1 where the outcome (row) falls in the column's cell
+        outcomes = np.indices(shape).reshape(len(shape), math.prod(shape))
+        factor = np.zeros((outcomes.shape[1], offsets[-1]))
+        rows = np.arange(outcomes.shape[1])
+        for subset, offset in zip(subsets, offsets):
+            sub_shape = [shape[k] for k in subset]
+            cell = np.ravel_multi_index(outcomes[list(subset)], sub_shape) if subset else 0
+            factor[rows, offset + cell] = 1.0
+        factor.flags.writeable = False
+        return MarginLayout(subsets, offsets, factor)
     steps = []
     largest = 1
     kept_codes = kept_sizes = np.zeros(1, dtype=np.intp)
-    radix = 1  # of the codes over the outputs already aggregated
-    for lo, hi, factor in reversed(list(zip(groups, groups[1:], dense))):
-        cells, before, kept = math.prod(shape[lo:hi]), math.prod(shape[:lo]), len(kept_codes)
-        if factor is None:  # the total beside every kept column, the cells below the cap
-            keep, whole = np.flatnonzero(kept_sizes < max_size), kept
-            with_cells = (np.arange(cells)[:, None] * radix + kept_codes[keep]).ravel()
-            kept_codes = np.concatenate((cells * radix + kept_codes, with_cells))
-            kept_sizes = np.concatenate((kept_sizes, np.tile(kept_sizes[keep] + 1, cells)))
-        else:
-            _, _, part_codes, part_sizes = _columns(shape[lo:hi], max_size)
-            combined = (part_sizes[:, None] + kept_sizes).ravel()
-            keep, whole = np.flatnonzero(combined <= max_size), len(combined)
-            kept_codes = (part_codes[:, None] * radix + kept_codes).ravel()[keep]
-            kept_sizes = combined[keep]
-        largest = max(largest, before * cells * kept, before * whole, before * len(kept_codes))
-        radix *= math.prod(v + 1 for v in shape[lo:hi])
-        steps.append((cells, kept, factor, slice(None) if len(keep) == whole else keep))
+    radix = 1  # of the codes over the outputs already summed out
+    for k in reversed(range(len(shape))):
+        values, before, kept = shape[k], math.prod(shape[:k]), len(kept_codes)
+        keep = np.flatnonzero(kept_sizes < max_size)
+        with_cells = (np.arange(values)[:, None] * radix + kept_codes[keep]).ravel()
+        kept_codes = np.concatenate((values * radix + kept_codes, with_cells))
+        kept_sizes = np.concatenate((kept_sizes, np.tile(kept_sizes[keep] + 1, values)))
+        largest = max(largest, before * values * kept, before * len(kept_codes))
+        radix *= values + 1
+        steps.append((values, None if len(keep) == kept else keep))
     sorter = np.argsort(kept_codes)
     order = sorter[np.searchsorted(kept_codes, codes, sorter=sorter)]
     block = max(1, MARGIN_BYTE_CAP // (8 * largest))
-    return MarginLayout(subsets, offsets, tuple(steps), order, block)
+    return MarginLayout(subsets, offsets, None, tuple(steps), order, block)
 
 
 def _table(values: Sequence[tuple[Value, ...]], array: np.ndarray) -> JointPmf:

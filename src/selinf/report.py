@@ -25,7 +25,3 @@ class TestReport:
     summary: str = ""
     witness: Any = None
     details: Mapping[str, Any] = field(default_factory=dict)
-
-    @property
-    def ruled_out(self) -> bool:
-        return self.verdict == RULED_OUT

@@ -49,10 +49,9 @@ CDF_TOL = 1e-12
 ARRAY_BYTE_CAP = 2**30
 
 #: Largest dense aggregation factor of ``model.sub_marginals``, in bytes:
-#: float64 0/1 entries, (cells of a group of consecutive outputs) x (cells of
-#: its sub-marginals up to the subset size cap).  The outputs are split into
-#: groups within it, one matmul each, so the whole product is never formed;
-#: with several groups, it also bounds the largest temporary of one step.
+#: float64 0/1 entries, (outcome cells) x (cells of the sub-marginals up to
+#: the subset size cap).  A wider shape is summed out one output at a time
+#: instead, and the cap bounds the largest temporary of one step.
 MARGIN_BYTE_CAP = 2**19
 
 #: Largest criterion solve admitted, in bytes: M as int8, rows x columns,

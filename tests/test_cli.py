@@ -40,12 +40,17 @@ def test_lp_on_feasible_system_exits_zero(tmp_path, capsys):
 
 def test_pr_box_marginal_passes_lp_fails_exit_one(tmp_path, capsys):
     path = write_system(tmp_path, pr_box_system())
-    code = main([path, "--tests", "marginal,lp", "--format", "json"])
+    code = main([path, "--tests", "marginal,lp,fine", "--format", "json"])
     out = json.loads(capsys.readouterr().out)
     assert code == 1
     verdicts = {t["name"]: t["verdict"] for t in out["tests"]}
     assert verdicts["marginal"] == "consistent"
     assert verdicts["lp"] == "ruled-out"
+    assert verdicts["fine"] == "ruled-out"
+    fine = next(t for t in out["tests"] if t["name"] == "fine")
+    assert fine["witness"] == {
+        "i": 1, "i_prime": 2, "j": 1, "j_prime": 2, "value": -0.5, "bound": "lower", "excess": 0.5
+    }
 
 
 def test_empty_treatments_exit_two(tmp_path, capsys):

@@ -482,6 +482,27 @@ class TestRunDistanceTest:
             )
         assert design.n == 2  # partitions count must match
 
+    def test_partition_labels_are_matched_by_equality(self):
+        system = d1_system()
+        reports = {
+            kind: run_distance_test(
+                system,
+                ClassificationMetric(
+                    (((kind(0),), (kind(2), kind(4))), ((kind(0),), (kind(1), kind(2))))
+                ),
+            )
+            for kind in (int, float)
+        }
+        assert reports[int].verdict == "ruled-out"
+        assert reports[float] == reports[int]
+        for bad in (
+            (((0,), (2, 4, 2.0)), ((0,), (1, 2))),  # a value listed twice
+            (((0, 0.0), (2, 4)), ((0,), (1, 2))),  # ... within one class
+            (((0,), (2, 4, 6)), ((0,), (1, 2))),  # a label outside the values
+        ):
+            with pytest.raises(UsageError, match="cover"):
+                run_distance_test(system, ClassificationMetric(bad))
+
     @pytest.mark.parametrize("kind", ["crossed", "partial", "dependent", "pr-box"])
     def test_matches_the_per_chain_reference(self, kind):
         rng = np.random.default_rng(["crossed", "partial", "dependent", "pr-box"].index(kind))

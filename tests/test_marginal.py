@@ -363,7 +363,7 @@ def test_witness_survives_a_one_ulp_bump_of_any_mass():
 
 def wide_system(rng, levels=(2,) * 7) -> System:
     """Seven binary outputs, fully crossed: more cells than one aggregation
-    factor may hold, so the product runs as one matmul per output group."""
+    factor may hold, so the outputs are summed out one at a time."""
     design = crossed(levels, (2,) * 7)
     latent = latent_system(design, rng, n_latent=16)
     return blend(latent, perturbed(latent, rng, eps=0.05), 0.5)
@@ -397,7 +397,7 @@ def test_wide_design_margins_match_the_per_subset_sums():
     system = wide_system(np.random.default_rng(105))
     array, n = system.array, system.design.n
     layout = margin_layout(array.shape[1:], n - 1)
-    assert layout.order is not None and len(layout.steps) > 1  # more than one group
+    assert layout.factor is None and len(layout.steps) == n  # one step per output
     bound = rounding_bound(system)
     table = sub_marginals(array, n - 1)
     for s, margin in enumerate(subset_sums(array, n - 1)):

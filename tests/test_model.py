@@ -169,6 +169,18 @@ class TestValidateSystem:
                 ((1, 1), (1, 3)),
             )
 
+    def test_treatment_levels_keep_their_declared_labels(self):
+        declared = marginal_violation_system()
+        design = declared.design
+        expected = repr(check_marginal_selectivity(declared))
+        assert "worst_pair=((1, 2), (2, 2))" in expected
+        for spell in (float, lambda level: True if level == 1 else level):
+            treatments = [tuple(map(spell, t)) for t in design.treatments]
+            respelled = Design(design.inputs, design.outputs, treatments)
+            system = System.from_array(respelled, declared.array)
+            assert repr(check_marginal_selectivity(system)) == expected
+            assert repr(respelled.treatments) == repr(design.treatments)
+
     def test_undeclared_distribution_key_is_reported(self):
         design = Design(
             (InputSpec("l1", (1, 2)),),
