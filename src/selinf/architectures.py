@@ -121,8 +121,12 @@ def classify_architecture(rt: RtSystem, eps_test: float = EPS_TEST) -> set[str]:
     return labels
 
 
-def _durations(design: Design, model: LatentModel) -> dict:
-    """Duration table g[k][level index][latent value] with validation."""
+def _completion_times(design: Design, model: LatentModel, rule: str) -> tuple:
+    """Completion times t[i, j, latent position] of treatment (i + 1, j + 1)
+    composed from validated durations g[k, level position, latent position],
+    and the latent masses in the same order."""
+    if rule not in RULES:
+        raise UsageError(f"rule must be one of {RULES}, got {rule!r}")
     if design.n != 2:
         raise UsageError("response-time composition needs exactly two outputs")
     for spec in design.inputs:
@@ -130,69 +134,50 @@ def _durations(design: Design, model: LatentModel) -> dict:
             raise UsageError(f"input {spec.name!r} must have exactly two levels")
     if not design.is_fully_crossed():
         raise UsageError("all four level combinations must be allowable treatments")
-    g: dict[tuple[int, int], dict] = {}
+    latents = model.latent_values()
+    g = np.empty((2, 2, len(latents)))
     for k in (0, 1):
         out = design.outputs[k]
         if not out.has_numeric:
             raise UsageError(f"output {out.name!r} needs numeric payload durations")
         for li, level in enumerate(design.inputs[k].levels):
-            g[(k, li)] = {}
-            for r in model.latent_values():
+            for ri, r in enumerate(latents):
                 duration = out.numeric_value(model.respond(k, level, r))
                 if duration < 0:
                     raise UsageError(
                         f"negative duration {duration} for output {out.name!r} "
                         f"at latent value {r!r}"
                     )
-                g[(k, li)][r] = duration
-    for k in (0, 1):
-        for r in model.latent_values():
-            if g[(k, 0)][r] > g[(k, 1)][r]:
-                raise UsageError(
-                    f"prolongation constraint violated at latent value {r!r}: "
-                    f"output {design.outputs[k].name!r} has duration "
-                    f"{g[(k, 0)][r]} at the low level but {g[(k, 1)][r]} at the high"
-                )
-    return g
+                g[k, li, ri] = duration
+    shortened = np.argwhere(g[:, 0] > g[:, 1])
+    if shortened.size:
+        k, ri = shortened[0]
+        raise UsageError(
+            f"prolongation constraint violated at latent value {latents[ri]!r}: "
+            f"output {design.outputs[k].name!r} has duration "
+            f"{float(g[k, 0, ri])} at the low level but {float(g[k, 1, ri])} at the high"
+        )
+    comp = {"plus": np.add, "min": np.minimum, "max": np.maximum}[rule]
+    # output 2 first, so on a tie (0.0 and -0.0) np.minimum/maximum keep output 1's
+    times = comp(g[1][None, :, :], g[0][:, None, :])
+    return times, [mass for _, mass in model.latent.items()]
 
 
-def _completion_times(design: Design, model: LatentModel, rule: str) -> dict:
-    """Per treatment (i, j), i and j in 1..2, the (completion time, latent
-    mass) pairs over the latent pmf's support, under a composition rule."""
-    if rule not in RULES:
-        raise UsageError(f"rule must be one of {RULES}, got {rule!r}")
-    comp = {"plus": lambda a, b: a + b, "min": min, "max": max}[rule]
-    g = _durations(design, model)
-    return {
-        (i + 1, j + 1): [
-            (comp(g[(0, i)][r], g[(1, j)][r]), mass) for (r,), mass in model.latent.items()
-        ]
-        for i in (0, 1)
-        for j in (0, 1)
-    }
-
-
-def compose_rt(
-    design: Design,
-    model: LatentModel,
-    rule: str,
-    grid: np.ndarray,
-) -> RtSystem:
+def compose_rt(design: Design, model: LatentModel, rule: str, grid: np.ndarray) -> RtSystem:
     """Exact completion-time cdfs for a latent model under a composition rule.
 
     Conditioned on a latent value the durations are deterministic, so each
     treatment cdf is a mixture of unit steps at comp(g1_i(r), g2_j(r)),
     weighted by the latent pmf.
     """
-    times = _completion_times(design, model, rule)
+    times, masses = _completion_times(design, model, rule)
     grid = np.asarray(grid, dtype=np.float64)
-    cdfs = {}
-    for treatment, values in times.items():
-        cdf = np.zeros_like(grid)
-        for jump, mass in values:
-            cdf += mass * (grid >= jump)
-        cdfs[treatment] = np.clip(cdf, 0.0, 1.0)
-    return RtSystem(grid, cdfs)
+    points = grid.ravel()  # a grid of another shape is left for RtSystem to reject
+    cdfs = np.zeros((2, 2, points.size))
+    for ri, mass in enumerate(masses):
+        cdfs += mass * (points >= times[:, :, ri, None])
+    cdfs = np.clip(cdfs, 0.0, 1.0).reshape((2, 2) + grid.shape)
+    return RtSystem(grid, {(i + 1, j + 1): cdfs[i, j] for i in (0, 1) for j in (0, 1)})
 
 
 def bracketing_grid(points, pad: float = 1.0) -> np.ndarray:
@@ -214,5 +199,4 @@ def bracketing_grid(points, pad: float = 1.0) -> np.ndarray:
 
 def jump_points(design: Design, model: LatentModel, rule: str) -> np.ndarray:
     """Sorted distinct completion times across all treatments and latent values."""
-    times = _completion_times(design, model, rule)
-    return np.array(sorted({jump for values in times.values() for jump, _ in values}))
+    return np.unique(_completion_times(design, model, rule)[0])

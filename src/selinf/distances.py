@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -101,12 +101,7 @@ class ChainViolation:
     treatments: tuple[Treatment, ...]
 
     def to_json(self) -> dict:
-        return {
-            "sequence": [list(e) for e in self.sequence],
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "treatments": [list(t) for t in self.treatments],
-        }
+        return asdict(self)
 
 
 def _weights(metric: MetricSpec, design: Design, k_from: int, k_to: int) -> np.ndarray:
@@ -266,7 +261,7 @@ def run_distance_test(
     elif isinstance(metric, PowerMetric) and not all(o.has_numeric for o in design.outputs):
         return TestReport(name, INAPPLICABLE, "power metric needs numeric payloads on all outputs")
 
-    ms = check_marginal_selectivity(system, min(2, max(1, design.n - 1)))
+    ms = check_marginal_selectivity(system, min(2, max(1, design.n - 1)), eps_test)
     treatment_dependent = not ms.passed
     details = {"treatment_dependent_links": treatment_dependent}
 

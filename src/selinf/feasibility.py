@@ -55,7 +55,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -521,10 +521,7 @@ class FineViolation:
     excess: float
 
     def to_json(self) -> dict:
-        return {
-            "i": self.i, "i_prime": self.i_prime, "j": self.j, "j_prime": self.j_prime,
-            "value": self.value, "bound": self.bound, "excess": self.excess,
-        }
+        return asdict(self)
 
 
 def fine_inequality_check(system: System, eps_test: float = EPS_TEST) -> TestReport:

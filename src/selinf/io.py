@@ -4,14 +4,15 @@ Top-level keys: ``inputs`` (list of {name, levels}), ``outputs`` (list of
 {name, values}, where each value is a bare label or {label, numeric}),
 ``treatments`` (list of {levels: {input name: level}, pmf: [{tuple, p}]}),
 and optionally ``rt`` ({grid, cdfs: {"i,j": [...]}}).  Probabilities may be
-decimal strings or numbers.  Tuples are matched against declared labels,
-never guessed by position; JSON stringifies object keys, so labels are also
-matched by their string form where JSON forces that.
+decimal strings or numbers, and must be finite.  Tuples are matched against
+declared labels, never guessed by position; JSON stringifies object keys, so
+labels are also matched by their string form where JSON forces that.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 from .architectures import RtSystem
@@ -144,7 +145,10 @@ def system_from_dict(doc: dict) -> System:
                 resolve_label(out.values, raw, f"{cwhere}.tuple[{k}]")
                 for k, (out, raw) in enumerate(zip(outputs, cell["tuple"]))
             )
-            table[key] = table.get(key, 0.0) + _number(cell["p"], f"{cwhere}.p")
+            p = _number(cell["p"], f"{cwhere}.p")
+            if not math.isfinite(p):
+                raise UsageError(f"{cwhere}.p: non-finite probability {p}")
+            table[key] = table.get(key, 0.0) + p
         distributions[t] = JointPmf(len(outputs), table)
         treatments.append(t)
 

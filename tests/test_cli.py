@@ -83,6 +83,25 @@ def _set(*path_and_value):
     return edit
 
 
+def _drop(*path):
+    """Edit that deletes doc[path...]."""
+    *path, key = path
+
+    def edit(doc):
+        for step in path:
+            doc = doc[step]
+        del doc[key]
+
+    return edit
+
+
+def _rt_only(doc):
+    """Edit that replaces the document with an rt block alone."""
+    doc.clear()
+    cdfs = {f"{i},{j}": [0.0, 0.5, 1.0] for i in (1, 2) for j in (1, 2)}
+    doc["rt"] = {"grid": [0.0, 1.0, 2.0], "cdfs": cdfs}
+
+
 @pytest.mark.parametrize(
     "edit, where",
     [
@@ -93,6 +112,12 @@ def _set(*path_and_value):
         (_set("rt", 5), "rt"),
         (_set("rt", {"grid": [0, 1], "cdfs": [[0, 1]]}), "rt.cdfs"),
         (_set("treatments", 0, "pmf", 0, "tuple", 5), "treatments[0].pmf[0].tuple"),
+        (_set("treatments", 1, "pmf", 0, "p", "nan"), "treatments[1].pmf[0].p"),
+        (_set("treatments", 1, "pmf", 0, "p", "inf"), "treatments[1].pmf[0].p"),
+        (_set("treatments", 1, "pmf", 0, "p", float("nan")), "treatments[1].pmf[0].p"),
+        (_set("treatments", 1, "pmf", 0, "p", "1e400"), "treatments[1].pmf[0].p"),
+        (_drop("treatments", 0, "pmf"), "treatments[0]"),
+        (_drop("treatments", 0, "levels", "l2"), "treatments[0].levels"),
     ],
 )
 def test_malformed_document_exit_two_with_path(tmp_path, capsys, edit, where):
@@ -101,13 +126,59 @@ def test_malformed_document_exit_two_with_path(tmp_path, capsys, edit, where):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     assert main([str(path)]) == 2
-    assert f"error: {where}: " in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {where}: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_unknown_test_name_exit_two(tmp_path, capsys):
     path = write_system(tmp_path, feasible_binary_system())
     assert main([path, "--tests", "nonsense"]) == 2
     assert "unknown tests" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit, args, message",
+    [
+        (None, ["--metric", "power:q=1"], "--metric: unknown power option 'q'"),
+        (None, ["--metric", "power:p=abc"], "--metric: bad exponent 'abc'"),
+        (
+            None,
+            ["--metric", "euclid"],
+            "--metric: expected 'power:p=<x>' or 'class:<spec>', got 'euclid'",
+        ),
+        (
+            None,
+            ["--metric", "class:0|2,4"],
+            "--metric class: expected 2 partitions (outputs), got 1",
+        ),
+        (_rt_only, ["--metric", "class:0|2,4;0|1,2"], "--metric class requires a system input"),
+        (_rt_only, ["--dump-matrix", "{tmp}/matrix.txt"], "--dump-matrix needs a system input"),
+        (_rt_only, ["--tests", "marginal"], "test 'marginal' needs a system input"),
+        (None, ["--tests", ","], "at least one test must be selected"),
+        (_drop("outputs", 1), [], "inputs and outputs must have equal length (index-paired)"),
+        (_drop("outputs"), [], "missing top-level key 'outputs'"),
+    ],
+)
+def test_usage_error_exit_two_with_one_message(tmp_path, capsys, edit, args, message):
+    doc = system_to_dict(d1_system())
+    if edit:
+        edit(doc)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main([str(path), *(a.format(tmp=tmp_path) for a in args)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_missing_input_file_exit_two(tmp_path, capsys):
+    path = tmp_path / "missing.json"
+    assert main([str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: No such file or directory\n"
 
 
 @pytest.mark.parametrize(

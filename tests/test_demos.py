@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the library in src/."""
+"""Every demo script runs to completion against the library in src/, with
+warnings raised as errors (pytest's filters do not reach a subprocess)."""
 
 import os
 import subprocess
@@ -15,6 +16,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_exits_zero(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run(
-        [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-W", "error", str(demo)],
+        env=env, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr

@@ -608,3 +608,16 @@ class TestRunDistanceTest:
         report = run_distance_test(system, D1)
         assert report.details["treatment_dependent_links"] is True
         assert report.verdict in ("consistent", "ruled-out")
+
+    def test_marginal_precheck_runs_at_the_tests_tolerance(self):
+        # 1e-6 of mass moved within the first treatment passes the marginal
+        # test at eps_test=1e-3, so the links stay treatment-independent.
+        d1 = d1_system()
+        tables = {t: dict(d1.pmf(t).items()) for t in d1.design.treatments}
+        tables[(1, 1)][(0, 0)] -= 1e-6
+        tables[(1, 1)][(0, 1)] += 1e-6
+        system = system_from_tables(d1.design, tables)
+        assert check_marginal_selectivity(system, eps_test=1e-3).passed
+        report = run_distance_test(system, D1, eps_test=1e-3)
+        assert report.details == {"treatment_dependent_links": False}
+        assert run_distance_test(system, D1).details == {"treatment_dependent_links": True}
