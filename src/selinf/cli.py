@@ -38,7 +38,7 @@ def parse_metric(raw: str, system: System | None) -> MetricSpec:
     The class spec lists one partition per output, outputs separated by ';',
     classes by '|', value labels by ',': e.g. ``class:0,2|4;0,1|2``.
     """
-    if raw.startswith("power"):
+    if raw == "power" or raw.startswith("power:"):
         p = 1.0
         _, _, rest = raw.partition(":")
         if rest:

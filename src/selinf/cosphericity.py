@@ -26,31 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InapplicableError
-from .model import DESIGN_CACHE_SIZE, Design, Level, System, TreatmentIndex
+from .model import DESIGN_CACHE_SIZE, Design, Level, System, TreatmentIndex, pair_layout
 from .report import CONSISTENT, INAPPLICABLE, RULED_OUT, TestReport
 from .tolerances import EPS_COSPHERICAL, VAR_RTOL
-
-
-def _correlations(pmf2: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pearson correlation at every treatment of a (treatments, values,
-    values) 2-marginal under payloads x and y, central moments in two passes
-    (E[X^2] - E[X]^2 cancels on nearly degenerate marginals): (rho, defined),
-    rho 0 where a marginal's variance is zero by the ``VAR_RTOL`` rule."""
-    support = pmf2 != 0.0
-    ex = (pmf2 * x[:, None]).sum(axis=(1, 2))
-    ey = (pmf2 * y[None, :]).sum(axis=(1, 2))
-    dx = x[None, :, None] - ex[:, None, None]
-    dy = y[None, None, :] - ey[:, None, None]
-    var_x = (dx * dx * pmf2).sum(axis=(1, 2))
-    var_y = (dy * dy * pmf2).sum(axis=(1, 2))
-    cov = (dx * dy * pmf2).sum(axis=(1, 2))
-    spread_x = np.where(support, np.abs(dx), 0.0).max(axis=(1, 2), initial=0.0)
-    spread_y = np.where(support, np.abs(dy), 0.0).max(axis=(1, 2), initial=0.0)
-    defined = (var_x > (VAR_RTOL * np.maximum(spread_x, 1.0)) ** 2) & (
-        var_y > (VAR_RTOL * np.maximum(spread_y, 1.0)) ** 2
-    )
-    rho = np.divide(cov, np.sqrt(var_x * var_y), out=np.zeros_like(cov), where=defined)
-    return np.clip(rho, -1.0, 1.0), defined
 
 
 @dataclass(frozen=True)
@@ -80,12 +58,13 @@ class CosphericityResult:
 
 @functools.lru_cache(maxsize=DESIGN_CACHE_SIZE)
 def _crossed_subdesigns(index: TreatmentIndex) -> tuple:
-    """(subdesigns, rows, cells): every (k, k', i, i', j, j'), levels by
-    position, whose cells ij, ij', i'j, i'j' are allowable, in test order; by
-    output pair (min(k, k'), max(k, k')), the rows of its sub-designs; and
-    per sub-design the positions of its four cells' first treatments."""
+    """(subdesigns, pairs, cells): every (k, k', i, i', j, j'), levels by
+    position, whose cells ij, ij', i'j, i'j' are allowable, in test order;
+    per sub-design the index of its output pair (min(k, k'), max(k, k')) in
+    ``pair_layout``, and the positions of its four cells' first treatments."""
     counts = index.counts
-    subdesigns, rows, cells = [], {}, []
+    order = {pair: p for p, pair in enumerate(itertools.combinations(range(len(counts)), 2))}
+    subdesigns, pairs, cells = [], [], []
     for k, k_prime in itertools.permutations(range(len(counts)), 2):
         for i, i_prime in itertools.combinations(range(counts[k]), 2):
             for j, j_prime in itertools.combinations(range(counts[k_prime]), 2):
@@ -94,38 +73,41 @@ def _crossed_subdesigns(index: TreatmentIndex) -> tuple:
                     for a, b in itertools.product((i, i_prime), (j, j_prime))
                 ]
                 if all(found):
-                    pair = (min(k, k_prime), max(k, k_prime))
-                    rows.setdefault(pair, []).append(len(subdesigns))
+                    pairs.append(order[min(k, k_prime), max(k, k_prime)])
                     subdesigns.append((k, k_prime, i, i_prime, j, j_prime))
                     cells.append([f[0] for f in found])
-    cells = np.array(cells, dtype=np.intp).reshape(-1, 4)
-    rows = {pair: np.array(r, dtype=np.intp) for pair, r in rows.items()}
-    for table in (cells, *rows.values()):
+    pairs, cells = np.array(pairs, dtype=np.intp), np.array(cells, dtype=np.intp).reshape(-1, 4)
+    for table in (pairs, cells):
         table.setflags(write=False)
-    return tuple(subdesigns), rows, cells
+    return tuple(subdesigns), pairs, cells
+
+
+def _pearson(system: System) -> tuple[np.ndarray, np.ndarray]:
+    """(rho, defined), each (treatments, pairs of ``pair_layout``): the
+    Pearson correlation of every output pair at every treatment, central
+    moments in two passes (E[X^2] - E[X]^2 cancels on nearly degenerate
+    marginals); 0 where a marginal's variance is zero by the ``VAR_RTOL``
+    rule, or a payload is absent (NaN, so nothing is defined)."""
+    table, layout = system.pair_table, pair_layout(system.array.shape[1:])
+    xy = layout.payloads(system.design.outputs)[:, None]
+    d = xy - np.take(layout.sums(table * xy), layout.pair, axis=-1)  # X and Y less their means
+    var_x, var_y, cov = moments = layout.sums(np.concatenate((d * d, d[:1] * d[1:])) * table)
+    spread = layout.sums(np.where(table != 0.0, np.abs(d), 0.0), np.maximum)
+    defined = (moments[:2] > (VAR_RTOL * np.maximum(spread, 1.0)) ** 2).all(axis=0)
+    rho = np.divide(cov, np.sqrt(var_x * var_y), out=np.zeros_like(cov), where=defined)
+    return np.clip(rho, -1.0, 1.0), defined
 
 
 def _evaluate(system: System) -> tuple:
     """(kept, rho, lhs, rhs): the indices of the sub-designs whose four
     correlations are all defined, in test order, their correlations and both
     sides of the inequality, all at once; InapplicableError if none is crossed."""
-    design = system.design
-    subdesigns, rows_by_pair, cells = _crossed_subdesigns(design.index)
+    subdesigns, pairs, cells = _crossed_subdesigns(system.design.index)
     if not subdesigns:
         raise InapplicableError("no pair of inputs forms a completely crossed 2x2 sub-design")
-    outputs = design.outputs
-    rho = np.zeros((len(subdesigns), 4))
-    defined = np.zeros((len(subdesigns), 4), dtype=bool)
-    for (k, k_prime), rows in rows_by_pair.items():
-        if not (outputs[k].has_numeric and outputs[k_prime].has_numeric):
-            continue
-        r, ok = _correlations(
-            system.pair_marginals[(k, k_prime)],
-            np.array(outputs[k].numeric),
-            np.array(outputs[k_prime].numeric),
-        )
-        rho[rows] = r[cells[rows]]
-        defined[rows] = ok[cells[rows]]
+    if sum(out.has_numeric for out in system.design.outputs) < 2:  # no pair has a correlation
+        return np.zeros(0, dtype=np.intp), np.zeros((0, 4)), np.zeros(0), np.zeros(0)
+    rho, defined = (a[cells, pairs[:, None]] for a in _pearson(system))
     keep = defined.all(axis=1)
     rho = rho[keep]
     r11, r12, r21, r22 = rho.T
@@ -177,9 +159,9 @@ def run_cosphericity(
 
     Sub-designs with a zero-variance marginal are skipped (the inequality is
     vacuous without a defined correlation).  Raises InapplicableError when no
-    eligible sub-design exists at all.  Correlations come once per (output
-    pair, treatment) from ``system.pair_marginals``; the inequality is then
-    checked on all sub-designs at once, and read off with one ``tolist``.
+    eligible sub-design exists at all.  Correlations come for every output
+    pair and treatment at once from ``system.pair_table``; the inequality is
+    then checked on all sub-designs at once, and read off with one ``tolist``.
     """
     return _Results(system.design, _evaluate(system), eps_test)._list
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import InapplicableError, UsageError
 from .marginal import check_marginal_selectivity
-from .model import DESIGN_CACHE_SIZE, Design, Level, System, Treatment, TreatmentIndex
+from .model import DESIGN_CACHE_SIZE, Design, Level, System, Treatment, TreatmentIndex, pair_layout
 from .report import CONSISTENT, INAPPLICABLE, RULED_OUT, TestReport
 from .tolerances import EPS_TEST
 
@@ -104,30 +104,33 @@ class ChainViolation:
         return asdict(self)
 
 
-def _weights(metric: MetricSpec, design: Design, k_from: int, k_to: int) -> np.ndarray:
-    """W with d(k_from, k_to) = sum(P2 * W) for a (values of k_from, values of
-    k_to) 2-marginal P2: (y - x)**p where x < y, or 1 where class(a) < class(b)."""
-    out_from, out_to = design.outputs[k_from], design.outputs[k_to]
+@functools.lru_cache(maxsize=DESIGN_CACHE_SIZE)
+def _pair_weights(metric: MetricSpec, outputs: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(forward, backward): per ``pair_layout`` column the weight W of its
+    cell, d(k, k') = sum(P2 * W) over a pair's 2-marginal P2, then from k'
+    to k over the columns in ``transposed`` order: (y - x)**p where x < y,
+    the class metric being p = 0 on class indices; 0 for absent payloads."""
+    layout = pair_layout(tuple(len(out.values) for out in outputs))
     if isinstance(metric, PowerMetric):
-        if not (out_from.has_numeric and out_to.has_numeric):
-            raise InapplicableError(
-                f"power metric needs numeric payloads on outputs "
-                f"{out_from.name!r} and {out_to.name!r}"
-            )
-        x, y = np.array(out_from.numeric)[:, None], np.array(out_to.numeric)[None, :]
-        return np.where(x < y, np.power(np.maximum(y - x, 0.0), metric.p), 0.0)
-    c_from = np.array([metric.class_index(k_from, v) for v in out_from.values])
-    c_to = np.array([metric.class_index(k_to, v) for v in out_to.values])
-    return (c_from[:, None] < c_to[None, :]).astype(np.float64)
-
-
-def _directed(system: System, metric: MetricSpec, k_from: int, k_to: int) -> np.ndarray:
-    """Distance from output k_from to k_to at every treatment, in declared order."""
-    if k_from < k_to:
-        pmf2 = system.pair_marginals[(k_from, k_to)]
+        x, y, p = *layout.payloads(outputs), metric.p
     else:
-        pmf2 = system.pair_marginals[(k_to, k_from)].transpose(0, 2, 1)
-    return (pmf2 * _weights(metric, system.design, k_from, k_to)).sum(axis=(1, 2))
+        c = np.array([metric.class_index(k, v) for k, o in enumerate(outputs) for v in o.values])
+        x, y, p = c[layout.first], c[layout.second], 0.0
+    order = layout.transposed
+    return tuple(
+        np.where(a < b, np.power(np.maximum(b - a, 0.0), p), 0.0)
+        for a, b in ((x, y), (y[order], x[order]))
+    )
+
+
+def _distances(system: System, metric: MetricSpec) -> np.ndarray:
+    """(treatments, 2 pairs): at every treatment the distance from k to k'
+    for each output pair (k, k') of ``pair_layout``, then from k' to k."""
+    table = system.pair_table
+    layout = pair_layout(system.array.shape[1:])
+    forward, backward = _pair_weights(metric, system.design.outputs)
+    backward = layout.sums(np.take(table, layout.transposed, axis=1) * backward)
+    return np.concatenate((layout.sums(table * forward), backward), axis=1)
 
 
 def pairwise_distance(
@@ -150,8 +153,14 @@ def pairwise_distance(
         b = design.treatments.index(tuple(treatment))
     except ValueError:
         raise UsageError(f"no distribution for treatment {treatment!r}") from None
-    forward = _directed(system, metric, k, k_prime)[b]
-    return float(forward), float(_directed(system, metric, k_prime, k)[b])
+    out, out_prime = design.outputs[k], design.outputs[k_prime]
+    if isinstance(metric, PowerMetric) and not (out.has_numeric and out_prime.has_numeric):
+        raise InapplicableError(
+            f"power metric needs numeric payloads on outputs {out.name!r} and {out_prime.name!r}"
+        )
+    p = pair_layout(system.array.shape[1:]).pairs.index((min(k, k_prime), max(k, k_prime)))
+    directed = _distances(system, metric)[b].reshape(2, -1)[:, p]
+    return float(directed[int(k > k_prime)]), float(directed[int(k < k_prime)])
 
 
 def enumerate_test_sequences(
@@ -173,7 +182,7 @@ def enumerate_test_sequences(
     equal up to labels, battery members included; each call labels them
     with ``design``'s levels in a new list, which the caller owns.
     """
-    sequences, ids, _, _, realizers = _chains(design.index, max_length)
+    sequences, ids, _, realizers = _chains(design.index, max_length)
     first = [design.treatments[b] for b in realizers[:, 0].tolist()]
     chains = zip(sequences, ids.tolist())
     return [(_labelled(design, s), tuple(first[i] for i in row[: len(s)])) for s, row in chains]
@@ -186,11 +195,11 @@ def _labelled(design: Design, sequence: tuple) -> tuple[SequenceElement, ...]:
 
 @functools.lru_cache(maxsize=DESIGN_CACHE_SIZE)
 def _chains(index: TreatmentIndex, max_length: int) -> tuple:
-    """(sequences, ids, pairs, directed, realizers): the chains, elements
-    (input, level position); per chain the closing link's id, then the
-    consecutive links' ids, padded with the number of distinct (a, b) links;
-    per link its output pair (k_a, k_b); the distinct output pairs among the
-    links; and per link its realizers' treatment positions, padded with -1."""
+    """(sequences, ids, columns, realizers): the chains, elements (input,
+    level position); per chain the closing link's id, then the consecutive
+    links' ids, padded with the number of distinct (a, b) links; per link
+    the column of ``_distances`` from output k_a to k_b, and its realizers'
+    treatment positions, padded with -1."""
     if max_length < 3:
         raise UsageError("max_length must be at least 3")
     counts = index.counts
@@ -227,11 +236,13 @@ def _chains(index: TreatmentIndex, max_length: int) -> tuple:
     realizers = np.full((len(positions), max(map(len, positions), default=1)), -1, dtype=np.intp)
     for i, row in enumerate(positions):
         realizers[i, : len(row)] = row
-    pairs = np.array([(a[0], b[0]) for a, b in link_ids], dtype=np.intp).reshape(-1, 2)
-    for table in (ids, pairs, realizers):
+    pairs = list(itertools.combinations(range(len(counts)), 2))
+    column = {pair: p for p, pair in enumerate(pairs)}
+    column.update({(k_b, k_a): len(pairs) + p for p, (k_a, k_b) in enumerate(pairs)})
+    columns = np.array([column[a[0], b[0]] for a, b in link_ids], dtype=np.intp)
+    for table in (ids, columns, realizers):
         table.setflags(write=False)
-    directed = tuple(dict.fromkeys(map(tuple, pairs.tolist())))
-    return tuple(sequences), ids, pairs, directed, realizers
+    return tuple(sequences), ids, columns, realizers
 
 
 def run_distance_test(
@@ -265,14 +276,10 @@ def run_distance_test(
     treatment_dependent = not ms.passed
     details = {"treatment_dependent_links": treatment_dependent}
 
-    sequences, ids, pairs, directed, realizers = _chains(design.index, max_length)
+    sequences, ids, columns, realizers = _chains(design.index, max_length)
     if not treatment_dependent:
         realizers = realizers[:, :1]
-    n = design.n
-    by_pair = np.zeros((n * n, len(design.treatments)))
-    for k_from, k_to in directed:
-        by_pair[k_from * n + k_to] = _directed(system, metric, k_from, k_to)
-    values = by_pair[(pairs[:, 0] * n + pairs[:, 1])[:, None], realizers]
+    values = _distances(system, metric)[realizers, columns[:, None]]
     padding = realizers < 0
     # per link: the realizer with the largest and the smallest distance, first wins
     closing = np.argmax(np.where(padding, -np.inf, values), axis=1)

@@ -21,13 +21,27 @@ from .model import Design, InputSpec, JointPmf, OutputSpec, System
 from .transforms import OutputTransform, TransformSpec, identity_transform
 
 
-def _number(raw: Any, where: str) -> float:
+def _number(raw: Any, where: str, non_finite: str, what: str = "number") -> float:
     if isinstance(raw, bool) or not isinstance(raw, (int, float, str)):
         raise UsageError(f"{where}: expected a number or decimal string, got {raw!r}")
     try:
-        return float(raw)
+        x = float(raw)
     except ValueError:
-        raise UsageError(f"{where}: cannot parse {raw!r} as a probability") from None
+        raise UsageError(f"{where}: cannot parse {raw!r} as a {what}") from None
+    if not math.isfinite(x):
+        raise UsageError(f"{where}: {non_finite} {x!r}")
+    return x
+
+
+def _numbers(raw: Any, where: str, non_finite: str) -> list[float]:
+    """The list ``raw`` as numbers; a bad entry i is reported at ``where[i]``."""
+    values = _list(raw, where)
+    try:
+        return [_number(v, where, non_finite) for v in values]
+    except UsageError:
+        for i, v in enumerate(values):
+            _number(v, f"{where}[{i}]", non_finite)
+        raise
 
 
 def _list(raw: Any, where: str) -> list:
@@ -70,7 +84,7 @@ def resolve_label(candidates, raw, where: str):
 
 
 def _parse_output(entry: Any, where: str) -> OutputSpec:
-    _object(entry, where)
+    name = _name(_object(entry, where).get("name", ""), f"{where}.name")
     values, numeric = [], []
     for i, item in enumerate(_list(entry.get("values", []), f"{where}.values")):
         if isinstance(item, dict):
@@ -78,7 +92,8 @@ def _parse_output(entry: Any, where: str) -> OutputSpec:
                 raise UsageError(f"{where}.values[{i}]: missing 'label'")
             values.append(item["label"])
             numeric.append(
-                _number(item["numeric"], f"{where}.values[{i}].numeric")
+                _number(item["numeric"], f"{where}.values[{i}].numeric",
+                        f"output {name!r}: non-finite payload")
                 if "numeric" in item
                 else None
             )
@@ -86,7 +101,6 @@ def _parse_output(entry: Any, where: str) -> OutputSpec:
             values.append(item)
             numeric.append(None)
     payloads = tuple(numeric) if any(x is not None for x in numeric) else None
-    name = _name(entry.get("name", ""), f"{where}.name")
     return OutputSpec(name, _labels(values, f"{where}.values"), payloads)
 
 
@@ -145,9 +159,7 @@ def system_from_dict(doc: dict) -> System:
                 resolve_label(out.values, raw, f"{cwhere}.tuple[{k}]")
                 for k, (out, raw) in enumerate(zip(outputs, cell["tuple"]))
             )
-            p = _number(cell["p"], f"{cwhere}.p")
-            if not math.isfinite(p):
-                raise UsageError(f"{cwhere}.p: non-finite probability {p}")
+            p = _number(cell["p"], f"{cwhere}.p", "non-finite probability", "probability")
             table[key] = table.get(key, 0.0) + p
         distributions[t] = JointPmf(len(outputs), table)
         treatments.append(t)
@@ -202,13 +214,8 @@ def rt_from_dict(doc: dict) -> RtSystem:
         if treatment in keys:
             raise UsageError(f"rt.cdfs: keys {keys[treatment]!r} and {key!r} name one treatment")
         keys[treatment] = key
-        cdfs[treatment] = [
-            _number(v, f"rt.cdfs[{key}]") for v in _list(values, f"rt.cdfs[{key}]")
-        ]
-    return RtSystem(
-        [_number(v, "rt.grid") for v in _list(doc["grid"], "rt.grid")],
-        cdfs,
-    )
+        cdfs[treatment] = _numbers(values, f"rt.cdfs[{key}]", f"cdf {treatment}: non-finite value")
+    return RtSystem(_numbers(doc["grid"], "rt.grid", "grid has non-finite point"), cdfs)
 
 
 def transforms_from_file(path: str, design: Design) -> list[TransformSpec]:

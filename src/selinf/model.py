@@ -345,29 +345,76 @@ class System:
         return array
 
     @functools.cached_property
-    def pair_marginals(self) -> dict[tuple[int, int], np.ndarray]:
-        """Read-only 2-marginals of ``array``, by output pair (k, k') with
-        k < k': each of shape (treatments, values of k, values of k').  They
-        are the size-2 columns of one ``sub_marginals`` table, copied out, so
-        only the 2-marginals are kept; with two outputs, those columns are
-        the array itself."""
+    def pair_table(self) -> np.ndarray:
+        """Read-only 2-marginals of ``array``, one (treatments, columns) table
+        laid out by ``pair_layout``: the size-2 columns of one
+        ``sub_marginals`` table, copied out; with two outputs, the array."""
         shape = self.array.shape
-        if len(shape) < 3:
-            return {}
         if len(shape) == 3:
-            return {(0, 1): self.array}
-        layout = margin_layout(shape[1:], 2)
-        first = len(shape)  # the first pair, after the empty subset and the n singletons
-        start = layout.offsets[first]
-        block = sub_marginals(self.array, 2)[:, start:].copy()
-        block.flags.writeable = False
-        bounds = zip(layout.subsets[first:], layout.offsets[first:], layout.offsets[first + 1 :])
-        return {
-            (k, k_prime): block[:, lo - start : hi - start].reshape(
-                shape[0], shape[k + 1], shape[k_prime + 1]
-            )
-            for (k, k_prime), lo, hi in bounds
-        }
+            return self.array.reshape(shape[0], -1)
+        start = margin_layout(shape[1:], 2).offsets[len(shape)]  # past the total and singletons
+        table = sub_marginals(self.array, 2)[:, start:].copy()
+        table.flags.writeable = False
+        return table
+
+
+@dataclass(frozen=True, eq=False)
+class PairLayout:
+    """The columns of ``System.pair_table`` for an outcome shape: output
+    pair p, the p-th (k, k') with k < k' in combination order, holds columns
+    ``offsets[p]:offsets[p + 1]``, its cells in C order.  Per column,
+    ``pair`` is its pair, ``first`` and ``second`` the positions of its
+    values of k and k' among all outputs' values; ``transposed`` orders
+    every block's cells in (k', k) C order.  ``runs`` are (first pair, stop
+    pair, block length) over maximal runs of one block length."""
+
+    pairs: tuple[tuple[int, int], ...]
+    offsets: tuple[int, ...]
+    pair: np.ndarray
+    first: np.ndarray
+    second: np.ndarray
+    transposed: np.ndarray
+    runs: tuple[tuple[int, int, int], ...]
+
+    def sums(self, values: np.ndarray, ufunc: np.ufunc = np.add) -> np.ndarray:
+        """(..., pairs): ``ufunc`` reduced over each block of the (...,
+        columns) ``values`` as one run, so a C-ordered block sums to the bit
+        as ``.sum(axis=(1, 2))`` over it shaped (treatments, v_k, v_k')."""
+        lead = values.shape[:-1]
+        sums = [
+            ufunc.reduce(values[..., self.offsets[a] : self.offsets[b]].reshape(*lead, b - a, n), -1)
+            for a, b, n in self.runs
+        ]
+        return sums[0] if len(sums) == 1 else np.concatenate([np.empty((*lead, 0)), *sums], -1)
+
+    @functools.lru_cache(maxsize=MARGIN_CACHE_SIZE)
+    def payloads(self, outputs: tuple[OutputSpec, ...]) -> np.ndarray:
+        """(2, columns): per column, the numeric payloads of its values of k
+        and k' among ``outputs``, NaN where absent."""
+        x = [v for out in outputs for v in out.numeric or [None] * len(out.values)]
+        return np.array(x, dtype=np.float64)[np.stack((self.first, self.second))]  # None is NaN
+
+
+@functools.lru_cache(maxsize=MARGIN_CACHE_SIZE)
+def pair_layout(shape: tuple[int, ...]) -> PairLayout:
+    """The layout of ``System.pair_table`` for an outcome shape."""
+    pairs = tuple(itertools.combinations(range(len(shape)), 2))
+    lengths = [shape[k] * shape[k_prime] for k, k_prime in pairs]
+    offsets = tuple(itertools.accumulate(lengths, initial=0))
+    starts = tuple(itertools.accumulate(shape, initial=0))
+    columns = [np.zeros((4, 0), dtype=np.intp)]
+    for p, (k, k_prime) in enumerate(pairs):
+        cells = np.arange(lengths[p]).reshape(shape[k], shape[k_prime])
+        first, second = np.divmod(cells.ravel(), shape[k_prime])
+        columns.append((np.full(cells.size, p), starts[k] + first, starts[k_prime] + second,
+                        offsets[p] + cells.T.ravel()))
+    columns = np.concatenate(columns, axis=1)
+    columns.flags.writeable = False
+    runs = []
+    for length, group in itertools.groupby(lengths):
+        start = runs[-1][1] if runs else 0
+        runs.append((start, start + len(list(group)), length))
+    return PairLayout(pairs, offsets, *columns, tuple(runs))
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,11 +20,13 @@ from selinf import (
     LatentModel,
     OutputSpec,
     OutputTransform,
+    PowerMetric,
     System,
     TransformSpec,
     UsageError,
     generate_system,
 )
+from selinf.model import margin_layout, sub_marginals
 from selinf.tolerances import EPS_PROB, VAR_RTOL
 
 
@@ -411,3 +413,84 @@ def correlation(pmf: JointPmf, numeric_x, numeric_y) -> float:
         raise InapplicableError("correlation undefined: zero-variance marginal")
     rho = cov / math.sqrt(var_x * var_y)
     return max(-1.0, min(1.0, rho))
+
+
+# ------------------------------------- per-pair references of the pair-table screens
+#
+# The distance and cosphericity screens once walked the output pairs one at a
+# time; these are those functions, kept verbatim but for reading the pair
+# marginals off ``reference_pair_marginals``.  The pair-table screens must
+# reproduce them to the last bit.
+
+
+def reference_pair_marginals(system: System) -> dict[tuple[int, int], np.ndarray]:
+    """Read-only 2-marginals of ``array``, by output pair (k, k') with
+    k < k': each of shape (treatments, values of k, values of k').  They
+    are the size-2 columns of one ``sub_marginals`` table, copied out, so
+    only the 2-marginals are kept; with two outputs, those columns are
+    the array itself."""
+    shape = system.array.shape
+    if len(shape) < 3:
+        return {}
+    if len(shape) == 3:
+        return {(0, 1): system.array}
+    layout = margin_layout(shape[1:], 2)
+    first = len(shape)  # the first pair, after the empty subset and the n singletons
+    start = layout.offsets[first]
+    block = sub_marginals(system.array, 2)[:, start:].copy()
+    block.flags.writeable = False
+    bounds = zip(layout.subsets[first:], layout.offsets[first:], layout.offsets[first + 1 :])
+    return {
+        (k, k_prime): block[:, lo - start : hi - start].reshape(
+            shape[0], shape[k + 1], shape[k_prime + 1]
+        )
+        for (k, k_prime), lo, hi in bounds
+    }
+
+
+def _weights(metric, design: Design, k_from: int, k_to: int) -> np.ndarray:
+    """W with d(k_from, k_to) = sum(P2 * W) for a (values of k_from, values of
+    k_to) 2-marginal P2: (y - x)**p where x < y, or 1 where class(a) < class(b)."""
+    out_from, out_to = design.outputs[k_from], design.outputs[k_to]
+    if isinstance(metric, PowerMetric):
+        if not (out_from.has_numeric and out_to.has_numeric):
+            raise InapplicableError(
+                f"power metric needs numeric payloads on outputs "
+                f"{out_from.name!r} and {out_to.name!r}"
+            )
+        x, y = np.array(out_from.numeric)[:, None], np.array(out_to.numeric)[None, :]
+        return np.where(x < y, np.power(np.maximum(y - x, 0.0), metric.p), 0.0)
+    c_from = np.array([metric.class_index(k_from, v) for v in out_from.values])
+    c_to = np.array([metric.class_index(k_to, v) for v in out_to.values])
+    return (c_from[:, None] < c_to[None, :]).astype(np.float64)
+
+
+def _directed(system: System, metric, k_from: int, k_to: int) -> np.ndarray:
+    """Distance from output k_from to k_to at every treatment, in declared order."""
+    if k_from < k_to:
+        pmf2 = reference_pair_marginals(system)[(k_from, k_to)]
+    else:
+        pmf2 = reference_pair_marginals(system)[(k_to, k_from)].transpose(0, 2, 1)
+    return (pmf2 * _weights(metric, system.design, k_from, k_to)).sum(axis=(1, 2))
+
+
+def _correlations(pmf2: np.ndarray, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pearson correlation at every treatment of a (treatments, values,
+    values) 2-marginal under payloads x and y, central moments in two passes
+    (E[X^2] - E[X]^2 cancels on nearly degenerate marginals): (rho, defined),
+    rho 0 where a marginal's variance is zero by the ``VAR_RTOL`` rule."""
+    support = pmf2 != 0.0
+    ex = (pmf2 * x[:, None]).sum(axis=(1, 2))
+    ey = (pmf2 * y[None, :]).sum(axis=(1, 2))
+    dx = x[None, :, None] - ex[:, None, None]
+    dy = y[None, None, :] - ey[:, None, None]
+    var_x = (dx * dx * pmf2).sum(axis=(1, 2))
+    var_y = (dy * dy * pmf2).sum(axis=(1, 2))
+    cov = (dx * dy * pmf2).sum(axis=(1, 2))
+    spread_x = np.where(support, np.abs(dx), 0.0).max(axis=(1, 2), initial=0.0)
+    spread_y = np.where(support, np.abs(dy), 0.0).max(axis=(1, 2), initial=0.0)
+    defined = (var_x > (VAR_RTOL * np.maximum(spread_x, 1.0)) ** 2) & (
+        var_y > (VAR_RTOL * np.maximum(spread_y, 1.0)) ** 2
+    )
+    rho = np.divide(cov, np.sqrt(var_x * var_y), out=np.zeros_like(cov), where=defined)
+    return np.clip(rho, -1.0, 1.0), defined

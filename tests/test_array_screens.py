@@ -14,10 +14,13 @@ import numpy as np
 import pytest
 
 from fixtures import (
+    _correlations,
+    _directed,
     correlation,
     feasible_binary_system,
     pr_box_system,
     random_selective_system,
+    reference_pair_marginals,
     system_from_tables,
 )
 from selinf import (
@@ -43,7 +46,7 @@ from selinf import (
     run_cosphericity,
     run_distance_test,
 )
-from selinf import model
+from selinf import cosphericity, distances, model
 from selinf.tolerances import VAR_RTOL
 from test_distances import random_class_metric
 from test_marginal import _oracle_discrepancy, perturbed
@@ -238,6 +241,85 @@ def test_correlations_match_the_scalar_oracle_per_subdesign(seed):
             assert r.rho == pytest.approx(rho, abs=1e-12)
             compared += 1
     assert compared > 0
+
+
+def crossed_system(rng, shape, levels=2, treatments_dropped=0):
+    """A random system with outputs of ``shape``, payloads on all outputs,
+    on a crossed design of ``levels`` levels per input, less the last
+    ``treatments_dropped`` treatments."""
+    inputs = tuple(InputSpec(f"l{k}", tuple(range(levels))) for k in range(len(shape)))
+    outputs = tuple(
+        OutputSpec(f"A{k}", tuple(range(v)), tuple(np.round(rng.normal(size=v), 3)))
+        for k, v in enumerate(shape)
+    )
+    treatments = list(itertools.product(range(levels), repeat=len(shape)))
+    treatments = treatments[: len(treatments) - treatments_dropped]
+    array = rng.dirichlet(np.full(int(np.prod(shape)), 0.5), size=len(treatments))
+    design = Design(inputs, outputs, tuple(treatments))
+    return System.from_array(design, array.reshape(len(treatments), *shape))
+
+
+def pair_table_systems(seed):
+    """The seeded systems, crossed systems whose pair blocks are of equal
+    and of unequal lengths, and battery members of some of each."""
+    rng = np.random.default_rng(seed)
+    systems = seeded_systems(seed, count=12)
+    for shape in ((2, 2, 3, 3), (3, 4, 5), (2, 3, 2), (2, 2, 2, 2), (3, 5), (4, 2, 2)):
+        systems.append(crossed_system(rng, shape, treatments_dropped=int(rng.integers(2))))
+    systems.append(pr_mixture(crossed_system(rng, (3, 3, 3), levels=3), 0.8))
+    for system in systems[::4]:
+        specs = generate_battery(system.design, n_groupings=2, n_monotone=2, seed=seed)
+        systems += [apply_transform(system, spec) for spec in specs]
+    return systems
+
+
+@pytest.mark.parametrize("seed", [61, 62])
+def test_directed_distances_equal_the_per_pair_reference_to_the_bit(seed):
+    rng = np.random.default_rng(seed)
+    lengths, compared = set(), 0
+    for system in pair_table_systems(seed):
+        design = system.design
+        layout = model.pair_layout(system.array.shape[1:])
+        pairs = layout.pairs
+        lengths.add(len(set(np.diff(layout.offsets))))
+        metrics = [random_class_metric(rng, design)]
+        metrics += [PowerMetric(p) for p in (0.0, 0.5, 1.0)]
+        for metric in metrics:
+            got = distances._distances(system, metric)
+            for p, (k, kp) in enumerate(pairs):
+                if isinstance(metric, PowerMetric) and not (
+                    design.outputs[k].has_numeric and design.outputs[kp].has_numeric
+                ):
+                    continue
+                forward, backward = _directed(system, metric, k, kp), _directed(system, metric, kp, k)
+                assert got[:, p].tobytes() == forward.tobytes()
+                assert got[:, len(pairs) + p].tobytes() == backward.tobytes()
+                for b, t in enumerate(design.treatments):
+                    assert pairwise_distance(system, metric, t, k, kp) == (forward[b], backward[b])
+                    assert pairwise_distance(system, metric, t, kp, k) == (backward[b], forward[b])
+                compared += 1
+    assert compared > 0 and {1, 2} <= lengths  # blocks of equal and of unequal lengths
+
+
+@pytest.mark.parametrize("seed", [63, 64])
+def test_correlations_equal_the_per_pair_reference_to_the_bit(seed):
+    defined_somewhere = skipped = 0
+    for system in pair_table_systems(seed):
+        outputs = system.design.outputs
+        rho, defined = cosphericity._pearson(system)
+        for p, pair in enumerate(model.pair_layout(system.array.shape[1:]).pairs):
+            if not all(outputs[k].has_numeric for k in pair):
+                assert not defined[:, p].any() and not rho[:, p].any()
+                skipped += 1
+                continue
+            expected_rho, expected_defined = _correlations(
+                reference_pair_marginals(system)[pair],
+                *(np.array(outputs[k].numeric) for k in pair),
+            )
+            assert rho[:, p].tobytes() == expected_rho.tobytes()
+            assert defined[:, p].tobytes() == expected_defined.tobytes()
+            defined_somewhere += int(expected_defined.any())
+    assert defined_somewhere > 0 and skipped > 0
 
 
 def near_degenerate_system(q, scale=1.0, unobserved=False):

@@ -118,6 +118,9 @@ def _rt_only(doc):
         (_set("treatments", 1, "pmf", 0, "p", "1e400"), "treatments[1].pmf[0].p"),
         (_drop("treatments", 0, "pmf"), "treatments[0]"),
         (_drop("treatments", 0, "levels", "l2"), "treatments[0].levels"),
+        (_set("outputs", 0, "values", 0, "numeric", "x"), "outputs[0].values[0].numeric"),
+        (_set("outputs", 0, "values", 1, "numeric", "nan"), "outputs[0].values[1].numeric"),
+        (_set("outputs", 1, "values", 1, "numeric", "1e400"), "outputs[1].values[1].numeric"),
     ],
 )
 def test_malformed_document_exit_two_with_path(tmp_path, capsys, edit, where):
@@ -130,6 +133,16 @@ def test_malformed_document_exit_two_with_path(tmp_path, capsys, edit, where):
     assert captured.out == ""
     assert captured.err.startswith(f"error: {where}: ")
     assert captured.err.count("\n") == 1
+    if where in PINNED_MESSAGES:
+        assert captured.err == f"error: {where}: {PINNED_MESSAGES[where]}\n"
+
+
+#: The whole message after the path, for the cases that pin it.
+PINNED_MESSAGES = {
+    "outputs[0].values[0].numeric": "cannot parse 'x' as a number",
+    "outputs[0].values[1].numeric": "output 'A1': non-finite payload nan",
+    "outputs[1].values[1].numeric": "output 'A2': non-finite payload inf",
+}
 
 
 def test_unknown_test_name_exit_two(tmp_path, capsys):
@@ -159,6 +172,16 @@ def test_unknown_test_name_exit_two(tmp_path, capsys):
         (None, ["--tests", ","], "at least one test must be selected"),
         (_drop("outputs", 1), [], "inputs and outputs must have equal length (index-paired)"),
         (_drop("outputs"), [], "missing top-level key 'outputs'"),
+        (
+            None,
+            ["--metric", "powerful"],
+            "--metric: expected 'power:p=<x>' or 'class:<spec>', got 'powerful'",
+        ),
+        (
+            None,
+            ["--metric", "power_typo:p=0.5"],
+            "--metric: expected 'power:p=<x>' or 'class:<spec>', got 'power_typo:p=0.5'",
+        ),
     ],
 )
 def test_usage_error_exit_two_with_one_message(tmp_path, capsys, edit, args, message):
@@ -440,6 +463,10 @@ def test_contrast_test_via_rt_block(tmp_path, capsys):
         ([0.0, 1.0, 2.0], {"1,2": [0.0, float("nan"), 1.0]}, "cdf (1, 2): non-finite value nan"),
         ([0.0, 1.0, "inf"], {}, "grid has non-finite point inf"),
         ([0.0, 1.0, 2.0], {"1, 1": [0.0, 0.5, 1.0]}, "keys '1,1' and '1, 1' name one treatment"),
+        ([0.0, 1.0, "inf"], {}, "rt.grid[2]: grid has non-finite point inf"),
+        ([0.0, 1.0, "x"], {}, "rt.grid[2]: cannot parse 'x' as a number"),
+        ([0.0, 1.0, 2.0], {"1,2": [0.0, "inf", 1.0]}, "rt.cdfs[1,2][1]: cdf (1, 2): non-finite value inf"),
+        ([0.0, 1.0, 2.0], {"2,1": ["x"]}, "rt.cdfs[2,1][0]: cannot parse 'x' as a number"),
     ],
 )
 def test_malformed_rt_block_exit_two(tmp_path, capsys, grid, cdfs, message):

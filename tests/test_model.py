@@ -42,7 +42,7 @@ from selinf import (
     validate_system,
 )
 from selinf import cosphericity, distances, feasibility, marginal, model
-from selinf.model import margin_layout, sub_marginals
+from selinf.model import margin_layout, pair_layout, sub_marginals
 
 
 class TestMarginalize:
@@ -436,23 +436,41 @@ class TestOutputSpec:
 
 
 class TestSubMarginals:
-    def test_pair_marginals_are_the_size_two_sums_and_nothing_more(self):
+    def test_pair_table_holds_the_size_two_sums_and_nothing_more(self):
         rng = np.random.default_rng(53)
         for shape in ((2, 3), (2, 3, 4), (3, 2, 2, 2)):
             array = rng.random((5, *shape))
-            pairs = System.from_array(_design(shape, 5), array).pair_marginals
-            assert list(pairs) == list(itertools.combinations(range(len(shape)), 2))
-            for (k, k_prime), marginal in pairs.items():
+            table = System.from_array(_design(shape, 5), array).pair_table
+            layout = pair_layout(shape)
+            assert layout.pairs == tuple(itertools.combinations(range(len(shape)), 2))
+            assert table.shape == (5, layout.offsets[-1]) and not table.flags.writeable
+            starts = np.cumsum((0, *shape))
+            for p, (k, k_prime) in enumerate(layout.pairs):
                 others = tuple(j + 1 for j in range(len(shape)) if j not in (k, k_prime))
-                assert marginal.shape == (5, shape[k], shape[k_prime])
-                np.testing.assert_allclose(marginal, array.sum(axis=others), rtol=0, atol=1e-13)
-                assert not marginal.flags.writeable
-            owners = {id(_owner(m)): _owner(m) for m in pairs.values()}
-            assert len(owners) == 1  # one block, holding the 2-marginals only
-            assert owners.popitem()[1].size == 5 * sum(shape[k] * shape[j] for k, j in pairs)
+                lo, hi = layout.offsets[p], layout.offsets[p + 1]
+                marginal = array.sum(axis=others)
+                np.testing.assert_allclose(
+                    table[:, lo:hi], marginal.reshape(5, -1), rtol=0, atol=1e-13
+                )
+                cells = np.indices(marginal.shape[1:]).reshape(2, -1)
+                assert (layout.pair[lo:hi] == p).all()
+                assert (layout.first[lo:hi] == starts[k] + cells[0]).all()
+                assert (layout.second[lo:hi] == starts[k_prime] + cells[1]).all()
+                transposed = table[:, layout.transposed[lo:hi]]
+                assert (transposed == table[:, lo:hi].reshape(marginal.shape).transpose(0, 2, 1)
+                        .reshape(5, -1)).all()
+            # runs: the pairs in order, each a maximal stretch of one block length
+            runs = [range(start, stop) for start, stop, _ in layout.runs]
+            assert [p for run in runs for p in run] == list(range(len(layout.pairs)))
+            lengths = [length for _, _, length in layout.runs]
+            assert all(a != b for a, b in zip(lengths, lengths[1:]))
+            for run, length in zip(runs, lengths):
+                assert set(np.diff(layout.offsets[run.start : run.stop + 1])) == {length}
+            assert _owner(table).size == table.size  # the 2-marginals only
 
-    def test_no_pair_marginals_below_two_outputs(self):
-        assert System.from_array(_design((3,), 2), np.full((2, 3), 1 / 3)).pair_marginals == {}
+    def test_no_pair_table_columns_below_two_outputs(self):
+        system = System.from_array(_design((3,), 2), np.full((2, 3), 1 / 3))
+        assert system.pair_table.shape == (2, 0) and pair_layout((3,)).pairs == ()
 
     @pytest.mark.parametrize("shape", [(), (4,), (2, 2), (300, 3), (2, 90, 2), (5, 6, 7), (2,) * 7])
     def test_every_column_block_is_its_subsets_sum(self, shape):
