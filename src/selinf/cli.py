@@ -87,26 +87,22 @@ def _witness_json(report: TestReport) -> Any:
     return None if report.witness is None else report.witness.to_json()
 
 
-def run_tests(args, system: System | None, rt, fs=None) -> list[TestReport]:
-    """The selected tests' reports; ``fs`` is the system's FeasibilitySystem
-    when it has already been built."""
+def run_tests(args, system: System | None, rt) -> list[TestReport]:
+    """The selected tests' reports, in ``TEST_ORDER``."""
     reports: list[TestReport] = []
     metrics: list[MetricSpec] = [parse_metric(m, system) for m in args.metric] or [
         PowerMetric(1.0)
     ]
-
-    def needs_system(name: str) -> System:
-        if system is None:
-            raise UsageError(f"test {name!r} needs a system input")
-        return system
+    if system is None:  # every test but the last, contrast, reads the system
+        for name in TEST_ORDER[:-1]:
+            if name in args.tests:
+                raise UsageError(f"test {name!r} needs a system input")
 
     for name in TEST_ORDER:
         if name not in args.tests:
             continue
         if name == "marginal":
-            report = check_marginal_selectivity(
-                needs_system(name), args.marginal_max_subset, args.eps_test
-            )
+            report = check_marginal_selectivity(system, args.marginal_max_subset, args.eps_test)
             verdict = CONSISTENT if report.passed else RULED_OUT
             summary = f"worst discrepancy {report.discrepancy:.6g}"
             if report.worst_pair is not None:
@@ -116,25 +112,23 @@ def run_tests(args, system: System | None, rt, fs=None) -> list[TestReport]:
                 )
             reports.append(TestReport("marginal", verdict, summary, witness=report))
         elif name == "lp":
-            reports.append(lp_report(needs_system(name), args.eps_lp, args.eps_prob, fs))
+            reports.append(lp_report(system, args.eps_lp, args.eps_prob))
         elif name == "fine":
-            reports.append(fine_inequality_check(needs_system(name), args.eps_test))
+            reports.append(fine_inequality_check(system, args.eps_test))
         elif name == "distance":
-            sys_ = needs_system(name)
             for metric in metrics:
-                reports.append(run_distance_test(sys_, metric, eps_test=args.eps_test))
+                reports.append(run_distance_test(system, metric, eps_test=args.eps_test))
         elif name == "cosphericity":
-            reports.append(cosphericity_report(needs_system(name), args.eps_cospherical))
+            reports.append(cosphericity_report(system, args.eps_cospherical))
         elif name == "battery":
-            sys_ = needs_system(name)
             if args.transforms:
-                specs = sio.transforms_from_file(args.transforms, sys_.design)
+                specs = sio.transforms_from_file(args.transforms, system.design)
             else:
-                specs = generate_battery(sys_.design, seed=args.seed)
+                specs = generate_battery(system.design, seed=args.seed)
 
             for metric in metrics:  # a partition must cover the system's own values
                 if isinstance(metric, ClassificationMetric):
-                    metric.validate(sys_.design)
+                    metric.validate(system.design)
 
             def expanded(s: System) -> TestReport:
                 for metric in metrics:
@@ -148,7 +142,7 @@ def run_tests(args, system: System | None, rt, fs=None) -> list[TestReport]:
                         return r
                 return cosphericity_report(s, args.eps_cospherical)
 
-            reports.append(run_battery(sys_, specs, expanded))
+            reports.append(run_battery(system, specs, expanded))
         elif name == "contrast":
             if rt is None:
                 raise UsageError("test 'contrast' needs an 'rt' block in the input")
@@ -267,18 +261,17 @@ def _run(args) -> int:
         raise UsageError("at least one test must be selected")
     args.tests = selected
 
-    fs = None
     if args.dump_matrix:
         if system is None:
             raise UsageError("--dump-matrix needs a system input")
-        fs = build_feasibility_system(system, args.eps_prob)
+        grid = build_feasibility_system(system, args.eps_prob).format_grid()
         try:
             with open(args.dump_matrix, "w", encoding="utf-8") as fh:
-                fh.write(fs.format_grid() + "\n")
+                fh.write(grid + "\n")
         except OSError as exc:
             raise UsageError(f"{args.dump_matrix}: {exc.strerror}") from None
 
-    reports = run_tests(args, system, rt, fs)
+    reports = run_tests(args, system, rt)
     ruled_out = any(r.verdict == RULED_OUT for r in reports)
     exit_code = 1 if ruled_out else 0
 

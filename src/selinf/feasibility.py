@@ -579,18 +579,10 @@ def fine_inequality_check(system: System, eps_test: float = EPS_TEST) -> TestRep
     return TestReport(name, CONSISTENT, "all eight double inequalities hold")
 
 
-def lp_report(
-    system: System,
-    eps_lp: float = EPS_LP,
-    eps_prob: float = EPS_PROB,
-    fs: FeasibilitySystem | None = None,
-) -> TestReport:
+def lp_report(system: System, eps_lp: float = EPS_LP, eps_prob: float = EPS_PROB) -> TestReport:
     """Run the full feasibility test and wrap the verdict as a TestReport;
-    ``eps_prob`` is the tolerance the system is validated at.  ``fs``, when
-    given, is ``system``'s already built FeasibilitySystem, solved as is."""
-    if fs is None:
-        fs = build_feasibility_system(system, eps_prob)
-    verdict = solve_feasibility(fs, eps_lp=eps_lp)
+    ``eps_prob`` is the tolerance the system is validated at."""
+    verdict = solve_feasibility(build_feasibility_system(system, eps_prob), eps_lp=eps_lp)
     if verdict.feasible:
         return TestReport(
             "lp",

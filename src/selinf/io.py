@@ -66,6 +66,14 @@ def _labels(raw: Any, where: str) -> tuple:
     return tuple(raw)
 
 
+def _spec(where: str, cls, *args):
+    """``cls(*args)``, with its own UsageError reported at ``where``."""
+    try:
+        return cls(*args)
+    except UsageError as exc:
+        raise UsageError(f"{where}: {exc}") from None
+
+
 def _name(raw: Any, where: str) -> str:
     if not isinstance(raw, str):
         raise UsageError(f"{where}: expected a string, got {raw!r}")
@@ -101,7 +109,7 @@ def _parse_output(entry: Any, where: str) -> OutputSpec:
             values.append(item)
             numeric.append(None)
     payloads = tuple(numeric) if any(x is not None for x in numeric) else None
-    return OutputSpec(name, _labels(values, f"{where}.values"), payloads)
+    return _spec(f"{where}.values", OutputSpec, name, _labels(values, f"{where}.values"), payloads)
 
 
 def system_from_dict(doc: dict) -> System:
@@ -117,12 +125,9 @@ def system_from_dict(doc: dict) -> System:
         where = f"inputs[{i}]"
         if "name" not in _object(entry, where) or "levels" not in entry:
             raise UsageError(f"{where}: need 'name' and 'levels'")
-        inputs.append(
-            InputSpec(
-                _name(entry["name"], f"{where}.name"),
-                _labels(entry["levels"], f"{where}.levels"),
-            )
-        )
+        name = _name(entry["name"], f"{where}.name")
+        levels = _labels(entry["levels"], f"{where}.levels")
+        inputs.append(_spec(f"{where}.levels", InputSpec, name, levels))
     outputs = [
         _parse_output(entry, f"outputs[{i}]")
         for i, entry in enumerate(_list(doc["outputs"], "outputs"))
@@ -164,7 +169,7 @@ def system_from_dict(doc: dict) -> System:
         distributions[t] = JointPmf(len(outputs), table)
         treatments.append(t)
 
-    design = Design(tuple(inputs), tuple(outputs), tuple(treatments))
+    design = _spec("treatments", Design, tuple(inputs), tuple(outputs), tuple(treatments))
     return System(design, distributions)
 
 

@@ -278,7 +278,11 @@ class System:
         """The system whose ``array`` is ``array`` (shaped as that property
         describes), stored C-contiguous whatever the strides given, since the
         screens sum in memory order.  Masses in (-EPS_PROB, 0) become 0, as
-        ``JointPmf`` clips them."""
+        ``JointPmf`` clips them.  UsageError unless ``array`` has the design's
+        shape, (treatments, *value counts)."""
+        shape = (len(design.treatments), *(len(out.values) for out in design.outputs))
+        if array.shape != shape:
+            raise UsageError(f"array of shape {array.shape} does not match the design's {shape}")
         system = cls.__new__(cls)
         system.design = design
         clipped = np.where((array < 0.0) & (array > -EPS_PROB), 0.0, array)

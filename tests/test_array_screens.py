@@ -24,14 +24,17 @@ from fixtures import (
     system_from_tables,
 )
 from selinf import (
+    CONSISTENT,
     CapacityError,
     ClassificationMetric,
     Design,
     InapplicableError,
     InputSpec,
     JointPmf,
+    LatentModel,
     OutputSpec,
     PowerMetric,
+    RULED_OUT,
     System,
     UsageError,
     apply_transform,
@@ -41,6 +44,7 @@ from selinf import (
     fine_inequality_check,
     lp_report,
     generate_battery,
+    generate_system,
     pairwise_distance,
     run_battery,
     run_cosphericity,
@@ -601,3 +605,79 @@ def test_screens_do_not_depend_on_the_callers_memory_layout(seed):
                 assert repr(screen(again)) == repr(screen(system))
             compared += 1
     assert compared > 30
+
+
+# ------------------------------------------------------------ presentation
+
+
+def latent_crossed_system(rng, levels, values, n_latent=4):
+    """A system from a random latent model on the crossed design whose input
+    k has ``levels[k]`` levels and output k the values and payloads 0, 1, ...,
+    ``values[k] - 1``."""
+    inputs = tuple(InputSpec(f"l{k}", tuple(range(1, m + 1))) for k, m in enumerate(levels))
+    outputs = tuple(OutputSpec(f"A{k}", tuple(range(v)), tuple(range(v))) for k, v in enumerate(values))
+    design = Design(inputs, outputs, tuple(itertools.product(*(s.levels for s in inputs))))
+    masses = rng.dirichlet(np.ones(n_latent))
+    latent = JointPmf(1, {(r,): float(m) for r, m in enumerate(masses)})
+    responses = [
+        {(level, r): int(rng.integers(v)) for level in spec.levels for r in range(n_latent)}
+        for spec, v in zip(inputs, values)
+    ]
+    return generate_system(design, LatentModel(latent, responses))
+
+
+def rewritten(system):
+    """``system`` written down four other ways: treatments in reverse order;
+    inputs reversed together with their outputs; each output's values
+    reversed with their payloads; every level and value renamed to a string."""
+    design, array = system.design, system.array
+    inputs, outputs, treatments = design.inputs, design.outputs, design.treatments
+    axes = tuple(range(1, design.n + 1))
+    flipped = [OutputSpec(o.name, o.values[::-1], o.numeric[::-1]) for o in outputs]
+    names = [{x: f"{spec.name}={x}" for x in spec.levels} for spec in inputs]
+    renamed = Design(
+        tuple(InputSpec(spec.name, tuple(m.values())) for spec, m in zip(inputs, names)),
+        tuple(OutputSpec(o.name, tuple(f"v{x}" for x in o.values), o.numeric) for o in outputs),
+        tuple(tuple(map(dict.__getitem__, names, t)) for t in treatments),
+    )
+    reversed_inputs = Design(inputs[::-1], outputs[::-1], tuple(t[::-1] for t in treatments))
+    return [
+        System.from_array(Design(inputs, outputs, treatments[::-1]), array[::-1]),
+        System.from_array(reversed_inputs, array.transpose(0, *axes[::-1])),
+        System.from_array(design.with_outputs(flipped), np.flip(array, axes)),
+        System.from_array(renamed, array),
+    ]
+
+
+def screen_verdicts(system):
+    return (
+        CONSISTENT if check_marginal_selectivity(system).passed else RULED_OUT,
+        run_distance_test(system, PowerMetric(1.0)).verdict,
+        run_distance_test(system, PowerMetric(0.5)).verdict,
+        cosphericity_report(system).verdict,
+    )
+
+
+@pytest.mark.parametrize(
+    "seed, levels, values",
+    [(71, (2, 2), (2, 2)), (72, (3, 3), (3, 3)), (73, (2, 2, 2), (3, 3, 3)), (74, (4, 4), (3, 5))],
+)
+def test_screen_verdicts_do_not_depend_on_how_the_system_is_written(seed, levels, values):
+    """Latent systems and their PR mixtures at weight 0.9 keep every screen's
+    verdict under each rewrite.  A marginally broken perturbation keeps the
+    marginal verdict; the other screens presuppose marginal selectivity, and
+    cosphericity reads each cell off its first treatment in declared order.
+    The LP is not checked: its phase-I tolerance reads basis rows in declared
+    treatment order too."""
+    rng = np.random.default_rng(seed)
+    ruled_out = 0
+    for _ in range(30):
+        latent = latent_crossed_system(rng, levels, values)
+        for system in (latent, pr_mixture(latent, 0.9), perturbed(latent, rng)):
+            verdicts = screen_verdicts(system)
+            if verdicts[0] == RULED_OUT:
+                verdicts = verdicts[:1]
+            ruled_out += verdicts.count(RULED_OUT)
+            for again in rewritten(system):
+                assert screen_verdicts(again)[: len(verdicts)] == verdicts
+    assert ruled_out > 60

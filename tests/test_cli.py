@@ -121,6 +121,11 @@ def _rt_only(doc):
         (_set("outputs", 0, "values", 0, "numeric", "x"), "outputs[0].values[0].numeric"),
         (_set("outputs", 0, "values", 1, "numeric", "nan"), "outputs[0].values[1].numeric"),
         (_set("outputs", 1, "values", 1, "numeric", "1e400"), "outputs[1].values[1].numeric"),
+        (_set("outputs", 0, "values", []), "outputs[0].values: output 'A1' needs at least one value"),
+        (_set("outputs", 1, "values", [1, True]), "outputs[1].values: output 'A2' has duplicate values"),
+        (_set("inputs", 0, "levels", []), "inputs[0].levels: input 'l1' needs at least one level"),
+        (_set("inputs", 1, "levels", [1, 1]), "inputs[1].levels: input 'l2' has duplicate levels"),
+        (_set("treatments", []), "treatments: at least one allowable treatment is required"),
     ],
 )
 def test_malformed_document_exit_two_with_path(tmp_path, capsys, edit, where):
@@ -131,13 +136,16 @@ def test_malformed_document_exit_two_with_path(tmp_path, capsys, edit, where):
     assert main([str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
+    where, _, message = where.partition(": ")
     assert captured.err.startswith(f"error: {where}: ")
     assert captured.err.count("\n") == 1
-    if where in PINNED_MESSAGES:
-        assert captured.err == f"error: {where}: {PINNED_MESSAGES[where]}\n"
+    message = message or PINNED_MESSAGES.get(where)
+    if message:
+        assert captured.err == f"error: {where}: {message}\n"
 
 
-#: The whole message after the path, for the cases that pin it.
+#: The whole message after the path, for the cases whose ``where`` does not
+#: carry it after a ": ".
 PINNED_MESSAGES = {
     "outputs[0].values[0].numeric": "cannot parse 'x' as a number",
     "outputs[0].values[1].numeric": "output 'A1': non-finite payload nan",
@@ -169,6 +177,7 @@ def test_unknown_test_name_exit_two(tmp_path, capsys):
         (_rt_only, ["--metric", "class:0|2,4;0|1,2"], "--metric class requires a system input"),
         (_rt_only, ["--dump-matrix", "{tmp}/matrix.txt"], "--dump-matrix needs a system input"),
         (_rt_only, ["--tests", "marginal"], "test 'marginal' needs a system input"),
+        (_rt_only, ["--tests", "contrast,distance,fine"], "test 'fine' needs a system input"),
         (None, ["--tests", ","], "at least one test must be selected"),
         (_drop("outputs", 1), [], "inputs and outputs must have equal length (index-paired)"),
         (_drop("outputs"), [], "missing top-level key 'outputs'"),
@@ -330,24 +339,16 @@ def test_dump_matrix_writes_labeled_grid(tmp_path):
     assert first.split()[2:] == list("11..11..........")
 
 
-def test_dump_matrix_and_lp_share_one_build(tmp_path, monkeypatch):
-    from selinf import cli, feasibility
-
-    calls = []
-    original = feasibility.build_feasibility_system
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(cli, "build_feasibility_system", counting)
-    monkeypatch.setattr(feasibility, "build_feasibility_system", counting)
+def test_dump_matrix_grid_and_lp_report_do_not_depend_on_each_other(tmp_path, capsys):
     path = write_system(tmp_path, feasible_binary_system())
-    target = tmp_path / "matrix.txt"
-    assert main([path, "--tests", "lp", "--dump-matrix", str(target)]) == 0
-    assert len(calls) == 1
+    with_lp, with_marginal = tmp_path / "lp.txt", tmp_path / "marginal.txt"
+    assert main([path, "--tests", "lp", "--dump-matrix", str(with_lp)]) == 0
+    dumped = capsys.readouterr().out
+    assert main([path, "--tests", "marginal", "--dump-matrix", str(with_marginal)]) == 0
+    capsys.readouterr()
+    assert with_lp.read_bytes() == with_marginal.read_bytes()
     assert main([path, "--tests", "lp"]) == 0
-    assert len(calls) == 2
+    assert capsys.readouterr().out == dumped
 
 
 def test_metric_flags(tmp_path, capsys):

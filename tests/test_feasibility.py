@@ -418,9 +418,16 @@ class TestSolve:
         with pytest.raises(UsageError, match="non-finite"):
             make_witness(fs, q)
 
-    def test_witness_labels_and_json_safe_report_details(self):
-        fs = build_feasibility_system(feasible_binary_system())
-        witness = lp_report(feasible_binary_system(), fs=fs).witness
+    def test_witness_labels_and_json_safe_report_details(self, monkeypatch):
+        built = []
+
+        def capturing(*args, **kwargs):
+            built.append(build_feasibility_system(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(feasibility, "build_feasibility_system", capturing)
+        witness = lp_report(feasible_binary_system()).witness
+        (fs,) = built
         assert "col_labels" not in fs.__dict__ and "row_labels" not in fs.__dict__
         cells = [
             {"assignment": list(fs.col_labels[i]), "p": float(v)}

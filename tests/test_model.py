@@ -139,6 +139,17 @@ class TestValidateSystem:
             "treatment (2, 1): mass sum inf != 1",
         ]
 
+    @pytest.mark.parametrize("shape", [(4, 3, 2), (3, 2, 3), (4, 6), (4, 2, 3, 1)])
+    def test_array_of_another_shape_than_the_design_is_rejected(self, shape):
+        """A (4, 3, 2) transpose of a (4, 2, 3) design's array would pass every
+        check and read its masses off the wrong cells."""
+        levels = InputSpec("l1", (1, 2)), InputSpec("l2", (1, 2))
+        outputs = OutputSpec("A1", (0, 1)), OutputSpec("A2", (0, 1, 2))
+        design = Design(levels, outputs, tuple(itertools.product((1, 2), (1, 2))))
+        assert System.from_array(design, np.full((4, 2, 3), 1 / 6)).array.shape == (4, 2, 3)
+        with pytest.raises(UsageError, match=rf"^array of shape \({shape[0]}, .*\(4, 2, 3\)$"):
+            System.from_array(design, np.full(shape, 1 / 6))
+
     def test_the_vectorized_check_passes_only_what_the_walk_passes(self):
         """A lone infinity leaves the smallest mass finite, and is caught by
         its treatment's sum; a mass of exactly -eps_prob passes, as does a
