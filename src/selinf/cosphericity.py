@@ -167,9 +167,11 @@ def run_cosphericity(
 
 
 def cosphericity_report(system: System, eps_test: float = EPS_COSPHERICAL) -> TestReport:
-    """Overall verdict: ruled out as soon as any sub-design fails.  Decided on
-    arrays: the only result built is the witness, the first failing sub-design
-    with the largest lhs - rhs.  ``details["results"]`` equals
+    """Overall verdict: ruled out as soon as any sub-design fails.  Each 2x2
+    cell is read off its first realizing treatment in declared order, so
+    without marginal selectivity the verdict can depend on that order.
+    Decided on arrays: the only result built is the witness, the first
+    failing sub-design with the largest lhs - rhs.  ``details["results"]`` equals
     ``run_cosphericity``'s list, read-only; its length is free, and its
     results are built when first read."""
     name = "cosphericity"

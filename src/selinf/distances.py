@@ -21,15 +21,16 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import InapplicableError, UsageError
-from .marginal import check_marginal_selectivity
+from .marginal import check_marginal_selectivity  # unused; perfbench/spans.py patches it here
 from .model import DESIGN_CACHE_SIZE, Design, Level, System, Treatment, TreatmentIndex, pair_layout
 from .report import CONSISTENT, INAPPLICABLE, RULED_OUT, TestReport
-from .tolerances import EPS_TEST
+from .tolerances import EPS_TEST, rounding_band
 
 MAX_SEQUENCE_LENGTH = 6
 
@@ -199,7 +200,7 @@ def _chains(index: TreatmentIndex, max_length: int) -> tuple:
     level position); per chain the closing link's id, then the consecutive
     links' ids, padded with the number of distinct (a, b) links; per link
     the column of ``_distances`` from output k_a to k_b, and its realizers'
-    treatment positions, padded with -1."""
+    treatment positions, in declared order, padded with the last of them."""
     if max_length < 3:
         raise UsageError("max_length must be at least 3")
     counts = index.counts
@@ -233,9 +234,8 @@ def _chains(index: TreatmentIndex, max_length: int) -> tuple:
         ids[c, : len(seq)] = [link_ids.setdefault(pair, len(link_ids)) for pair in pairs]
     ids[ids < 0] = len(link_ids)
     positions = [index.realizers(a, b) for a, b in link_ids]
-    realizers = np.full((len(positions), max(map(len, positions), default=1)), -1, dtype=np.intp)
-    for i, row in enumerate(positions):
-        realizers[i, : len(row)] = row
+    w = max(map(len, positions), default=1)
+    realizers = np.array([r + r[-1:] * (w - len(r)) for r in positions], np.intp).reshape(-1, w)
     pairs = list(itertools.combinations(range(len(counts)), 2))
     column = {pair: p for p, pair in enumerate(pairs)}
     column.update({(k_b, k_a): len(pairs) + p for p, (k_a, k_b) in enumerate(pairs)})
@@ -253,17 +253,18 @@ def run_distance_test(
 ) -> TestReport:
     """Check every enumerated chain inequality; report the worst violation.
 
-    Each distinct link gets one distance, read off its first realizing treatment
-    in declared order; under marginal selectivity the choice cannot matter.
-    When the 2-marginal selectivity fails, the report flags it and the worst
-    case over all realizing treatments is taken instead (largest closing
-    distance against smallest link distances).  All chains are then checked at
-    once, link sums added in chain order.  The witness has the smallest repr
-    of its sequence among the violated chains whose lhs - rhs is within
-    4 L eps s of the largest, where L is the chain length in use (4 on a fully
-    crossed design, else ``max_length``), eps the float64 epsilon and s the
-    largest lhs + rhs: each of the L distances in lhs - rhs is off by a few
-    ulps of itself, so chains tied in exact arithmetic stay tied.
+    Under selective influences all realizers of a link share its 2-marginal,
+    so each link takes its worst case: its largest distance if closing, else
+    its smallest, read off the first realizer in declared order within
+    ``rounding_band(c, s)`` of it, c the outcome's cells and s the largest
+    distance: a distance sums c nonnegative mass-weight products, so in any
+    order it is within c eps s of its exact value, and equal 2-marginals stay
+    tied.  All chains are then checked at once, link sums added in chain
+    order.  The witness has the smallest repr of its sequence among the
+    violated chains whose lhs - rhs is within ``rounding_band(L, s)`` of the
+    largest, L the chain length in use (4 on a fully crossed design, else
+    ``max_length``) and s the largest lhs + rhs: each of the L distances in
+    lhs - rhs is off by a few ulps of itself, so exact ties stay tied.
     """
     name = "distance"
     design = system.design
@@ -272,18 +273,12 @@ def run_distance_test(
     elif isinstance(metric, PowerMetric) and not all(o.has_numeric for o in design.outputs):
         return TestReport(name, INAPPLICABLE, "power metric needs numeric payloads on all outputs")
 
-    ms = check_marginal_selectivity(system, min(2, max(1, design.n - 1)), eps_test)
-    treatment_dependent = not ms.passed
-    details = {"treatment_dependent_links": treatment_dependent}
-
     sequences, ids, columns, realizers = _chains(design.index, max_length)
-    if not treatment_dependent:
-        realizers = realizers[:, :1]
     values = _distances(system, metric)[realizers, columns[:, None]]
-    padding = realizers < 0
-    # per link: the realizer with the largest and the smallest distance, first wins
-    closing = np.argmax(np.where(padding, -np.inf, values), axis=1)
-    linking = np.argmin(np.where(padding, np.inf, values), axis=1)
+    band = rounding_band(math.prod(system.array.shape[1:]), float(np.abs(values).max(initial=0.0)))
+    # per link: the first realizer within the band of its largest, and of its smallest, distance
+    closing = np.argmax(values >= values.max(axis=1, keepdims=True) - band, axis=1)
+    linking = np.argmax(values <= values.min(axis=1, keepdims=True) + band, axis=1)
     rows = np.arange(len(realizers))
     lhs = values[rows, closing][ids[:, 0]]
     link_values = np.append(values[rows, linking], 0.0)
@@ -292,9 +287,9 @@ def run_distance_test(
         rhs += link_values[column]
     violated = lhs > rhs + eps_test
     if not violated.any():
-        return TestReport(name, CONSISTENT, "all chain inequalities hold", details=details)
+        return TestReport(name, CONSISTENT, "all chain inequalities hold")
     gap = lhs - rhs
-    bound = 4 * ids.shape[1] * np.finfo(np.float64).eps * (lhs + rhs)[violated].max()
+    bound = rounding_band(ids.shape[1], (lhs + rhs)[violated].max())
     tied = np.flatnonzero(violated & (gap >= gap[violated].max() - bound))
     c = min(tied, key=lambda i: repr(_labelled(design, sequences[i])))
     row = ids[c, : len(sequences[c])]
@@ -309,5 +304,4 @@ def run_distance_test(
         f"chain inequality violated: {worst.lhs:.6g} > {worst.rhs:.6g} "
         f"for sequence {worst.sequence}",
         witness=worst,
-        details=details,
     )

@@ -30,21 +30,20 @@ p of the rows it passes through, so a row whose columns' caps sum to less
 than its own p stays short by the difference at every point.  The floor,
 the sum of those shortfalls, is y p for an integer Farkas vector y with
 y M_j <= 0 on every kept column j.  Otherwise the simplex stops early once
-its basis proves that no point of mass at most 1 + eps_lp reaches a
-phase-I objective of eps_lp: a coupling has mass 1, so none is missed (see
-``_phase1_simplex``).
-``eps_lp`` bounds two things: the phase-I objective (the sum of the
-artificials) over the kept rows, and the max-abs residual max |M q - p| of
+its basis proves that no point of mass at most 1 + eps_lp, with the
+artificials that left the basis at 0, reaches a phase-I objective of
+eps_lp: a coupling has mass 1 and no artificial, so none is missed (see
+``_phase1_simplex``).  An artificial is dropped once it leaves, so a run
+to the end finds the least objective with those held at 0: an upper bound
+on the phase-I minimum, path-dependent when positive.
+``eps_lp`` bounds two things: that objective (the sum of the artificials)
+over the kept rows, and the max-abs residual max |M q - p| of
 the solution, scattered back to all columns, over all rows of M.  The
 second catches a p that breaks a linear dependency among M's rows (marginal
 selectivity or equal total mass), which the basis rows alone cannot see.
 A design whose solve exceeds ``TABLEAU_BYTE_CAP`` raises CapacityError
-before M is built: decompose the design.  The solver's tableau is
-(rows + 1) x (columns + 1) on the pivoted rows and columns only, its
-reduced-cost row included.
-Each pivot makes thirteen numpy calls whatever the row count; its ratio
-test reads only the rows where the entering column is positive, and its
-rank-1 update allocates one temporary the size of the tableau.
+before M is built: decompose the design.  ``_phase1_simplex`` gives the
+tableau's shape and what each pivot costs.
 For the two-binary-inputs / two-binary-outputs design the same feasible set
 is described in closed form by the Bell/CHSH/Fine inequalities, implemented
 here as an independent cross-check of the solver.
@@ -166,9 +165,11 @@ class LpVerdict:
     among them.  ``optimum`` is the phase-I objective over those rows at
     the last basis, and ``bound`` the value an early-stop rule compared
     with eps_lp, the row-cap floor or the Dantzig-step bound: a lower bound
-    on that objective over every point of mass at most 1 + eps_lp.
-    ``bound < optimum`` when the simplex stopped early; otherwise the last
-    basis is optimal and ``bound == optimum``."""
+    on that objective over every point of mass at most 1 + eps_lp with the
+    artificials that left the basis at 0.  ``bound < optimum`` when the
+    simplex stopped early; else they are equal, the least objective with
+    those artificials at 0: 0 when a coupling exists, and when positive an
+    upper bound on the phase-I minimum that depends on the pivot path."""
 
     feasible: bool
     witness: CouplingWitness | None
@@ -297,13 +298,15 @@ def _phase1_simplex(
     exact for the criterion: a column of a is a coupling assignment, and a
     witness is a coupling whose mass is within eps_lp of 1, so a solve that
     reaches a witness passes through no basis whose bound exceeds eps_lp,
-    and keeps every pivot and its x.  A run that ends at an optimal basis
-    returns bound = optimum.
+    and keeps every pivot and its x.  A run that ends with no structural
+    column to price returns bound = optimum, the least objective with the
+    artificials that left at 0; above 0 it is only an upper bound on the
+    phase-I minimum, and which one depends on the pivot path.
 
     The tableau is (m + 1) x (n + 1): the structural columns and the
     right-hand side, with the reduced-cost row last.  Artificial i is basic
     in row i at the start and is marked in ``basis`` by index n + i; once it
-    leaves it never re-enters, so its column is never read and is not kept.
+    leaves it is never priced again, so its column is never read or kept.
     Row operations act column by column, so dropping it changes no other
     entry.  Each pivot makes the same thirteen numpy calls whatever m is
     (fourteen under Bland's rule): pricing (one), the ratio test and the
@@ -437,33 +440,25 @@ def solve_feasibility(
 ) -> LpVerdict:
     """Decide M q = p, q >= 0 by phase-I simplex; return a witness if feasible.
 
-    The simplex pivots the problem on the support of p: the basis rows
-    ``fs.basis`` with p > 0, and the columns with no 1 in a row where p is
-    exactly 0 (a positive cell, however small, keeps its columns).  Its
-    solution is scattered back into a q over all columns, zero elsewhere.
-    On exact data the restriction has the same feasible set as the full
-    problem, since q >= 0 and M is 0/1, so a row with p = 0 forces q_j = 0
-    for each column j with a 1 in it.  Near the tolerance it can only rule
-    out more, never less: it admits no mass, not even within eps_lp, on a
-    cell observed to be impossible.
+    The simplex pivots the problem on the support of p (an exact
+    restriction, as the module docstring shows): the basis rows
+    ``fs.basis`` with p > 0 and the columns with no 1 in a row where p is
+    exactly 0 (a positive cell, however small, keeps its columns).  Near the
+    tolerance it can only rule out more: it admits no mass, not even within
+    eps_lp, on a cell observed to be impossible.  Its solution is scattered
+    back into a q over all columns, zero elsewhere.
 
     Ruled out when the phase-I objective on the pivoted rows exceeds
     ``eps_lp`` (they are a relaxation of the full system), or when q's
     max |M q - p| over all rows does (p breaks a linear dependency among
     M's rows, so no coupling exists).  Otherwise consistent, with the
-    witness validated against the full M and p.  The simplex stops early,
-    ruling the system out, when the row-cap floor exceeds eps_lp (before
-    its first pivot) or once a basis shows that every point of mass at
-    most 1 + eps_lp has a phase-I objective above eps_lp; every witness
-    has such a mass and an objective at least the floor, so this changes
-    no verdict, and a consistent system keeps every pivot.  The verdict's
-    ``optimum`` is the objective at the last basis and ``bound`` the lower
-    bound a rule compared, below the optimum exactly when the simplex
-    stopped early.  The residual is computed once, on q as the witness
-    holds it; a q that fails the witness contract raises UsageError, as
-    ``make_witness`` does, and is never a verdict.
-    More than ``max_iter`` pivots (default 50 (basis rows + all columns) +
-    1000) raise SolverError.
+    witness validated against the full M and p.  The early stops of
+    ``_phase1_simplex`` change no verdict; ``LpVerdict`` says what its
+    ``optimum`` and ``bound`` are.  The residual is computed once, on q as
+    the witness holds it; a q that fails the witness contract raises
+    UsageError, as ``make_witness`` does, and is never a verdict.  More
+    than ``max_iter`` pivots (default 50 (basis rows + all columns) + 1000)
+    raise SolverError.
     """
     n = fs.matrix.shape[1]
     if max_iter is None:

@@ -25,7 +25,7 @@ from .model import (
     margin_layout,
     sub_marginals,
 )
-from .tolerances import EPS_TEST
+from .tolerances import EPS_TEST, rounding_band
 
 
 @dataclass(frozen=True)
@@ -102,11 +102,10 @@ def check_marginal_selectivity(
     matrix product; every agreeing treatment pair of every subset is then
     compared in one gather on that table.  The verdict compares the largest
     sup-norm difference with ``eps_test``.  The worst pair is the first, in
-    test order, whose sup is within 4 c eps s of the largest, c the cells of
-    the outcome (the most summed into one margin cell, a treatment's total),
-    eps the float64 epsilon and s the largest absolute total: in any
-    summation order a sup is within c eps s of its exact value, so pairs
-    tied in exact arithmetic stay tied.  A non-finite mass raises
+    test order, whose sup is within ``rounding_band(c, s)`` of the largest, c
+    the outcome's cells (the most summed into one margin cell, a treatment's
+    total) and s the largest absolute total: in any summation order a sup is
+    within c eps s of its exact value.  A non-finite mass raises
     UsageError naming the first treatment that has one.
     """
     design = system.design
@@ -136,8 +135,7 @@ def check_marginal_selectivity(
     largest = float(sups.max())
     if largest == 0.0:
         return MarginalReport(None, None, 0.0, 0.0, 0.0 <= eps_test, owners.size)
-    bound = 4 * math.prod(shape) * np.finfo(np.float64).eps * scale
-    c = int((sups >= largest - bound).argmax())
+    c = int((sups >= largest - rounding_band(math.prod(shape), scale)).argmax())
     layout = margin_layout(shape, max_subset_size)
     s = int(owners[c])
     first, second = pairs[:, c].tolist()

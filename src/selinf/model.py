@@ -351,9 +351,13 @@ class System:
     @functools.cached_property
     def pair_table(self) -> np.ndarray:
         """Read-only 2-marginals of ``array``, one (treatments, columns) table
-        laid out by ``pair_layout``: the size-2 columns of one
-        ``sub_marginals`` table, copied out; with two outputs, the array."""
+        laid out by ``pair_layout``: the size-2 columns of one ``sub_marginals``
+        table, copied out; with two outputs, the array.  UsageError, naming
+        the first such treatment, for a non-finite mass."""
         shape = self.array.shape
+        bad = np.flatnonzero(~np.isfinite(self.array.reshape(shape[0], -1)).all(axis=1))
+        if bad.size:
+            raise UsageError(f"non-finite mass at treatment {self.design.treatments[bad[0]]!r}")
         if len(shape) == 3:
             return self.array.reshape(shape[0], -1)
         start = margin_layout(shape[1:], 2).offsets[len(shape)]  # past the total and singletons

@@ -17,6 +17,14 @@ EPS_PROB = 1e-9
 #: (probability) and its running integral (probability x grid time).
 EPS_TEST = 1e-9
 
+
+def rounding_band(terms: int, scale: float) -> float:
+    """4 c eps s, c = ``terms``, s = ``scale``, eps = 2**-52: computed values
+    each within c eps s of their exact values, and equal in exact arithmetic,
+    lie within half this band of each other.  Each caller derives its c, s."""
+    return 4 * terms * 2.0**-52 * scale
+
+
 #: Slack of the cosphericity inequality (``--eps-cospherical``),
 #: dimensionless (products of correlations): a sub-design passes when
 #: lhs <= rhs + EPS_COSPHERICAL, and is flagged as a boundary pass when
@@ -24,9 +32,10 @@ EPS_TEST = 1e-9
 EPS_COSPHERICAL = 1e-6
 
 #: The criterion LP's feasibility tolerance (``--eps-lp``), in probability:
-#: the phase-I objective (sum of the artificials), a witness's max |M q - p|
-#: over all rows of M and |sum(q) - 1|, and the depth below 0 to which a
-#: witness entry is clipped rather than rejected.
+#: the phase-I objective the simplex ends at (the sum of the artificials,
+#: those that left the basis held at 0: an upper bound on the least sum),
+#: a witness's max |M q - p| over all rows of M and |sum(q) - 1|, and the
+#: depth below 0 to which a witness entry is clipped rather than rejected.
 EPS_LP = 1e-8
 
 #: The simplex's zero, in tableau units (probability on the right-hand

@@ -69,12 +69,18 @@ with tempfile.TemporaryDirectory() as tmp:
     # depend on the BLAS thread count. four-pr mixes four.json at
     # weight 0.9 with a shifted PR box on outputs 1 and 2, so its
     # report carries a cosphericity witness with non-trivial rho.
+    # pr-product passes the marginal test and fails a chain whose links
+    # each have 4 realizers, so the distance test picks among realizers
+    # tied up to rounding.
     sys.path.insert(0, "perfbench")
-    from workloads import pr_mixture
+    from workloads import crossed_design, latent_system, pr_mixture, pr_product
     four = four_output_system()
+    latent = latent_system(crossed_design((2, 2, 2, 2), (2, 2, 3, 3)), np.random.default_rng(5), 12)
     cli = ("import sys; sys.modules['scipy'] = None; from selinf.cli import main; "
            "sys.exit(main(sys.argv[1:]))")
-    for name, system in (("four", four), ("four-pr", pr_mixture(four, 0.9))):
+    reports = {}
+    for name, system in (("four", four), ("four-pr", pr_mixture(four, 0.9)),
+                         ("pr-product", pr_product(latent))):
         with open(f"{tmp}/{name}.json", "w", encoding="utf-8") as fh:
             json.dump(system_to_dict(system), fh)
         runs = [
@@ -90,10 +96,12 @@ with tempfile.TemporaryDirectory() as tmp:
             sys.exit(f"selinf exited {[r.returncode for r in runs]} on {name}.json, expected 1")
         if runs[0].stdout != runs[1].stdout:
             sys.exit(f"{name}.json reports differ between OPENBLAS_NUM_THREADS=1 and 2")
-    # runs holds the last document's reports, four-pr's
-    tests = {t["name"]: t for t in json.loads(runs[0].stdout)["tests"]}
-    if tests["cosphericity"]["witness"] is None:
+        reports[name] = {t["name"]: t for t in json.loads(runs[0].stdout)["tests"]}
+    if reports["four-pr"]["cosphericity"]["witness"] is None:
         sys.exit("four-pr.json: expected a cosphericity witness")
+    tests = reports["pr-product"]
+    if tests["marginal"]["verdict"] != "consistent" or tests["distance"]["verdict"] != "ruled-out":
+        sys.exit("pr-product.json: expected a marginal pass and a distance rule-out")
     # Designs equal up to labels share their design tables: a report
     # on d1 with its levels renamed to strings, declared in reverse
     # order, must carry the renamed labels, as a fresh process does.

@@ -1,6 +1,7 @@
 """Distance metrics, sequence enumeration, and chain-inequality tests."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from fixtures import (
     binary_design,
     d1_grouping_transform,
     d1_system,
+    four_output_system,
     pr_box_system,
     random_selective_system,
     system_from_tables,
@@ -34,6 +36,9 @@ from selinf import (
     run_distance_test,
 )
 from selinf import TestReport as Report
+from selinf import marginal, model
+from selinf.model import sub_marginals
+from test_feasibility import crossed, latent_system, pr_product
 
 D1 = PowerMetric(1.0)
 
@@ -49,40 +54,59 @@ def assert_first_realizers(design, sequences):
         assert list(realizers) == [scan_realizers(design, a, b)[0] for a, b in pairs]
 
 
+def reference_links(system, metric, max_length=6):
+    """Per link of every chain, (closing, linking): the (distance, treatment)
+    the link reads when it closes a chain and when it links one.  Every
+    realizer, found by a scan of the treatments, is looked up in turn; the
+    link reads the first realizer in declared order whose distance is within
+    4 c eps s of the largest when closing, of the smallest when linking (c
+    the outcome's cells, s the largest distance of any realizer of any
+    link)."""
+    design = system.design
+    found = {}
+    for seq, _ in enumerate_test_sequences(design, max_length):
+        for a, b in [(seq[0], seq[-1]), *zip(seq, seq[1:])]:
+            if (a, b) not in found:
+                found[a, b] = [
+                    (pairwise_distance(system, metric, t, a[0], b[0])[0], t)
+                    for t in scan_realizers(design, a, b)
+                ]
+    scale = max((abs(d) for values in found.values() for d, _ in values), default=0.0)
+    band = 4 * math.prod(len(o.values) for o in design.outputs) * np.finfo(np.float64).eps * scale
+    picks = {}
+    for link, values in found.items():
+        largest = max(d for d, _ in values)
+        smallest = min(d for d, _ in values)
+        picks[link] = (
+            next(v for v in values if v[0] >= largest - band),
+            next(v for v in values if v[0] <= smallest + band),
+        )
+    return picks
+
+
 def reference_distance_test(system, metric, max_length=6, eps_test=1e-9):
-    """Reference for run_distance_test on numeric or classified outputs: every
-    link of every chain looked up in turn, link distances summed in chain
-    order; of the violations whose gap is within 4 L eps s of the largest (L
-    the chain length in use, s the largest lhs + rhs), the smallest repr of
-    its sequence is reported."""
+    """Reference for run_distance_test on numeric or classified outputs: each
+    chain's links read as ``reference_links`` picks them, link distances
+    summed in chain order; of the violations whose gap is within 4 L eps s
+    of the largest (L the chain length in use, s the largest lhs + rhs), the
+    smallest repr of its sequence is reported."""
     design = system.design
     if isinstance(metric, ClassificationMetric):
         metric.validate(design)
-    dependent = not check_marginal_selectivity(system, min(2, max(1, design.n - 1))).passed
-
-    def link(a, b, first, pick):
-        if not dependent:
-            return pairwise_distance(system, metric, first, a[0], b[0])[0], first
-        values = [
-            (pairwise_distance(system, metric, t, a[0], b[0])[0], t)
-            for t in scan_realizers(design, a, b)
-        ]
-        return pick(values, key=lambda v: v[0])
-
+    picks = reference_links(system, metric, max_length)
     violations = []
-    for seq, realizers in enumerate_test_sequences(design, max_length):
-        lhs, closing = link(seq[0], seq[-1], realizers[0], max)
+    for seq, _ in enumerate_test_sequences(design, max_length):
+        lhs, closing = picks[seq[0], seq[-1]][0]
         rhs = 0.0
         used = [closing]
         for i in range(1, len(seq)):
-            d, t = link(seq[i - 1], seq[i], realizers[i], min)
+            d, t = picks[seq[i - 1], seq[i]][1]
             rhs += d
             used.append(t)
         if lhs > rhs + eps_test:
             violations.append(ChainViolation(seq, lhs, rhs, tuple(used)))
-    details = {"treatment_dependent_links": dependent}
     if not violations:
-        return Report("distance", CONSISTENT, "all chain inequalities hold", details=details)
+        return Report("distance", CONSISTENT, "all chain inequalities hold")
     length = 4 if design.is_fully_crossed() else max_length
     bound = 4 * length * np.finfo(np.float64).eps * max(v.lhs + v.rhs for v in violations)
     best = max(v.lhs - v.rhs for v in violations)
@@ -96,7 +120,6 @@ def reference_distance_test(system, metric, max_length=6, eps_test=1e-9):
         f"chain inequality violated: {worst.lhs:.6g} > {worst.rhs:.6g} "
         f"for sequence {worst.sequence}",
         witness=worst,
-        details=details,
     )
 
 
@@ -524,7 +547,7 @@ class TestRunDistanceTest:
                 if kind == "dependent":
                     system = independent_pmfs(rng, system.design)
                 systems.append(system)
-        seen = {"dependent": 0, "ruled-out": 0}
+        seen = {"non-first": 0, "ruled-out": 0}
         for system in systems:
             metrics = [PowerMetric(0.0), PowerMetric(0.5), PowerMetric(1.0)]
             metrics.append(random_class_metric(rng, system.design))
@@ -533,11 +556,18 @@ class TestRunDistanceTest:
                 assert repr(report) == repr(
                     reference_distance_test(system, metric, max_length=max_length)
                 )
-                seen["dependent"] += report.details["treatment_dependent_links"]
+                picks = reference_links(system, metric, max_length).items()
+                seen["non-first"] += any(
+                    t != scan_realizers(system.design, a, b)[0]
+                    for (a, b), pair in picks
+                    for _, t in pair
+                )
                 seen["ruled-out"] += report.verdict == "ruled-out"
         if kind in ("dependent", "pr-box"):
             assert seen["ruled-out"] > 0
-        assert (seen["dependent"] > 0) == (kind == "dependent")
+        # links read off other than their first realizer only where the
+        # 2-marginals depend on the whole treatment
+        assert (seen["non-first"] > 0) == (kind == "dependent")
 
     def test_crossed_design_checks_quadruples_at_max_length_three(self):
         grouped = apply_transform(d1_system(), d1_grouping_transform())
@@ -587,37 +617,73 @@ class TestRunDistanceTest:
         assert report.verdict == "consistent"
         assert repr(report) == repr(reference_distance_test(system, D1))
 
-    def test_marginal_failure_flags_treatment_dependent_links(self):
-        # A system violating marginal selectivity still gets a distance
-        # verdict, computed worst-case over the realizing treatments.
+    def test_marginal_failure_takes_the_worst_case_over_realizers(self):
+        # Three binary inputs, every output 0 with mass 1 except A2 = 1 at
+        # (1, 2, 2): the link from (0, 1) to (1, 2) measures 0 at its first
+        # realizer (1, 2, 1) and 1 at (1, 2, 2).  Closing a chain it reads the
+        # latter; read off its first realizer, every chain would hold.
         design = Design(
-            (InputSpec("l1", (1, 2)), InputSpec("l2", (1, 2))),
-            (
-                OutputSpec("A1", (0, 1), (0.0, 1.0)),
-                OutputSpec("A2", (0, 1), (0.0, 1.0)),
-            ),
-            tuple(itertools.product((1, 2), (1, 2))),
+            tuple(InputSpec(f"l{k}", (1, 2)) for k in range(3)),
+            tuple(OutputSpec(f"A{k}", (0, 1), (0.0, 1.0)) for k in range(3)),
+            tuple(itertools.product((1, 2), repeat=3)),
         )
-        tables = {
-            (1, 1): {(0, 0): 0.2, (0, 1): 0.2, (1, 0): 0.3, (1, 1): 0.3},
-            (1, 2): {(0, 0): 0.3, (0, 1): 0.1, (1, 0): 0.2, (1, 1): 0.4},
-            (2, 1): {(0, 0): 0.4, (0, 1): 0.3, (1, 0): 0.1, (1, 1): 0.2},
-            (2, 2): {(0, 0): 0.3, (0, 1): 0.4, (1, 0): 0.1, (1, 1): 0.2},
-        }
+        tables = {t: {(0, 0, 0): 1.0} for t in design.treatments}
+        tables[(1, 2, 2)] = {(0, 1, 0): 1.0}
         system = system_from_tables(design, tables)
+        assert not check_marginal_selectivity(system).passed
         report = run_distance_test(system, D1)
-        assert report.details["treatment_dependent_links"] is True
-        assert report.verdict in ("consistent", "ruled-out")
+        assert report.verdict == "ruled-out" and report.details == {}
+        assert report.witness == ChainViolation(
+            ((0, 1), (1, 1), (0, 2), (1, 2)),
+            1.0,
+            0.0,
+            ((1, 2, 2), (1, 1, 1), (2, 1, 1), (2, 2, 1)),
+        )
+        assert repr(report) == repr(reference_distance_test(system, D1))
 
-    def test_marginal_precheck_runs_at_the_tests_tolerance(self):
-        # 1e-6 of mass moved within the first treatment passes the marginal
-        # test at eps_test=1e-3, so the links stay treatment-independent.
-        d1 = d1_system()
-        tables = {t: dict(d1.pmf(t).items()) for t in d1.design.treatments}
-        tables[(1, 1)][(0, 0)] -= 1e-6
-        tables[(1, 1)][(0, 1)] += 1e-6
-        system = system_from_tables(d1.design, tables)
-        assert check_marginal_selectivity(system, eps_test=1e-3).passed
-        report = run_distance_test(system, D1, eps_test=1e-3)
-        assert report.details == {"treatment_dependent_links": False}
-        assert run_distance_test(system, D1).details == {"treatment_dependent_links": True}
+    def test_realizers_tied_up_to_rounding_read_the_first(self):
+        # A PR box times a latent system's third output, with 1e-15 added at
+        # the second realizer of the witness's closing link: within the
+        # rounding band of the first realizer's distance, though above it,
+        # so the link still reads its first realizer.
+        design = crossed((2, 2, 2), (2, 2, 2))
+        base = pr_product(latent_system(design, np.random.default_rng(0), 6))
+        metric = ClassificationMetric((((0,), (1,)),) * design.n)
+        witness = run_distance_test(base, metric).witness
+        closing = (witness.sequence[0], witness.sequence[-1])
+        first, second = scan_realizers(design, *closing)
+        assert witness.treatments[0] == first
+        cell = [design.treatments.index(second)] + [0] * design.n
+        cell[1 + closing[1][0]] = 1  # A_k in class 0, A_k' in class 1
+        array = base.array.copy()
+        array[tuple(cell)] += 1e-15
+        system = System.from_array(design, array)
+        k, k_prime = closing[0][0], closing[1][0]
+        d_first, d_second = (
+            pairwise_distance(system, metric, t, k, k_prime)[0] for t in (first, second)
+        )
+        assert 0 < d_second - d_first < 4 * 8 * np.finfo(np.float64).eps * d_second
+        report = run_distance_test(system, metric)
+        assert (report.witness.sequence, report.witness.treatments) == (
+            witness.sequence,
+            witness.treatments,
+        )
+        assert report.witness.lhs == d_first
+        assert repr(report) == repr(reference_distance_test(system, metric))
+
+    def test_a_second_test_on_a_system_makes_no_sub_marginals(self, monkeypatch):
+        # The pair table is the one sub-marginal product a distance test
+        # needs, and the system keeps it.
+        caps = []
+
+        def recording(array, max_size):
+            caps.append(max_size)
+            return sub_marginals(array, max_size)
+
+        for module in (model, marginal):
+            monkeypatch.setattr(module, "sub_marginals", recording)
+        system = four_output_system()
+        run_distance_test(system, D1)
+        assert caps == [2]
+        run_distance_test(system, PowerMetric(0.5))
+        assert caps == [2]

@@ -28,7 +28,9 @@ from selinf import (
     UsageError,
     build_feasibility_system,
     check_marginal_selectivity,
+    cosphericity_report,
     fine_inequality_check,
+    pairwise_distance,
     run_distance_test,
     solve_feasibility,
 )
@@ -215,20 +217,26 @@ def test_reports_equal_the_per_subset_reference():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("test", ["marginal", "fine", "distance"])
+@pytest.mark.parametrize(
+    "test", ["marginal", "fine", "distance", "pairwise-distance", "cosphericity"]
+)
 def test_non_finite_mass_is_a_usage_error(test, bad):
     """A system built from an array skips validation; the screens still
-    refuse a non-finite mass instead of passing it."""
-    base = feasible_binary_system()
+    refuse a non-finite mass instead of passing it.  The base carries
+    payloads, so that cosphericity reads its correlations."""
+    feasible = feasible_binary_system()
+    numeric = binary_design(numeric=True)
+    base = system_from_tables(numeric, {t: feasible.pmf(t).table for t in numeric.treatments})
     array = base.array.copy()
     array[0, 0, 0] = bad
     system = System.from_array(base.design, array)
+    classes = ClassificationMetric((((1,), (2,)), ((1,), (2,))))
     run = {
         "marginal": check_marginal_selectivity,
         "fine": fine_inequality_check,
-        "distance": lambda s: run_distance_test(
-            s, ClassificationMetric((((1,), (2,)), ((1,), (2,))))
-        ),
+        "distance": lambda s: run_distance_test(s, classes),
+        "pairwise-distance": lambda s: pairwise_distance(s, classes, (1, 1), 0, 1),
+        "cosphericity": cosphericity_report,
     }[test]
     with pytest.raises(UsageError, match=r"non-finite mass at treatment \(1, 1\)"):
         run(system)
