@@ -112,9 +112,8 @@ def _evaluate(system: System) -> tuple:
     rho = rho[keep]
     r11, r12, r21, r22 = rho.T
     lhs = np.abs(r11 * r12 - r21 * r22)
-    rhs = np.sqrt(np.maximum(0.0, 1 - r11**2)) * np.sqrt(
-        np.maximum(0.0, 1 - r12**2)
-    ) + np.sqrt(np.maximum(0.0, 1 - r21**2)) * np.sqrt(np.maximum(0.0, 1 - r22**2))
+    s11, s12, s21, s22 = np.sqrt(np.maximum(0.0, 1 - rho**2)).T
+    rhs = s11 * s12 + s21 * s22
     return np.flatnonzero(keep), rho, lhs, rhs
 
 

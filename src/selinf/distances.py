@@ -28,7 +28,10 @@ import numpy as np
 
 from .errors import InapplicableError, UsageError
 from .marginal import check_marginal_selectivity  # unused; perfbench/spans.py patches it here
-from .model import DESIGN_CACHE_SIZE, Design, Level, System, Treatment, TreatmentIndex, pair_layout
+from .model import (
+    DESIGN_CACHE_SIZE, MARGIN_CACHE_SIZE, Design, Level, System, Treatment, TreatmentIndex,
+    pair_layout,
+)
 from .report import CONSISTENT, INAPPLICABLE, RULED_OUT, TestReport
 from .tolerances import EPS_TEST, rounding_band
 
@@ -105,23 +108,23 @@ class ChainViolation:
         return asdict(self)
 
 
-@functools.lru_cache(maxsize=DESIGN_CACHE_SIZE)
+@functools.lru_cache(maxsize=MARGIN_CACHE_SIZE)
 def _pair_weights(metric: MetricSpec, outputs: tuple) -> tuple[np.ndarray, np.ndarray]:
     """(forward, backward): per ``pair_layout`` column the weight W of its
     cell, d(k, k') = sum(P2 * W) over a pair's 2-marginal P2, then from k'
     to k over the columns in ``transposed`` order: (y - x)**p where x < y,
-    the class metric being p = 0 on class indices; 0 for absent payloads."""
+    the class metric being p = 0 on class indices; 0 for absent payloads.
+    Both come from one difference y - x, since x - y is its exact negation.
+    Kept for as many (metric, outputs) as a battery's outcome shapes."""
     layout = pair_layout(tuple(len(out.values) for out in outputs))
     if isinstance(metric, PowerMetric):
         x, y, p = *layout.payloads(outputs), metric.p
     else:
         c = np.array([metric.class_index(k, v) for k, o in enumerate(outputs) for v in o.values])
         x, y, p = c[layout.first], c[layout.second], 0.0
-    order = layout.transposed
-    return tuple(
-        np.where(a < b, np.power(np.maximum(b - a, 0.0), p), 0.0)
-        for a, b in ((x, y), (y[order], x[order]))
-    )
+    d = y - x
+    w = np.power(np.abs(d), p)
+    return np.where(d > 0, w, 0.0), np.where(d < 0, w, 0.0)[layout.transposed]
 
 
 def _distances(system: System, metric: MetricSpec) -> np.ndarray:

@@ -66,10 +66,10 @@ def _labels(raw: Any, where: str) -> tuple:
     return tuple(raw)
 
 
-def _spec(where: str, cls, *args):
-    """``cls(*args)``, with its own UsageError reported at ``where``."""
+def _spec(where: str, make, *args):
+    """``make(*args)``, with its own UsageError reported at ``where``."""
     try:
-        return cls(*args)
+        return make(*args)
     except UsageError as exc:
         raise UsageError(f"{where}: {exc}") from None
 
@@ -224,7 +224,10 @@ def rt_from_dict(doc: dict) -> RtSystem:
 
 
 def transforms_from_file(path: str, design: Design) -> list[TransformSpec]:
-    """Parse a non-empty list of transform specs against a concrete design."""
+    """Parse a non-empty list of transform specs against a concrete design:
+    each output's 'map' (every level) or 'maps' (per level), not both, must
+    map every value at every level of its input, and a gap is reported at
+    that key, naming the level and the value."""
     doc = load_document(path)
     if not isinstance(doc, list):
         raise UsageError("transforms file must contain a list of transform specs")
@@ -254,9 +257,12 @@ def transforms_from_file(path: str, design: Design) -> list[TransformSpec]:
             target = _parse_output(
                 {"name": source.name, "values": oentry["values"]}, owhere
             )
+            if "map" in oentry and "maps" in oentry:
+                raise UsageError(f"{owhere}: give 'map' or 'maps', not both")
+            key = "map" if "map" in oentry else "maps"
             raw_maps = (
                 {None: oentry["map"]}
-                if "map" in oentry
+                if key == "map"
                 else _object(oentry.get("maps", {}), f"{owhere}.maps")
             )
             if not raw_maps:
@@ -271,12 +277,14 @@ def transforms_from_file(path: str, design: Design) -> list[TransformSpec]:
                     )
                 )
                 maps[level] = {
-                    resolve_label(source.values, old, f"{owhere}.map"): resolve_label(
-                        target.values, new, f"{owhere}.map"
+                    resolve_label(source.values, old, f"{owhere}.{key}"): resolve_label(
+                        target.values, new, f"{owhere}.{key}"
                     )
-                    for old, new in _object(mapping, f"{owhere}.map").items()
+                    for old, new in _object(mapping, f"{owhere}.{key}").items()
                 }
             per_output[k] = OutputTransform(target, maps)
+            # every value mapped at every level of the input, as apply_transform requires
+            _spec(f"{owhere}.{key}", per_output[k].images, source, design.inputs[k].levels)
         specs.append(
             TransformSpec(
                 tuple(per_output.get(k, identity[k]) for k in range(design.n)),

@@ -17,7 +17,6 @@ only the point masses are stored.
 
 from __future__ import annotations
 
-import copy
 import functools
 import itertools
 import math
@@ -157,9 +156,8 @@ class Design:
         outputs = tuple(outputs)
         if len(outputs) != len(self.inputs):
             raise UsageError("inputs and outputs must be index-paired (equal counts)")
-        design = copy.copy(self)
-        object.__setattr__(design, "outputs", outputs)
-        object.__setattr__(design, "index", self.index)
+        design = object.__new__(Design)  # frozen: its fields are set as copy.copy would
+        design.__dict__.update(self.__dict__, outputs=outputs, index=self.index)
         return design
 
     @functools.cached_property
@@ -266,8 +264,12 @@ class System:
     The library reads ``array``; ``distributions`` holds the ``JointPmf``
     tables.  A system keeps the form it was made from, tables or
     (``from_array``) an array, and derives the other on first use, checking
-    the tables' structure as it builds the array.  Neither may be mutated.
+    the tables' structure as it builds the array; ``with_design`` shares
+    another system's array.  Neither may be mutated.
     """
+
+    #: The system whose ``array`` this one shares (``with_design``), if any.
+    _source: System | None = None
 
     def __init__(self, design: Design, distributions: Mapping[Treatment, JointPmf]):
         self.design = design
@@ -280,14 +282,23 @@ class System:
         screens sum in memory order.  Masses in (-EPS_PROB, 0) become 0, as
         ``JointPmf`` clips them.  UsageError unless ``array`` has the design's
         shape, (treatments, *value counts)."""
-        shape = (len(design.treatments), *(len(out.values) for out in design.outputs))
-        if array.shape != shape:
-            raise UsageError(f"array of shape {array.shape} does not match the design's {shape}")
+        _check_shape(design, array)
         system = cls.__new__(cls)
         system.design = design
         clipped = np.where((array < 0.0) & (array > -EPS_PROB), 0.0, array)
         system.array = np.ascontiguousarray(clipped)
         system.array.flags.writeable = False
+        return system
+
+    def with_design(self, design: Design) -> "System":
+        """This system's masses under ``design``, which has its treatments
+        and outputs with as many values each (relabeled values, new
+        payloads): the new system reads this one's ``array``, and its
+        ``pair_table`` is this one's, built when either first asks for it.
+        UsageError unless the array has ``design``'s shape."""
+        _check_shape(design, self.array)
+        system = System.__new__(System)
+        system.design, system.array, system._source = design, self.array, self
         return system
 
     def pmf(self, treatment: Treatment) -> JointPmf:
@@ -354,6 +365,8 @@ class System:
         laid out by ``pair_layout``: the size-2 columns of one ``sub_marginals``
         table, copied out; with two outputs, the array.  UsageError, naming
         the first such treatment, for a non-finite mass."""
+        if self._source is not None:
+            return self._source.pair_table
         shape = self.array.shape
         bad = np.flatnonzero(~np.isfinite(self.array.reshape(shape[0], -1)).all(axis=1))
         if bad.size:
@@ -364,6 +377,13 @@ class System:
         table = sub_marginals(self.array, 2)[:, start:].copy()
         table.flags.writeable = False
         return table
+
+
+def _check_shape(design: Design, array: np.ndarray) -> None:
+    """UsageError unless ``array`` has ``design``'s (treatments, *value counts)."""
+    shape = (len(design.treatments), *(len(out.values) for out in design.outputs))
+    if array.shape != shape:
+        raise UsageError(f"array of shape {array.shape} does not match the design's {shape}")
 
 
 @dataclass(frozen=True, eq=False)

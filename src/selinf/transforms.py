@@ -12,6 +12,7 @@ transforms, runs batteries, and generates seeded random batteries
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
@@ -42,6 +43,32 @@ class OutputTransform:
             return self.maps[None]
         raise UsageError(f"no value map for level {level!r}")
 
+    def images(self, source: OutputSpec, levels: Sequence[Level]) -> list[list[int]]:
+        """Per level of ``levels``, the position among the target values of
+        the image of each of ``source``'s values.  Each distinct map is read
+        once, at the first level that uses it; UsageError there for a level
+        with no map, a value it leaves unmapped or an image outside the
+        target values, the first in (level, value) order."""
+        target = {v: i for i, v in enumerate(self.target.values)}
+        # id of each map read so far: (the map, held so that its id stays its own; its images)
+        seen: dict[int, tuple] = {}
+        table = []
+        for level in levels:
+            mapping = self.map_for(level)
+            if id(mapping) not in seen:
+                for value in source.values:
+                    if value not in mapping:
+                        raise UsageError(
+                            f"output {source.name!r}: value {value!r} unmapped at level {level!r}"
+                        )
+                    if mapping[value] not in target:
+                        raise UsageError(
+                            f"output {source.name!r}: image {mapping[value]!r} not in target values"
+                        )
+                seen[id(mapping)] = mapping, [target[mapping[v]] for v in source.values]
+            table.append(seen[id(mapping)][1])
+        return table
+
 
 @dataclass(frozen=True)
 class TransformSpec:
@@ -64,43 +91,40 @@ def identity_transform(design: Design) -> TransformSpec:
 def apply_transform(system: System, spec: TransformSpec) -> System:
     """Push every treatment pmf forward through the level-selected maps.
 
-    Works on ``system.array``: along each output's axis, every treatment's
-    masses are summed into its level's images by one product with a 0/1
-    index matrix, unless value i goes to target value i at every level (a
-    monotone relabeling, an order-preserving grouping of two values): that
-    axis is kept as it is.  The transformed system is made from that array
-    alone, C-ordered; its tables are built only if a caller reads them.  Its
-    design shares the parent's inputs and treatments, which are not checked
-    again.  UsageError unless ``spec`` has one transform per output, each
-    mapping every value at every level of its input into its target values.
+    Works on ``system.array``, one pass per output: its maps are read once
+    each (``OutputTransform.images``), and unless value i goes to target
+    value i at every level (a monotone relabeling, an order-preserving
+    grouping of two values), which keeps the axis as it is, every
+    treatment's masses along the axis are summed into its level's images by
+    one product with a 0/1 index matrix, on a C-ordered copy of the array
+    with that axis last.  A system whose every axis is kept shares the
+    parent's array and pair table (``System.with_design``); otherwise it is
+    made from the pushed array alone, C-ordered, and its tables are built
+    only if a caller reads them.  Its design shares the parent's inputs and
+    treatments, which are not checked again.  UsageError unless ``spec``
+    has one transform per output, each mapping every value at every level
+    of its input into its target values.
     """
     design = system.design
     if len(spec.outputs) != design.n:
         raise UsageError("one transform per output is required")
     new_design = design.with_outputs(tr.target for tr in spec.outputs)
     array = system.array
+    t = len(design.treatments)
     for k, (tr, out) in enumerate(zip(spec.outputs, design.outputs)):
-        target = {v: i for i, v in enumerate(tr.target.values)}
-        images = []  # per level position, the target index of each value
-        for level in design.inputs[k].levels:
-            mapping = tr.map_for(level)
-            for value in out.values:
-                if value not in mapping:
-                    raise UsageError(
-                        f"output {out.name!r}: value {value!r} unmapped at level {level!r}"
-                    )
-                if mapping[value] not in target:
-                    raise UsageError(
-                        f"output {out.name!r}: image {mapping[value]!r} not in target values"
-                    )
-            images.append([target[mapping[value]] for value in out.values])
-        if all(im == list(range(len(target))) for im in images):
+        images = tr.images(out, design.inputs[k].levels)
+        v, w = len(out.values), len(tr.target.values)
+        if all(row == list(range(w)) for row in images):
             continue  # value i goes to target value i at every level: the axis stays
         # one 0/1 matrix per level position, gathered by each treatment's position
-        onehot = np.eye(len(target))[images][design.index.positions[:, k]]
-        moved = np.moveaxis(array, k + 1, -1)
-        summed = moved.reshape(len(design.treatments), -1, len(out.values)) @ onehot
-        array = np.moveaxis(summed.reshape(moved.shape[:-1] + (len(target),)), -1, k + 1)
+        onehot = np.eye(w)[images][design.index.positions[:, k]]
+        shape = array.shape
+        before, after = math.prod(shape[1 : k + 1]), math.prod(shape[k + 2 :])
+        moved = array.reshape(t, before, v, after).swapaxes(2, 3).reshape(t, -1, v)
+        pushed = (moved @ onehot).reshape(t, before, after, w).swapaxes(2, 3)
+        array = pushed.reshape(*shape[: k + 1], w, *shape[k + 2 :])
+    if array is system.array:
+        return system.with_design(new_design)
     return System.from_array(new_design, array)
 
 

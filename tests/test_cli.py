@@ -433,6 +433,45 @@ def test_transform_entry_naming_an_output_twice_exit_two(tmp_path, capsys):
     assert f"error: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (
+            {"map": {"0": 1, "2": 2}},
+            "transforms[0].outputs[0].map: output 'A1': value 4 unmapped at level 1",
+        ),
+        (
+            {"maps": {"1": {"0": 1, "2": 2, "4": 2}}},
+            "transforms[0].outputs[0].maps: no value map for level 2",
+        ),
+        (
+            {"maps": {"1": {"0": 1, "2": 2, "4": 2}, "2": {"0": 1, "4": 2}}},
+            "transforms[0].outputs[0].maps: output 'A1': value 2 unmapped at level 2",
+        ),
+        (
+            {"maps": {"1": {"0": 1, "2": 2, "5": 2}}},
+            "transforms[0].outputs[0].maps: unknown label '5' (declared: [0, 2, 4])",
+        ),
+        (
+            {"map": {"0": 1, "2": 2, "4": 2}, "maps": {"1": {"0": 1}}},
+            "transforms[0].outputs[0]: give 'map' or 'maps', not both",
+        ),
+    ],
+)
+def test_transform_map_that_is_not_total_exit_two_with_location(tmp_path, capsys, entry, message):
+    # The band fixture is 2x2 with three values per output; each map must
+    # cover every value at every level of its input.
+    path = write_system(tmp_path, d1_system())
+    values = [{"label": 1, "numeric": 1}, {"label": 2, "numeric": 2}]
+    battery = [{"outputs": [{"output": "A1", "values": values, **entry}]}]
+    tpath = tmp_path / "battery.json"
+    tpath.write_text(json.dumps(battery))
+    assert main([path, "--tests", "battery", "--transforms", str(tpath)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_empty_transforms_file_exit_two(tmp_path, capsys):
     # A battery asked for with no member is a usage error, not a vacuous pass.
     path = write_system(tmp_path, d1_system())

@@ -1,5 +1,6 @@
 """Output transformations and test batteries."""
 
+import itertools
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from fixtures import (
     d1_grouping_transform,
     d1_system,
     feasible_binary_system,
+    four_output_system,
     level_specific_transform,
     random_selective_system,
     transform_base_system,
@@ -18,9 +20,11 @@ from selinf import (
     ClassificationMetric,
     Design,
     PowerMetric,
+    System,
     UsageError,
     apply_transform,
     build_feasibility_system,
+    cosphericity_report,
     generate_battery,
     identity_transform,
     lp_report,
@@ -28,6 +32,7 @@ from selinf import (
     run_distance_test,
     solve_feasibility,
 )
+from selinf import model
 
 
 class TestApplyTransform:
@@ -259,34 +264,46 @@ def transform_systems():
     return systems
 
 
-def is_kept(spec, design):
-    """Whether every output sends its i-th value to the i-th target value at
-    every level, onto as many target values."""
-    return all(
+def kept_axes(spec, design):
+    """Per output, whether it sends its i-th value to the i-th target value
+    at every level, onto as many target values."""
+    return [
         len(tr.target.values) == len(out.values)
-        and tr.map_for(level) == dict(zip(out.values, tr.target.values))
+        and all(
+            tr.map_for(level) == dict(zip(out.values, tr.target.values))
+            for level in spec_in.levels
+        )
         for tr, out, spec_in in zip(spec.outputs, design.outputs, design.inputs)
-        for level in spec_in.levels
-    )
+    ]
+
+
+def is_kept(spec, design):
+    return all(kept_axes(spec, design))
 
 
 class TestIdentityAxes:
     def check(self, system, spec, monkeypatch):
-        moved = []
-        original = np.moveaxis
+        """The sizes of the 0/1 index matrices that ``apply_transform``
+        builds, one per pushed axis, after checking the member byte for byte
+        against the full push: it shares the parent's array exactly when no
+        axis is pushed."""
+        pushed = []
+        original = np.eye
 
         def counting(*args, **kwargs):
-            moved.append(args[1])
+            pushed.append(args[0])
             return original(*args, **kwargs)
 
         expected = reference_apply_transform(system, spec)
         with monkeypatch.context() as patch:
-            patch.setattr(np, "moveaxis", counting)
+            patch.setattr(np, "eye", counting)
             member = apply_transform(system, spec)
         assert member.array.flags.c_contiguous and expected.array.flags.c_contiguous
         assert member.array.shape == expected.array.shape
         assert member.array.tobytes() == expected.array.tobytes()
-        return moved
+        assert len(pushed) == kept_axes(spec, system.design).count(False)
+        assert (member.array is system.array) == (pushed == [])
+        return pushed
 
     def test_kept_axes_match_the_full_push_bit_for_bit(self, monkeypatch):
         kept = 0
@@ -294,11 +311,11 @@ class TestIdentityAxes:
             design = system.design
             specs = [identity_transform(design)] + generate_battery(design, 6, 6, seed=design.n)
             for spec in specs:
-                moved = self.check(system, spec, monkeypatch)
+                pushed = self.check(system, spec, monkeypatch)
                 if not spec.name.startswith("grouping"):
                     assert is_kept(spec, design)
-                assert (moved == []) == is_kept(spec, design)
-                kept += moved == []
+                assert (pushed == []) == is_kept(spec, design)
+                kept += pushed == []
         assert kept > 12  # identities, monotone members and ordered binary groupings
 
     def test_binary_groupings_in_order_are_kept(self, monkeypatch):
@@ -306,9 +323,9 @@ class TestIdentityAxes:
         groupings = generate_battery(system.design, 12, 0, seed=3)
         kinds = set()
         for spec in groupings:
-            moved = self.check(system, spec, monkeypatch)
+            pushed = self.check(system, spec, monkeypatch)
             kinds.add(is_kept(spec, system.design))
-            assert (moved == []) == is_kept(spec, system.design)
+            assert (pushed == []) == is_kept(spec, system.design)
         assert kinds == {True, False}
 
     def test_maps_that_move_values_are_pushed(self, monkeypatch):
@@ -322,3 +339,129 @@ class TestIdentityAxes:
             assert not is_kept(spec, system.design)
             assert self.check(system, spec, monkeypatch) != []
         assert len(cases) > 10
+
+    def test_members_on_the_screen_shapes_equal_the_full_push_bit_for_bit(self):
+        """Latent systems with 12 latent values on the benchmark's screen
+        designs, each with a battery of 3 groupings and 3 relabelings: every
+        member is byte for byte the reference's (..., v) @ (v, w) product,
+        which a product of another orientation is not."""
+        rng = np.random.default_rng(7)
+        members = 0
+        for _ in range(30):
+            for levels, values, drop in SCREEN_SHAPES:
+                system = screen_system(rng, levels, values, drop)
+                for spec in generate_battery(system.design, 3, 3, seed=int(rng.integers(2**31))):
+                    member = apply_transform(system, spec)
+                    expected = reference_apply_transform(system, spec)
+                    assert member.array.shape == expected.array.shape
+                    assert member.array.tobytes() == expected.array.tobytes()
+                    members += 1
+        assert members == 720
+
+
+#: (levels per input, values per output, last treatments dropped)
+SCREEN_SHAPES = (
+    ((4, 4), (3, 5), 0),
+    ((2, 2, 2, 2), (2, 2, 3, 3), 0),
+    ((3, 3, 3), (2, 2, 4), 0),
+    ((2, 2, 2), (3, 4, 5), 2),
+)
+
+
+def screen_system(rng, levels, values, drop, n_latent=12):
+    """A latent system on a crossed design less its last ``drop`` treatments;
+    output k takes values 0..values[k] - 1, with those payloads."""
+    from selinf import InputSpec, JointPmf, LatentModel, OutputSpec, generate_system
+
+    inputs = tuple(InputSpec(f"x{k}", tuple(range(1, m + 1))) for k, m in enumerate(levels))
+    outputs = tuple(
+        OutputSpec(f"A{k}", tuple(range(v)), tuple(map(float, range(v))))
+        for k, v in enumerate(values)
+    )
+    treatments = tuple(itertools.product(*(spec.levels for spec in inputs)))
+    design = Design(inputs, outputs, treatments[: len(treatments) - drop])
+    masses = rng.dirichlet(np.ones(n_latent))
+    latent = JointPmf(1, {(r,): float(m) for r, m in enumerate(masses)})
+    responses = tuple(
+        {(level, r): int(rng.integers(v)) for level in spec.levels for r in range(n_latent)}
+        for spec, v in zip(inputs, values)
+    )
+    return generate_system(design, LatentModel(latent, responses))
+
+
+class TestKeptMembersShareTheParent:
+    """A member whose every axis is kept reads its parent's array and pair
+    table; the table is built once, for whichever asks first."""
+
+    def kept_members(self, system):
+        design = system.design
+        specs = [identity_transform(design)] + generate_battery(design, 0, 4, seed=2)
+        return [apply_transform(system, spec) for spec in specs]
+
+    def test_pair_table_is_the_parents_with_no_product(self, monkeypatch):
+        calls = []
+        product = model.sub_marginals
+        monkeypatch.setattr(model, "sub_marginals", lambda *a: calls.append(a) or product(*a))
+        rng = np.random.default_rng(5)
+        systems = [four_output_system(), screen_system(rng, (3, 3, 3), (2, 2, 4), 0)]
+        for system in systems:
+            members = self.kept_members(system)
+            assert all(member.array is system.array for member in members)
+            calls.clear()
+            assert members[0].pair_table is system.pair_table  # built through the member
+            assert all(member.pair_table is system.pair_table for member in members)
+            assert len(calls) == 1
+
+    def test_a_design_of_another_shape_is_a_usage_error(self):
+        system = d1_system()
+        other = transform_base_system().design  # two values per output, not three
+        with pytest.raises(UsageError, match="does not match the design's"):
+            system.with_design(other)
+
+    def test_a_non_finite_parent_mass_raises_from_the_members_screens(self):
+        for base in (d1_system(), four_output_system()):
+            message = f"non-finite mass at treatment {base.design.treatments[2]!r}"
+            array = base.array.copy()
+            array[2].flat[1] = np.nan
+            parent = System.from_array(base.design, array)
+            members = self.kept_members(parent)  # apply_transform itself does not raise
+            for member in members:
+                # as a member made from its own copy of the array reports it
+                alone = System.from_array(member.design, member.array.copy())
+                for system in (member, alone):
+                    with pytest.raises(UsageError) as distance:
+                        run_distance_test(system, PowerMetric(1.0))
+                    with pytest.raises(UsageError) as cosphericity:
+                        cosphericity_report(system)
+                    assert str(distance.value) == str(cosphericity.value) == message
+
+
+def test_parent_weights_survive_a_battery():
+    """Both directed weight vectors are cached per (metric, outputs) for as
+    many as a battery brings: after six members, each tested under two
+    exponents as ``--metric`` flags would, the parent's own entries for the
+    power and class metrics still hit."""
+    from selinf import distances
+
+    system = screen_system(np.random.default_rng(3), (4, 4), (3, 5), 0)
+    design = system.design
+    parent_metrics = [
+        PowerMetric(1.0),
+        ClassificationMetric(tuple((out.values[:1], out.values[1:]) for out in design.outputs)),
+    ]
+    distances._pair_weights.cache_clear()
+    for metric in parent_metrics:
+        assert run_distance_test(system, metric).verdict == "consistent"
+
+    def member(s):
+        run_distance_test(s, PowerMetric(0.5))
+        return run_distance_test(s, PowerMetric(1.0))
+
+    specs = generate_battery(design, 3, 3, seed=8)
+    assert run_battery(system, specs, member).verdict == "consistent"
+    before = distances._pair_weights.cache_info()
+    assert before.misses > model.DESIGN_CACHE_SIZE  # more entries than one per design kept
+    for metric in parent_metrics:
+        run_distance_test(system, metric)
+    after = distances._pair_weights.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (2, 0)
