@@ -526,8 +526,7 @@ def fine_inequality_check(system: System, eps_test: float = EPS_TEST) -> TestRep
     over all i != i', j != j', where p(ij) is the probability that both
     outputs take their first declared value at treatment (i, j) and p(i.),
     p(.j) are the corresponding output marginals.  Inapplicable unless the
-    design is 2x2 binary, fully crossed, and marginally selective; a
-    non-finite mass raises UsageError from the marginal test.
+    design is 2x2 binary, fully crossed, and marginally selective.
     """
     design = system.design
     name = "fine"

@@ -28,6 +28,8 @@ def _number(raw: Any, where: str, non_finite: str, what: str = "number") -> floa
         x = float(raw)
     except ValueError:
         raise UsageError(f"{where}: cannot parse {raw!r} as a {what}") from None
+    except OverflowError:  # an integer beyond the float range, as 1e400 is
+        x = math.inf if raw > 0 else -math.inf
     if not math.isfinite(x):
         raise UsageError(f"{where}: {non_finite} {x!r}")
     return x

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import CapacityError, UsageError
 from .model import (
     MARGIN_CACHE_SIZE,
     System,
@@ -25,7 +25,7 @@ from .model import (
     margin_layout,
     sub_marginals,
 )
-from .tolerances import EPS_TEST, rounding_band
+from .tolerances import ARRAY_BYTE_CAP, EPS_TEST, rounding_band
 
 
 @dataclass(frozen=True)
@@ -69,20 +69,36 @@ def _comparisons(index: TreatmentIndex, shape: tuple[int, ...], max_subset_size:
     subset at the pair's i-th treatment; cells past the subset's own repeat
     its last, which leaves every maximum unchanged.  ``owners[j]`` is
     comparison j's subset, by its position in ``margin_layout``'s subsets,
-    and ``pairs[:, j]`` its two treatment positions."""
+    and ``pairs[:, j]`` its two treatment positions.
+
+    Comparisons are counted from the group sizes first: CapacityError,
+    before any table is built, when there are some and the ``sub_marginals``
+    table or ``gather`` (and so the cells it gathers) would exceed
+    ARRAY_BYTE_CAP."""
     layout = margin_layout(shape, max_subset_size)
     columns = layout.offsets[-1]
+    groups = [index.groups(subset).values() if subset else () for subset in layout.subsets]
+    counts = [sum(len(g) * (len(g) - 1) // 2 for g in found) for found in groups]
+    widths = [b - a for a, b, count in zip(layout.offsets, layout.offsets[1:], counts) if count]
+    width, comparisons = max(widths, default=1), sum(counts)
+    for what, nbytes in (
+        ("sub-marginal table", 8 * len(index.positions) * columns),
+        ("comparison index", 8 * 2 * width * comparisons),  # as are the cells it gathers
+    ):
+        if comparisons and nbytes > ARRAY_BYTE_CAP:
+            raise CapacityError(
+                f"the marginal test's {what} needs {nbytes} bytes, over ARRAY_BYTE_CAP "
+                f"({ARRAY_BYTE_CAP}); lower max_subset_size (--marginal-max-subset) "
+                "or group output values"
+            )
     owners, pairs = [], []
-    for s, subset in enumerate(layout.subsets):
-        if subset:
-            groups = index.groups(subset).values()
-            found = [pair for group in groups for pair in itertools.combinations(group, 2)]
-            owners += [s] * len(found)
-            pairs += found
+    for s, subset_groups in enumerate(groups):
+        found = [pair for group in subset_groups for pair in itertools.combinations(group, 2)]
+        owners += [s] * len(found)
+        pairs += found
     owners = np.array(owners, dtype=np.intp)
     pairs = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
     lo, hi = np.array(layout.offsets[:-1])[owners], np.array(layout.offsets[1:])[owners]
-    width = int((hi - lo).max(initial=1))
     cells = lo + np.minimum(np.arange(width)[:, None], hi - lo - 1)
     gather = np.ascontiguousarray(pairs[:, None, :] * columns + cells)
     for table in (gather, owners, pairs):
@@ -105,8 +121,9 @@ def check_marginal_selectivity(
     test order, whose sup is within ``rounding_band(c, s)`` of the largest, c
     the outcome's cells (the most summed into one margin cell, a treatment's
     total) and s the largest absolute total: in any summation order a sup is
-    within c eps s of its exact value.  A non-finite mass raises
-    UsageError naming the first treatment that has one.
+    within c eps s of its exact value.  CapacityError, before the table is
+    built, when it, the comparison index or the gathered cells would exceed
+    ARRAY_BYTE_CAP.
     """
     design = system.design
     n = design.n
@@ -118,16 +135,12 @@ def check_marginal_selectivity(
     array = system.array
     shape = array.shape[1:]
     max_subset_size = max(0, min(max_subset_size, n - 1))
-    table = sub_marginals(array, max_subset_size)
-    totals = table[:, 0]
-    scale = float(np.abs(totals).max())  # NaN or inf when a total is
-    if not math.isfinite(scale):
-        b = int(np.flatnonzero(~np.isfinite(totals))[0])
-        raise UsageError(f"non-finite mass at treatment {design.treatments[b]!r}")
     gather, owners, pairs = _comparisons(design.index, shape, max_subset_size)
     if not owners.size:
         return MarginalReport(None, None, 0.0, 0.0, True)
 
+    table = sub_marginals(array, max_subset_size)
+    scale = float(np.abs(table[:, 0]).max())
     cells = table.take(gather)
     diffs = np.subtract(cells[0], cells[1], out=cells[0])
     np.abs(diffs, out=diffs)

@@ -237,12 +237,13 @@ class JointPmf:
             if len(key) != self.arity:
                 raise UsageError(f"tuple {key!r} has arity {len(key)}, expected {self.arity}")
             mass = float(mass)
-            if not math.isfinite(mass):
-                raise UsageError(f"non-finite mass {mass!r} at {key!r}")
             if -EPS_PROB < mass < 0.0:
                 mass = 0.0
-            if mass != 0.0:
-                clean[key] = clean.get(key, 0.0) + mass
+            if mass != 0.0:  # NaN included
+                mass += clean.get(key, 0.0)  # keys 0 and (0,) are one key
+                if not math.isfinite(mass):
+                    raise UsageError(f"non-finite mass {mass!r} at {key!r}")
+                clean[key] = mass
         object.__setattr__(self, "table", clean)
 
     def mass(self, key: tuple) -> float:
@@ -265,7 +266,9 @@ class System:
     tables.  A system keeps the form it was made from, tables or
     (``from_array``) an array, and derives the other on first use, checking
     the tables' structure as it builds the array; ``with_design`` shares
-    another system's array.  Neither may be mutated.
+    another system's array.  Neither may be mutated.  Every mass is finite:
+    ``JointPmf`` refuses a non-finite mass and ``from_array`` a non-finite
+    cell, so no reader of ``array`` checks again.
     """
 
     #: The system whose ``array`` this one shares (``with_design``), if any.
@@ -281,8 +284,12 @@ class System:
         describes), stored C-contiguous whatever the strides given, since the
         screens sum in memory order.  Masses in (-EPS_PROB, 0) become 0, as
         ``JointPmf`` clips them.  UsageError unless ``array`` has the design's
-        shape, (treatments, *value counts)."""
+        shape, (treatments, *value counts), and UsageError naming the first
+        treatment, in declared order, with a non-finite mass."""
         _check_shape(design, array)
+        finite = np.isfinite(array).all(axis=tuple(range(1, array.ndim)))
+        if not finite.all():
+            raise UsageError(f"non-finite mass at treatment {design.treatments[finite.argmin()]!r}")
         system = cls.__new__(cls)
         system.design = design
         clipped = np.where((array < 0.0) & (array > -EPS_PROB), 0.0, array)
@@ -363,14 +370,10 @@ class System:
     def pair_table(self) -> np.ndarray:
         """Read-only 2-marginals of ``array``, one (treatments, columns) table
         laid out by ``pair_layout``: the size-2 columns of one ``sub_marginals``
-        table, copied out; with two outputs, the array.  UsageError, naming
-        the first such treatment, for a non-finite mass."""
+        table, copied out; with two outputs, the array."""
         if self._source is not None:
             return self._source.pair_table
         shape = self.array.shape
-        bad = np.flatnonzero(~np.isfinite(self.array.reshape(shape[0], -1)).all(axis=1))
-        if bad.size:
-            raise UsageError(f"non-finite mass at treatment {self.design.treatments[bad[0]]!r}")
         if len(shape) == 3:
             return self.array.reshape(shape[0], -1)
         start = margin_layout(shape[1:], 2).offsets[len(shape)]  # past the total and singletons
@@ -481,31 +484,29 @@ def sub_marginals(array: np.ndarray, max_size: int) -> np.ndarray:
     output at a time (see ``margin_layout``).  Sums run in BLAS order, or
     einsum's on a wide shape: a margin cell summing c masses differs from
     their sum in any other order by at most (c - 1) eps s, eps the float64
-    epsilon and s the sum of their absolute values.  A non-finite mass
-    leaves its treatment's total non-finite, without a warning.
+    epsilon and s the sum of their absolute values.
     """
     t = array.shape[0]
     layout = margin_layout(array.shape[1:], max_size)
-    with np.errstate(invalid="ignore", over="ignore"):
-        if layout.factor is not None:
-            return np.dot(array.reshape(t, -1), layout.factor)
-        table = np.empty((t, layout.offsets[-1]))
-        for start in range(0, t, layout.block):
-            y = array[start : start + layout.block].reshape(-1, 1)
-            for values, keep in layout.steps:  # the total, then the cells where kept
-                y = y.reshape(-1, values, y.shape[1])
-                kept = y.shape[2]
-                step = np.empty((len(y), kept + values * (kept if keep is None else len(keep))))
-                np.einsum("ijk->ik", y, out=step[:, :kept])
-                cells = step[:, kept:].reshape(len(y), values, -1)
-                if keep is None:
-                    cells[...] = y
-                else:  # "clip" never clips here, but spares a buffer when cells is one row
-                    np.take(y, keep, axis=2, out=cells, mode="clip")
-                y = step
-            # "clip" never clips here, but lets take write into the table unbuffered
-            np.take(y, layout.order, axis=1, out=table[start : start + layout.block], mode="clip")
-        return table
+    if layout.factor is not None:
+        return np.dot(array.reshape(t, -1), layout.factor)
+    table = np.empty((t, layout.offsets[-1]))
+    for start in range(0, t, layout.block):
+        y = array[start : start + layout.block].reshape(-1, 1)
+        for values, keep in layout.steps:  # the total, then the cells where kept
+            y = y.reshape(-1, values, y.shape[1])
+            kept = y.shape[2]
+            step = np.empty((len(y), kept + values * (kept if keep is None else len(keep))))
+            np.einsum("ijk->ik", y, out=step[:, :kept])
+            cells = step[:, kept:].reshape(len(y), values, -1)
+            if keep is None:
+                cells[...] = y
+            else:  # "clip" never clips here, but spares a buffer when cells is one row
+                np.take(y, keep, axis=2, out=cells, mode="clip")
+            y = step
+        # "clip" never clips here, but lets take write into the table unbuffered
+        np.take(y, layout.order, axis=1, out=table[start : start + layout.block], mode="clip")
+    return table
 
 
 def _columns(shape: tuple[int, ...], max_size: int) -> tuple:
@@ -633,11 +634,10 @@ def validate_system(system: System, eps_prob: float = EPS_PROB) -> list[str]:
     """Collect invariant violations; an empty list means the system is valid.
 
     A structural defect, found as ``system.array`` is built, is the only
-    violation returned; otherwise each non-finite mass (NaN or infinite),
-    each mass below -eps_prob and each mass sum off 1 by more than eps_prob
-    is read from the array and reported, treatments in declared order.  A
-    valid array costs one vectorized check; only a flagged one is walked
-    treatment by treatment.  Violations are data, not exceptions: ingested
+    violation returned; otherwise each mass below -eps_prob and each mass
+    sum off 1 by more than eps_prob is read from the array and reported,
+    treatments in declared order.  A valid array costs one vectorized
+    check; only a flagged one is walked treatment by treatment.  Violations are data, not exceptions: ingested
     tables often carry rounding defects that the caller wants reported in
     bulk.
     """
@@ -647,18 +647,15 @@ def validate_system(system: System, eps_prob: float = EPS_PROB) -> list[str]:
         return [str(exc)]
     design = system.design
     totals = array.reshape(len(design.treatments), -1).sum(axis=1)
-    # Sums within eps_prob of 1 are finite, and so is every mass summed.
     if array.min() >= -eps_prob and (np.abs(totals - 1.0) <= eps_prob).all():
         return []
     totals = totals.tolist()
-    flagged = np.argwhere(~np.isfinite(array) | (array < -eps_prob)).tolist()
+    flagged = np.argwhere(array < -eps_prob).tolist()
     violations: list[str] = []
     for b, (t, total) in enumerate(zip(design.treatments, totals)):
         for _, *cell in [c for c in flagged if c[0] == b]:
             key = tuple(out.values[i] for out, i in zip(design.outputs, cell))
-            mass = array[(b, *cell)]
-            kind = "negative" if np.isfinite(mass) else "non-finite"
-            violations.append(f"treatment {t!r}: {kind} mass {mass} at {key!r}")
+            violations.append(f"treatment {t!r}: negative mass {array[(b, *cell)]} at {key!r}")
         if abs(total - 1.0) > eps_prob:
             violations.append(f"treatment {t!r}: mass sum {total:.10g} != 1")
     return violations

@@ -242,6 +242,20 @@ def four_output_system() -> System:
     return System.from_array(design, array)
 
 
+def eight_output_system() -> System:
+    """Eight binary inputs, fully crossed, and eight binary outputs, output
+    k a copy of input k: 0.5 MB of masses whose complete marginal test
+    compares 774,400 treatment pairs, up to 128 margin cells each."""
+    levels = (1, 2)
+    inputs = tuple(InputSpec(f"l{k + 1}", levels) for k in range(8))
+    outputs = tuple(OutputSpec(f"A{k + 1}", (0, 1)) for k in range(8))
+    design = Design(inputs, outputs, tuple(itertools.product(levels, repeat=8)))
+    array = np.zeros((256,) + (2,) * 8)
+    for b, t in enumerate(design.treatments):
+        array[(b, *(level - 1 for level in t))] = 1.0
+    return System.from_array(design, array)
+
+
 def random_latent_setup(
     rng: np.random.Generator,
     max_inputs: int = 3,

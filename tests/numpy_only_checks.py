@@ -125,3 +125,27 @@ with tempfile.TemporaryDirectory() as tmp:
         )
         if shared[1] != (fresh.returncode, fresh.stdout):
             sys.exit(f"selinf {flags} on renamed d1 differs from a fresh process")
+    # Reports must not depend on the hash seed, which orders sets and
+    # dicts of string labels: d1 renamed as above, its values also
+    # relabelled to strings, gives the same JSON under two seeds.
+    for out in doc["outputs"]:
+        for value in out["values"]:
+            value["label"] = str(value["label"])
+    for entry in doc["treatments"]:
+        for cell in entry["pmf"]:
+            cell["tuple"] = [str(x) for x in cell["tuple"]]
+    with open(f"{tmp}/d1-strings.json", "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", cli, f"{tmp}/d1-strings.json",
+             "--tests", "marginal,lp,distance,cosphericity,battery", "--format", "json"],
+            env={**os.environ, "PYTHONHASHSEED": seed},
+            capture_output=True, check=False, timeout=120,
+        )
+        for seed in ("0", "1")
+    ]
+    if [r.returncode for r in runs] != [1, 1]:
+        sys.exit(f"selinf exited {[r.returncode for r in runs]} on d1-strings.json, expected 1")
+    if runs[0].stdout != runs[1].stdout:
+        sys.exit("d1-strings.json reports differ between PYTHONHASHSEED=0 and 1")

@@ -1,6 +1,7 @@
 """Interaction contrasts, composition oracles, and architecture labels."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -162,6 +163,38 @@ class TestComposeRt:
         model = LatentModel(JointPmf(1, {(0,): 1.0}), responses)
         with pytest.raises(UsageError, match="latent value 0"):
             compose_rt(design, model, "min", np.array([0.0, 1.0]))
+
+    @pytest.mark.parametrize(
+        "change, rule, message",
+        [
+            (None, "sum", "rule must be one of ('plus', 'min', 'max'), got 'sum'"),
+            ("three outputs", "min", "response-time composition needs exactly two outputs"),
+            ("three levels", "min", "input 'l1' must have exactly two levels"),
+            ("three treatments", "min", "all four level combinations must be allowable treatments"),
+            ("no payloads", "min", "output 'T1' needs numeric payload durations"),
+        ],
+    )
+    def test_a_design_or_rule_it_cannot_compose_is_usage_error(self, change, rule, message):
+        design, responses = _rt_design((1.0,), (3.0,), (1.0,), (2.0,))
+        inputs, outputs, treatments = design.inputs, design.outputs, design.treatments
+        if change == "three outputs":
+            inputs += (InputSpec("l3", (1, 2)),)
+            outputs += (OutputSpec("T3", (0.0,), (0.0,)),)
+            treatments = tuple(itertools.product((1, 2), repeat=3))
+        elif change == "three levels":
+            inputs = (InputSpec("l1", (1, 2, 3)), inputs[1])
+            treatments = tuple(itertools.product((1, 2, 3), (1, 2)))
+        elif change == "three treatments":
+            treatments = treatments[:3]
+        elif change == "no payloads":
+            outputs = (OutputSpec("T1", outputs[0].values), outputs[1])
+        model = LatentModel(JointPmf(1, {(0,): 1.0}), responses)
+        with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+            compose_rt(Design(inputs, outputs, treatments), model, rule, np.array([0.0, 1.0]))
+
+    def test_a_grid_needs_a_jump_point_to_bracket(self):
+        with pytest.raises(UsageError, match="^need at least one jump point$"):
+            bracketing_grid([])
 
     def test_negative_duration_is_usage_error(self):
         design, responses = _rt_design((-1.0,), (3.0,), (1.0,), (2.0,))

@@ -7,6 +7,7 @@ import pytest
 
 from fixtures import (
     d1_system,
+    eight_output_system,
     feasible_binary_system,
     marginal_violation_system,
     pr_box_system,
@@ -116,11 +117,20 @@ def _rt_only(doc):
         (_set("treatments", 1, "pmf", 0, "p", "inf"), "treatments[1].pmf[0].p"),
         (_set("treatments", 1, "pmf", 0, "p", float("nan")), "treatments[1].pmf[0].p"),
         (_set("treatments", 1, "pmf", 0, "p", "1e400"), "treatments[1].pmf[0].p"),
+        (
+            _set("treatments", 0, "pmf", 0, "p", 10**400),
+            "treatments[0].pmf[0].p: non-finite probability inf",
+        ),
         (_drop("treatments", 0, "pmf"), "treatments[0]"),
+        (_drop("inputs", 0, "levels"), "inputs[0]: need 'name' and 'levels'"),
         (_drop("treatments", 0, "levels", "l2"), "treatments[0].levels"),
         (_set("outputs", 0, "values", 0, "numeric", "x"), "outputs[0].values[0].numeric"),
         (_set("outputs", 0, "values", 1, "numeric", "nan"), "outputs[0].values[1].numeric"),
         (_set("outputs", 1, "values", 1, "numeric", "1e400"), "outputs[1].values[1].numeric"),
+        (
+            _set("outputs", 0, "values", 0, "numeric", -10**400),
+            "outputs[0].values[0].numeric: output 'A1': non-finite payload -inf",
+        ),
         (_set("outputs", 0, "values", []), "outputs[0].values: output 'A1' needs at least one value"),
         (_set("outputs", 1, "values", [1, True]), "outputs[1].values: output 'A2' has duplicate values"),
         (_set("inputs", 0, "levels", []), "inputs[0].levels: input 'l1' needs at least one level"),
@@ -179,6 +189,7 @@ def test_unknown_test_name_exit_two(tmp_path, capsys):
         (_rt_only, ["--tests", "marginal"], "test 'marginal' needs a system input"),
         (_rt_only, ["--tests", "contrast,distance,fine"], "test 'fine' needs a system input"),
         (None, ["--tests", ","], "at least one test must be selected"),
+        (None, ["--tests", "marginal", "--marginal-max-subset", "2"], "max_subset_size must be in [1, 1]"),
         (_drop("outputs", 1), [], "inputs and outputs must have equal length (index-paired)"),
         (_drop("outputs"), [], "missing top-level key 'outputs'"),
         (
@@ -203,6 +214,19 @@ def test_usage_error_exit_two_with_one_message(tmp_path, capsys, edit, args, mes
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_a_marginal_test_over_the_byte_cap_exit_two(tmp_path, capsys):
+    path = write_system(tmp_path, eight_output_system())
+    assert main([path, "--tests", "marginal"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the marginal test's comparison index needs 1585971200 bytes, over "
+        "ARRAY_BYTE_CAP (1073741824); lower max_subset_size (--marginal-max-subset) "
+        "or group output values\n"
+    )
+    assert main([path, "--tests", "marginal", "--marginal-max-subset", "2"]) == 0
 
 
 def test_missing_input_file_exit_two(tmp_path, capsys):
@@ -507,6 +531,9 @@ def test_contrast_test_via_rt_block(tmp_path, capsys):
         ([0.0, 1.0, "x"], {}, "rt.grid[2]: cannot parse 'x' as a number"),
         ([0.0, 1.0, 2.0], {"1,2": [0.0, "inf", 1.0]}, "rt.cdfs[1,2][1]: cdf (1, 2): non-finite value inf"),
         ([0.0, 1.0, 2.0], {"2,1": ["x"]}, "rt.cdfs[2,1][0]: cannot parse 'x' as a number"),
+        ([0.0, 1.0, 2.0], {"1,2": [0.0, 0.5, 1.5]}, "cdf (1, 2): values outside [0, 1]"),
+        ([0.0, 1.0, 10**400], {}, "rt.grid[2]: grid has non-finite point inf"),
+        ([0.0, 1.0, 2.0], {"2,1": [0.0, 10**400, 1.0]}, "rt.cdfs[2,1][1]: cdf (2, 1): non-finite value inf"),
     ],
 )
 def test_malformed_rt_block_exit_two(tmp_path, capsys, grid, cdfs, message):
@@ -595,6 +622,11 @@ def test_labels_written_in_another_form_resolve_to_the_declared_ones(tmp_path, c
             reports.append((main([str(path), *flags]), capsys.readouterr().out))
     assert reports[:3] == reports[3:]
     assert "between treatments (1, 2) and (2, 2)" in reports[0][1]
+
+
+def test_a_document_root_that_is_not_an_object_is_refused():
+    with pytest.raises(UsageError, match="^document root must be an object$"):
+        system_from_dict([])
 
 
 def test_unknown_tuple_label_is_flagged_with_path():

@@ -25,7 +25,7 @@ SCALARS = (
     | st.booleans()
     | st.integers(-3, 5)
     | st.floats(-2.0, 2.0)
-    | st.sampled_from([float("nan"), float("inf"), 1e308])
+    | st.sampled_from([float("nan"), float("inf"), 1e308, 10**400])
     | st.sampled_from(["", "1", "1,2", "A1", "l1", "x"])
 )
 JSON = st.recursive(

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from fixtures import (
     binary_design,
     d1_grouping_transform,
     d1_system,
+    feasible_binary_system,
     four_output_system,
     pr_box_system,
     random_selective_system,
@@ -23,6 +25,7 @@ from selinf import (
     ChainViolation,
     ClassificationMetric,
     Design,
+    InapplicableError,
     InputSpec,
     JointPmf,
     OutputSpec,
@@ -165,6 +168,37 @@ class TestPairwiseDistance:
         bad = k_prime if k in (0, 1) else k
         with pytest.raises(UsageError, match=rf"output index {bad} is outside \[0, 2\)"):
             pairwise_distance(d1_system(), PowerMetric(1.0), (1, 1), k, k_prime)
+
+    @pytest.mark.parametrize(
+        "system, metric, treatment, k, k_prime, error, message",
+        [
+            (d1_system, D1, (1, 1), 1, 1, UsageError, "pairwise distance needs two distinct outputs"),
+            (d1_system, D1, (3, 1), 0, 1, UsageError, "no distribution for treatment (3, 1)"),
+            (
+                d1_system,
+                ClassificationMetric((((0, 2), (4,)),)),
+                (1, 1),
+                0,
+                1,
+                UsageError,
+                "one partition per output is required",
+            ),
+            (
+                feasible_binary_system,
+                D1,
+                (1, 1),
+                0,
+                1,
+                InapplicableError,
+                "power metric needs numeric payloads on outputs 'A1' and 'A2'",
+            ),
+        ],
+    )
+    def test_a_pair_it_cannot_measure_names_the_fault(
+        self, system, metric, treatment, k, k_prime, error, message
+    ):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            pairwise_distance(system(), metric, treatment, k, k_prime)
 
     def test_diagonal_coupling_has_zero_distance(self):
         design = Design(
@@ -503,6 +537,8 @@ class TestRunDistanceTest:
             run_distance_test(
                 d1_system(), ClassificationMetric((((0, 2, 4),), ((0, 1), (2,))))
             )
+        with pytest.raises(UsageError, match="^value 3 not classified for output 1$"):
+            ClassificationMetric((((0,), (2, 4)), ((0, 1), (2,)))).class_index(1, 3)
         assert design.n == 2  # partitions count must match
 
     def test_partition_labels_are_matched_by_equality(self):

@@ -408,6 +408,12 @@ class TestSolve:
         wrong[0], wrong[1] = wrong[1], wrong[0] + wrong[0]
         with pytest.raises(UsageError):
             make_witness(fs, wrong)
+        moved = FEASIBLE_BINARY_WITNESS.copy()
+        moved[0], moved[1] = moved[1], moved[0]  # the same mass on another coupling
+        with pytest.raises(UsageError, match=r"^witness residual 0\.067 exceeds 1e-08$"):
+            make_witness(fs, moved)
+        with pytest.raises(UsageError, match=r"^witness length \(15,\) does not match 16 columns$"):
+            make_witness(fs, FEASIBLE_BINARY_WITNESS[:-1])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_witness_with_a_non_finite_entry_is_rejected(self, bad):

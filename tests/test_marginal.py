@@ -11,6 +11,7 @@ import pytest
 from fixtures import (
     binary_design,
     d1_system,
+    eight_output_system,
     feasible_binary_system,
     marginal_violation_system,
     pr_box_system,
@@ -18,7 +19,7 @@ from fixtures import (
     system_from_tables,
 )
 from selinf import (
-    ClassificationMetric,
+    CapacityError,
     Design,
     InputSpec,
     JointPmf,
@@ -28,10 +29,6 @@ from selinf import (
     UsageError,
     build_feasibility_system,
     check_marginal_selectivity,
-    cosphericity_report,
-    fine_inequality_check,
-    pairwise_distance,
-    run_distance_test,
     solve_feasibility,
 )
 from selinf.model import margin_layout, sub_marginals
@@ -216,30 +213,18 @@ def test_reports_equal_the_per_subset_reference():
     assert failed > 20 and sizes > 0
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize(
-    "test", ["marginal", "fine", "distance", "pairwise-distance", "cosphericity"]
-)
-def test_non_finite_mass_is_a_usage_error(test, bad):
-    """A system built from an array skips validation; the screens still
-    refuse a non-finite mass instead of passing it.  The base carries
-    payloads, so that cosphericity reads its correlations."""
-    feasible = feasible_binary_system()
-    numeric = binary_design(numeric=True)
-    base = system_from_tables(numeric, {t: feasible.pmf(t).table for t in numeric.treatments})
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_mass_is_a_usage_error(bad):
+    """A system built from an array is refused one non-finite mass when it
+    is made, as a table is, so no screen (marginal, Fine, distance,
+    cosphericity) is ever handed one."""
+    base = feasible_binary_system()
     array = base.array.copy()
     array[0, 0, 0] = bad
-    system = System.from_array(base.design, array)
-    classes = ClassificationMetric((((1,), (2,)), ((1,), (2,))))
-    run = {
-        "marginal": check_marginal_selectivity,
-        "fine": fine_inequality_check,
-        "distance": lambda s: run_distance_test(s, classes),
-        "pairwise-distance": lambda s: pairwise_distance(s, classes, (1, 1), 0, 1),
-        "cosphericity": cosphericity_report,
-    }[test]
-    with pytest.raises(UsageError, match=r"non-finite mass at treatment \(1, 1\)"):
-        run(system)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UsageError, match=r"^non-finite mass at treatment \(1, 1\)$"):
+            System.from_array(base.design, array)
 
 
 def test_non_finite_mass_is_a_usage_error_without_comparable_pairs():
@@ -424,6 +409,34 @@ def test_wide_design_margins_match_the_per_subset_sums():
     assert product_s <= 2 * sums_s
 
 
+def test_the_complete_test_on_seven_outputs_runs_under_the_byte_cap():
+    """128 treatments: a (2, 64, 123648) comparison index, 0.12 GiB."""
+    report = check_marginal_selectivity(wide_system(np.random.default_rng(105)))
+    assert repr(report) == (
+        "MarginalReport(worst_subset=(5,), worst_pair=((1, 1, 1, 1, 1, 1, 1), "
+        "(2, 1, 1, 1, 1, 1, 2)), discrepancy=0.00783960835635783, "
+        "total_variation=0.007839608356357802, passed=False, comparisons=123648)"
+    )
+
+
+def test_a_comparison_index_over_the_byte_cap_is_refused_before_it_is_built():
+    """The complete test on eight binary outputs would gather 2 x 774,400
+    comparisons of up to 128 cells: a 1.48 GiB index, and as many bytes of
+    cells.  The pairs are counted from the group sizes, and nothing near
+    that size is allocated."""
+    system = eight_output_system()
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match=r"comparison index needs 1585971200 bytes"):
+            check_marginal_selectivity(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**25
+    report = check_marginal_selectivity(system, 2)
+    assert report.passed and report.comparisons == 355840
+
+
 def test_vacuous_designs_pass_without_comparisons():
     one_output = Design((InputSpec("l1", (1, 2)),), (OutputSpec("A1", (0, 1)),), ((1,), (2,)))
     one = System(one_output, {(t,): JointPmf(1, {(t - 1,): 1.0}) for t in (1, 2)})
@@ -449,11 +462,10 @@ def test_a_non_finite_mass_names_the_first_bad_treatment_without_a_warning(bad):
     array = base.array.copy()
     array[5, 1, 0, 1] = bad
     array[6, 0, 0, 0] = bad
-    system = System.from_array(base.design, array)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(UsageError, match=r"non-finite mass at treatment \(2, 1, 2\)"):
-            check_marginal_selectivity(system)
+            System.from_array(base.design, array)
 
 
 def brute_force_comparisons(design, max_subset_size):

@@ -1,6 +1,8 @@
 """Core model: marginalization, validation, and the latent generator."""
 
 import itertools
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -34,7 +36,6 @@ from selinf import (
     build_feasibility_system,
     enumerate_test_sequences,
     generate_system,
-    lp_report,
     marginalize,
     run_cosphericity,
     run_distance_test,
@@ -119,25 +120,23 @@ class TestValidateSystem:
         problems = validate_system(System(design, bad))
         assert any("mass sum 0.9" in p for p in problems)
 
-    def test_non_finite_array_masses_are_reported_in_treatment_order(self):
-        """``System.from_array`` takes any float; a NaN mass fails no
-        comparison, so it is reported as non-finite, as infinities are."""
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_array_masses_are_reported_in_treatment_order(self, bad):
+        """``System.from_array`` refuses a non-finite mass, naming the first
+        treatment, in declared order, that has one, without a warning."""
         system = feasible_binary_system()
         array = system.array.copy()
-        array[0, 0, 0] = np.nan
-        nan_only = System.from_array(system.design, array.copy())
-        assert validate_system(nan_only) == ["treatment (1, 1): non-finite mass nan at (1, 1)"]
-        with pytest.raises(UsageError, match="non-finite mass nan"):
-            lp_report(nan_only)
-        array[2, 1, 1] = np.inf
-        array[1, 0, 1] = -np.inf
-        assert validate_system(System.from_array(system.design, array)) == [
-            "treatment (1, 1): non-finite mass nan at (1, 1)",
-            "treatment (1, 2): non-finite mass -inf at (1, 2)",
-            "treatment (1, 2): mass sum -inf != 1",
-            "treatment (2, 1): non-finite mass inf at (2, 2)",
-            "treatment (2, 1): mass sum inf != 1",
-        ]
+        array[2, 1, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UsageError, match=r"^non-finite mass at treatment \(2, 1\)$"):
+                System.from_array(system.design, array)
+            array[1, 0, 1] = -bad
+            with pytest.raises(UsageError, match=r"^non-finite mass at treatment \(1, 2\)$"):
+                System.from_array(system.design, array)
+            array[0, 0, 0] = np.nan
+            with pytest.raises(UsageError, match=r"^non-finite mass at treatment \(1, 1\)$"):
+                System.from_array(system.design, array)
 
     @pytest.mark.parametrize("shape", [(4, 3, 2), (3, 2, 3), (4, 6), (4, 2, 3, 1)])
     def test_array_of_another_shape_than_the_design_is_rejected(self, shape):
@@ -150,17 +149,18 @@ class TestValidateSystem:
         with pytest.raises(UsageError, match=rf"^array of shape \({shape[0]}, .*\(4, 2, 3\)$"):
             System.from_array(design, np.full(shape, 1 / 6))
 
-    def test_the_vectorized_check_passes_only_what_the_walk_passes(self):
-        """A lone infinity leaves the smallest mass finite, and is caught by
-        its treatment's sum; a mass of exactly -eps_prob passes, as does a
-        sum exactly eps_prob off 1, and twice either is reported."""
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_the_vectorized_check_passes_only_what_the_walk_passes(self, bad):
+        """A lone non-finite mass never reaches the check: the system is
+        refused when it is made.  A mass of exactly -eps_prob passes, as
+        does a sum exactly eps_prob off 1, and twice either is reported."""
         system = feasible_binary_system()
         array = system.array.copy()
-        array[2, 1, 1] = np.inf
-        assert validate_system(System.from_array(system.design, array)) == [
-            "treatment (2, 1): non-finite mass inf at (2, 2)",
-            "treatment (2, 1): mass sum inf != 1",
-        ]
+        array[2, 1, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UsageError, match=r"^non-finite mass at treatment \(2, 1\)$"):
+                System.from_array(system.design, array)
         negative, heavy = np.full((2, 4, 2, 2), 0.25)  # masses and sums exact in binary
         negative[0, 0, :] = -1 / 8, 5 / 8
         heavy[1, 0, 0] += 1 / 8
@@ -214,10 +214,47 @@ class TestValidateSystem:
     def test_non_finite_masses_and_payloads_are_rejected(self):
         with pytest.raises(UsageError, match="non-finite mass"):
             JointPmf(1, {(0,): float("nan")})
+        with pytest.raises(UsageError, match=r"^non-finite mass inf at \(0,\)$"):
+            JointPmf(1, {0: 1e308, (0,): 1e308})  # one key, its masses summed
         with pytest.raises(UsageError, match="non-finite payload"):
             OutputSpec("A", (0, 1), (0.0, float("inf")))
         with pytest.raises(UsageError, match="unknown value"):
             OutputSpec("A", (0, 1), (0.0, 1.0)).numeric_value(7)
+
+
+LEVELS = (InputSpec("l1", (1, 2)), InputSpec("l2", (1, 2)))
+OUTPUTS = (OutputSpec("A1", (0, 1)), OutputSpec("A2", (0, 1)))
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: OutputSpec("A", (0, 1), (0.0,)), "output 'A': numeric payloads must align with values"),
+        (
+            lambda: OutputSpec("A", (0, 1), (0.0, None)).numeric_value(1),
+            "output 'A': value 1 has no numeric payload",
+        ),
+        (
+            lambda: Design(LEVELS, OUTPUTS[:1], ((1, 1),)),
+            "inputs and outputs must be index-paired (equal counts)",
+        ),
+        (lambda: Design(LEVELS, OUTPUTS, ((1, 1), (1, 1))), "duplicate treatments"),
+        (lambda: Design(LEVELS, OUTPUTS, ((1,),)), "treatment (1,) must assign a level to every input"),
+        (lambda: JointPmf(2, {(0,): 1.0}), "tuple (0,) has arity 1, expected 2"),
+        (lambda: feasible_binary_system().pmf((3, 1)), "no distribution for treatment (3, 1)"),
+        (
+            lambda: LatentModel(JointPmf(2, {(0, 0): 1.0}), ()),
+            "latent pmf must be univariate (arity 1)",
+        ),
+        (
+            lambda: LatentModel(JointPmf(1, {(0,): 1.0}), ({},)).respond(0, 1, 0),
+            "response table 0 is not total: missing (1, 0)",
+        ),
+    ],
+)
+def test_a_malformed_construction_or_lookup_names_its_fault(make, message):
+    with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+        make()
 
 
 class TestGenerateSystem:

@@ -24,7 +24,6 @@ from selinf import (
     UsageError,
     apply_transform,
     build_feasibility_system,
-    cosphericity_report,
     generate_battery,
     identity_transform,
     lp_report,
@@ -74,6 +73,17 @@ class TestApplyTransform:
         )
         with pytest.raises(UsageError, match="unmapped"):
             apply_transform(d1_system(), bad)
+
+    def test_a_transform_it_cannot_apply_is_usage_error(self):
+        from selinf import OutputTransform, TransformSpec
+
+        spec = d1_grouping_transform()
+        stray = {**spec.outputs[0].maps[None], 4: 3}
+        bad = TransformSpec((OutputTransform(spec.outputs[0].target, {None: stray}), spec.outputs[1]))
+        with pytest.raises(UsageError, match="^output 'A1': image 3 not in target values$"):
+            apply_transform(d1_system(), bad)
+        with pytest.raises(UsageError, match="^one transform per output is required$"):
+            apply_transform(d1_system(), TransformSpec(spec.outputs[:1]))
 
     def test_member_design_equals_the_checked_build_without_rechecking(self, monkeypatch):
         """Members share the parent's inputs and treatments and equal the
@@ -418,22 +428,21 @@ class TestKeptMembersShareTheParent:
         with pytest.raises(UsageError, match="does not match the design's"):
             system.with_design(other)
 
-    def test_a_non_finite_parent_mass_raises_from_the_members_screens(self):
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_mass_is_refused_before_a_parent_or_member_is_made(self, bad):
+        """A kept member shares its parent's checked array, so neither can
+        hold a non-finite mass: ``from_array`` refuses one under the parent's
+        design and under each member's, with the same text."""
         for base in (d1_system(), four_output_system()):
             message = f"non-finite mass at treatment {base.design.treatments[2]!r}"
             array = base.array.copy()
-            array[2].flat[1] = np.nan
-            parent = System.from_array(base.design, array)
-            members = self.kept_members(parent)  # apply_transform itself does not raise
-            for member in members:
-                # as a member made from its own copy of the array reports it
-                alone = System.from_array(member.design, member.array.copy())
-                for system in (member, alone):
-                    with pytest.raises(UsageError) as distance:
-                        run_distance_test(system, PowerMetric(1.0))
-                    with pytest.raises(UsageError) as cosphericity:
-                        cosphericity_report(system)
-                    assert str(distance.value) == str(cosphericity.value) == message
+            array[2].flat[1] = bad
+            for design in [base.design] + [m.design for m in self.kept_members(base)]:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(UsageError) as refused:
+                        System.from_array(design, array)
+                assert str(refused.value) == message
 
 
 def test_parent_weights_survive_a_battery():
