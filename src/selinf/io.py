@@ -15,9 +15,12 @@ import json
 import math
 from typing import Any
 
+import numpy as np
+
 from .architectures import RtSystem
 from .errors import UsageError
-from .model import Design, InputSpec, JointPmf, OutputSpec, System
+from .model import (Design, InputSpec, JointPmf, OutputSpec, System, _check_capacity, _float,
+                    _shape)
 from .transforms import OutputTransform, TransformSpec, identity_transform
 
 
@@ -25,11 +28,9 @@ def _number(raw: Any, where: str, non_finite: str, what: str = "number") -> floa
     if isinstance(raw, bool) or not isinstance(raw, (int, float, str)):
         raise UsageError(f"{where}: expected a number or decimal string, got {raw!r}")
     try:
-        x = float(raw)
+        x = _float(raw)  # an integer beyond the float range is +-inf, as 1e400 is
     except ValueError:
         raise UsageError(f"{where}: cannot parse {raw!r} as a {what}") from None
-    except OverflowError:  # an integer beyond the float range, as 1e400 is
-        x = math.inf if raw > 0 else -math.inf
     if not math.isfinite(x):
         raise UsageError(f"{where}: {non_finite} {x!r}")
     return x
@@ -85,9 +86,15 @@ def _name(raw: Any, where: str) -> str:
 def resolve_label(candidates, raw, where: str):
     """The declared label that a raw JSON label names: the one equal to it
     (1 for 1.0 or true), else the one with its string form."""
-    if raw in candidates:
-        return candidates[candidates.index(raw)]
-    by_str = [c for c in candidates if str(c) == str(raw)]
+    return candidates[_position(candidates, raw, where)]
+
+
+def _position(candidates, raw, where: str) -> int:
+    """The position among ``candidates`` of the label ``resolve_label`` gives."""
+    try:
+        return candidates.index(raw)
+    except ValueError:
+        by_str = [i for i, c in enumerate(candidates) if str(c) == str(raw)]
     if len(by_str) == 1:
         return by_str[0]
     raise UsageError(f"{where}: unknown label {raw!r} (declared: {list(candidates)})")
@@ -138,7 +145,12 @@ def system_from_dict(doc: dict) -> System:
         raise UsageError("inputs and outputs must have equal length (index-paired)")
     names = [spec.name for spec in inputs]
 
-    treatments, distributions = [], {}
+    treatments: dict[tuple, int] = {}
+    # per pmf entry, in document order: its flat cell in the array, its p
+    cells: list[int] = []
+    masses: list[float] = []
+    strides = [math.prod(len(out.values) for out in outputs[k + 1 :]) for k in range(len(outputs))]
+    size = math.prod(len(out.values) for out in outputs)
     for ti, entry in enumerate(_list(doc["treatments"], "treatments")):
         where = f"treatments[{ti}]"
         if "levels" not in _object(entry, where) or "pmf" not in entry:
@@ -152,31 +164,42 @@ def system_from_dict(doc: dict) -> System:
             resolve_label(spec.levels, levels[spec.name], f"{where}.levels.{spec.name}")
             for spec in inputs
         )
-        if t in distributions:
-            first = treatments.index(t)
-            raise UsageError(f"{where}.levels: same treatment as treatments[{first}]")
-        table: dict[tuple, float] = {}
+        if t in treatments:
+            raise UsageError(f"{where}.levels: same treatment as treatments[{treatments[t]}]")
+        start, bound = len(cells), 0.0
         for ci, cell in enumerate(_list(entry["pmf"], f"{where}.pmf")):
             cwhere = f"{where}.pmf[{ci}]"
             if "tuple" not in _object(cell, cwhere) or "p" not in cell:
                 raise UsageError(f"{cwhere}: need 'tuple' and 'p'")
             if not isinstance(cell["tuple"], list) or len(cell["tuple"]) != len(outputs):
                 raise UsageError(f"{cwhere}.tuple: expected a list of {len(outputs)} labels")
-            key = tuple(
-                resolve_label(out.values, raw, f"{cwhere}.tuple[{k}]")
-                for k, (out, raw) in enumerate(zip(outputs, cell["tuple"]))
-            )
+            code = len(treatments) * size
+            for k, (out, raw) in enumerate(zip(outputs, cell["tuple"])):
+                code += _position(out.values, raw, f"{cwhere}.tuple[{k}]") * strides[k]
             p = _number(cell["p"], f"{cwhere}.p", "non-finite probability", "probability")
-            table[key] = table.get(key, 0.0) + p
-        distributions[t] = JointPmf(len(outputs), table)
-        treatments.append(t)
+            cells.append(code)
+            masses.append(p)
+            bound += abs(p)  # bounds every partial sum of a cell of this treatment
+        if not math.isfinite(bound):  # a cell may sum past the float range: JointPmf names it
+            table: dict[tuple, float] = {}
+            for code, p in zip(cells[start:], masses[start:]):
+                key = tuple(out.values[code // stride % len(out.values)]
+                            for out, stride in zip(outputs, strides))
+                table[key] = table.get(key, 0.0) + p
+            JointPmf(len(outputs), table)
+        treatments[t] = len(treatments)
 
     design = _spec("treatments", Design, tuple(inputs), tuple(outputs), tuple(treatments))
-    return System(design, distributions)
+    shape = _shape(design)
+    _check_capacity(shape)
+    array = np.bincount(np.array(cells, dtype=np.intp), masses, len(treatments) * size)
+    return System._adopt(design, array.reshape(shape))
 
 
 def system_to_dict(system: System) -> dict:
-    """Serialize a system back to the document format (round-trip safe)."""
+    """Serialize a system back to the document format (round-trip safe):
+    per treatment, the nonzero cells of ``system.array`` with their declared
+    labels, sorted by the repr of their label tuples."""
     design = system.design
     outputs = []
     for out in design.outputs:
@@ -187,18 +210,27 @@ def system_to_dict(system: System) -> dict:
             else:
                 values.append({"label": v})
         outputs.append({"name": out.name, "values": values})
-    treatments = []
-    for t in design.treatments:
-        pmf = system.pmf(t)
-        treatments.append(
-            {
-                "levels": {spec.name: lev for spec, lev in zip(design.inputs, t)},
-                "pmf": [
-                    {"tuple": list(key), "p": mass}
-                    for key, mass in sorted(pmf.items(), key=lambda kv: repr(kv[0]))
-                ],
-            }
-        )
+    flat = system.array.reshape(len(design.treatments), -1)
+    rows, columns = np.nonzero(flat)
+    pmfs: list[list] = [[] for _ in design.treatments]
+    labels: dict[int, tuple[str, list]] = {}  # per column: the repr of its label tuple, its labels
+    for b, column, mass in zip(rows.tolist(), columns.tolist(), flat[rows, columns].tolist()):
+        if column not in labels:
+            key, rest = [], column
+            for out in reversed(design.outputs):
+                rest, i = divmod(rest, len(out.values))
+                key.append(out.values[i])
+            key.reverse()
+            labels[column] = repr(tuple(key)), key
+        # (repr, column) orders the cells as a stable sort by repr from C order
+        pmfs[b].append((labels[column][0], column, mass))
+    treatments = [
+        {
+            "levels": {spec.name: lev for spec, lev in zip(design.inputs, t)},
+            "pmf": [{"tuple": list(labels[column][1]), "p": mass} for _, column, mass in sorted(pmf)],
+        }
+        for t, pmf in zip(design.treatments, pmfs)
+    ]
     return {
         "inputs": [
             {"name": spec.name, "levels": list(spec.levels)} for spec in design.inputs

@@ -41,6 +41,15 @@ Value = Hashable
 Treatment = tuple  # one level per input, in declared input order
 
 
+def _float(x) -> float:
+    """``float(x)``, an integer beyond the float range read as +-inf, as 1e400
+    is, so that the finiteness check names it."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 @dataclass(frozen=True)
 class InputSpec:
     """A deterministic input: a name and its ordered levels.
@@ -83,7 +92,7 @@ class OutputSpec:
         if len(set(self.values)) != len(self.values):
             raise UsageError(f"output {self.name!r} has duplicate values")
         if self.numeric is not None:
-            numeric = tuple(None if x is None else float(x) for x in self.numeric)
+            numeric = tuple(None if x is None else _float(x) for x in self.numeric)
             if len(numeric) != len(self.values):
                 raise UsageError(
                     f"output {self.name!r}: numeric payloads must align with values"
@@ -236,7 +245,7 @@ class JointPmf:
             key = tuple(key) if isinstance(key, (tuple, list)) else (key,)
             if len(key) != self.arity:
                 raise UsageError(f"tuple {key!r} has arity {len(key)}, expected {self.arity}")
-            mass = float(mass)
+            mass = _float(mass)
             if -EPS_PROB < mass < 0.0:
                 mass = 0.0
             if mass != 0.0:  # NaN included
@@ -263,12 +272,14 @@ class System:
     """A design together with one joint output pmf per allowable treatment.
 
     The library reads ``array``; ``distributions`` holds the ``JointPmf``
-    tables.  A system keeps the form it was made from, tables or
-    (``from_array``) an array, and derives the other on first use, checking
-    the tables' structure as it builds the array; ``with_design`` shares
-    another system's array.  Neither may be mutated.  Every mass is finite:
-    ``JointPmf`` refuses a non-finite mass and ``from_array`` a non-finite
-    cell, so no reader of ``array`` checks again.
+    tables.  A system keeps the form it was made from, tables
+    (``System(design, distributions)``) or an array (``from_array``,
+    ``generate_system``, ``io.system_from_dict``, battery members), and
+    derives the other on first use, checking the tables' structure as it
+    builds the array; ``with_design`` shares another system's array.
+    Neither may be mutated.  Every mass is finite: ``JointPmf`` refuses a
+    non-finite mass and every array-form constructor a non-finite cell, so
+    no reader of ``array`` checks again.
     """
 
     #: The system whose ``array`` this one shares (``with_design``), if any.
@@ -280,21 +291,28 @@ class System:
 
     @classmethod
     def from_array(cls, design: Design, array: np.ndarray) -> "System":
-        """The system whose ``array`` is ``array`` (shaped as that property
-        describes), stored C-contiguous whatever the strides given, since the
-        screens sum in memory order.  Masses in (-EPS_PROB, 0) become 0, as
+        """The system whose ``array`` is a float64 copy of ``array`` (shaped
+        as that property describes), stored C-contiguous whatever the strides
+        given, since the screens sum in memory order; the caller's array is
+        neither kept nor changed.  Masses in (-EPS_PROB, 0) become 0, as
         ``JointPmf`` clips them.  UsageError unless ``array`` has the design's
         shape, (treatments, *value counts), and UsageError naming the first
         treatment, in declared order, with a non-finite mass."""
         _check_shape(design, array)
-        finite = np.isfinite(array).all(axis=tuple(range(1, array.ndim)))
-        if not finite.all():
-            raise UsageError(f"non-finite mass at treatment {design.treatments[finite.argmin()]!r}")
+        _check_finite(design, array)
+        return cls._adopt(design, np.array(array, dtype=np.float64, order="C"))
+
+    @classmethod
+    def _adopt(cls, design: Design, array: np.ndarray) -> "System":
+        """The system whose ``array`` is ``array`` itself, not a copy: a
+        finite C-ordered float64 array of the design's shape that the library
+        has just made and no caller holds.  Its masses in (-EPS_PROB, 0) are
+        clipped to 0 in place, and it is made read-only."""
+        if array.min() < 0.0:
+            np.copyto(array, 0.0, where=(array < 0.0) & (array > -EPS_PROB))
+        array.flags.writeable = False
         system = cls.__new__(cls)
-        system.design = design
-        clipped = np.where((array < 0.0) & (array > -EPS_PROB), 0.0, array)
-        system.array = np.ascontiguousarray(clipped)
-        system.array.flags.writeable = False
+        system.design, system.array = design, array
         return system
 
     def with_design(self, design: Design) -> "System":
@@ -316,9 +334,21 @@ class System:
 
     @functools.cached_property
     def distributions(self) -> dict[Treatment, JointPmf]:
-        """The tables, read off ``array``'s nonzero cells if not given."""
-        values = [out.values for out in self.design.outputs]
-        return {t: _table(values, masses) for t, masses in zip(self.design.treatments, self.array)}
+        """The tables, read off ``array``'s nonzero cells in one pass if not
+        given: each lists its cells in C order, keyed by declared labels."""
+        design = self.design
+        cells = np.nonzero(self.array)
+        labels = [map(out.values.__getitem__, index.tolist()) for out, index in zip(design.outputs, cells[1:])]
+        keys = zip(*labels) if labels else itertools.repeat(())
+        tables: list[dict[tuple, float]] = [{} for _ in design.treatments]
+        for b, key, mass in zip(cells[0].tolist(), keys, self.array[cells].tolist()):
+            tables[b][key] = mass
+        pmfs = {}
+        for t, table in zip(design.treatments, tables):
+            # the array's masses are already clean: the fields are set unchecked
+            pmfs[t] = pmf = object.__new__(JointPmf)
+            pmf.__dict__.update(arity=design.n, table=table)
+        return pmfs
 
     @functools.cached_property
     def array(self) -> np.ndarray:
@@ -329,12 +359,8 @@ class System:
         CapacityError, before allocating, above ARRAY_BYTE_CAP."""
         design = self.design
         outputs = design.outputs
-        shape = (len(design.treatments), *(len(out.values) for out in outputs))
-        if math.prod(shape) * 8 > ARRAY_BYTE_CAP:
-            raise CapacityError(
-                f"pmf array of shape {shape} needs over {ARRAY_BYTE_CAP} bytes; "
-                "group output values before testing"
-            )
+        shape = _shape(design)
+        _check_capacity(shape)
         declared = set(design.treatments)
         for t in self.distributions:
             if t not in declared:
@@ -382,11 +408,33 @@ class System:
         return table
 
 
+def _shape(design: Design) -> tuple[int, ...]:
+    """The shape of a system's array on ``design``: (treatments, *value counts)."""
+    return (len(design.treatments), *(len(out.values) for out in design.outputs))
+
+
 def _check_shape(design: Design, array: np.ndarray) -> None:
     """UsageError unless ``array`` has ``design``'s (treatments, *value counts)."""
-    shape = (len(design.treatments), *(len(out.values) for out in design.outputs))
+    shape = _shape(design)
     if array.shape != shape:
         raise UsageError(f"array of shape {array.shape} does not match the design's {shape}")
+
+
+def _check_finite(design: Design, array: np.ndarray) -> None:
+    """UsageError naming the first treatment, in declared order, with a
+    non-finite mass in ``array``."""
+    finite = np.isfinite(array).all(axis=tuple(range(1, array.ndim)))
+    if not finite.all():
+        raise UsageError(f"non-finite mass at treatment {design.treatments[finite.argmin()]!r}")
+
+
+def _check_capacity(shape: tuple[int, ...]) -> None:
+    """CapacityError if a float64 array of ``shape`` exceeds ARRAY_BYTE_CAP."""
+    if math.prod(shape) * 8 > ARRAY_BYTE_CAP:
+        raise CapacityError(
+            f"pmf array of shape {shape} needs over {ARRAY_BYTE_CAP} bytes; "
+            "group output values before testing"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -666,22 +714,61 @@ def generate_system(design: Design, model: LatentModel) -> System:
 
     For each treatment the output tuple is a deterministic function of the
     latent value, so the treatment pmf is the pushforward of the latent pmf.
+    Input k's responses are read once per (level some treatment uses,
+    latent value) into a table of value positions, (level position, latent
+    position); the design index's level positions gather every treatment's
+    outcome cells from these tables, and one ``np.bincount`` adds the latent
+    masses into the array in (treatment, latent) order, as a walk over
+    treatments, latent values and outputs would.  That walk's first fault is
+    the one raised: UsageError for a missing response (``respond``), for a
+    value outside its output, or for a cell whose masses sum past the float
+    range (as ``JointPmf`` words it); CapacityError, before allocating,
+    above ARRAY_BYTE_CAP, comes after a response fault and before a sum.
     """
-    value_sets = [set(o.values) for o in design.outputs]
-    distributions: dict[Treatment, JointPmf] = {}
-    for t in design.treatments:
+    latents = model.latent_values()
+    masses = np.fromiter(model.latent.table.values(), np.float64, len(latents))
+    index = design.index
+    cells, faulty = [], False  # per output, (treatments, latents) value positions, -1 at a fault
+    for k, (spec, out) in enumerate(zip(design.inputs, design.outputs)):
+        value_positions = {v: i for i, v in enumerate(out.values)}
+        table = [[-1] * len(latents) for _ in spec.levels]
+        for (li,) in index.groups((k,)):  # the levels some treatment uses
+            level, row = spec.levels[li], table[li]
+            for ri, r in enumerate(latents):
+                try:
+                    row[ri] = value_positions[model.respond(k, level, r)]
+                except (KeyError, UsageError):  # raised below if it is the walk's first fault
+                    faulty = True
+        table = np.array(table, dtype=np.intp).reshape(len(spec.levels), len(latents))
+        cells.append(table[index.positions[:, k]])
+    if faulty:  # raise the first fault in (treatment, latent, output) order
+        faults = np.stack(cells, axis=-1) < 0
+        b, ri, k = map(int, np.unravel_index(faults.argmax(), faults.shape))
+        _check_sums(design, model, design.treatments[:b])
+        level, r = design.treatments[b][k], latents[ri]
+        value = model.respond(k, level, r)
+        raise UsageError(
+            f"response table {k} maps ({level!r}, {r!r}) to {value!r}, "
+            f"outside output {design.outputs[k].name!r}"
+        )
+    shape = _shape(design)
+    _check_capacity(shape)
+    codes = np.empty((len(design.treatments), len(latents)), dtype=np.intp)
+    codes[...] = np.ravel_multi_index((np.arange(shape[0])[:, None], *cells), shape)
+    weights = np.empty(codes.shape)
+    weights[...] = masses
+    array = np.bincount(codes.ravel(), weights.ravel(), math.prod(shape))
+    if not np.isfinite(array).all():
+        _check_sums(design, model, design.treatments)
+    return System._adopt(design, array.reshape(shape))
+
+
+def _check_sums(design: Design, model: LatentModel, treatments: Sequence[Treatment]) -> None:
+    """UsageError, as ``JointPmf`` words it, at the first of ``treatments``
+    whose latent masses sum past the float range in one of its cells."""
+    for t in treatments:
         table: dict[tuple, float] = {}
         for (r,), mass in model.latent.items():
-            outcome = []
-            for k, level in enumerate(t):
-                value = model.respond(k, level, r)
-                if value not in value_sets[k]:
-                    raise UsageError(
-                        f"response table {k} maps ({level!r}, {r!r}) to {value!r}, "
-                        f"outside output {design.outputs[k].name!r}"
-                    )
-                outcome.append(value)
-            key = tuple(outcome)
+            key = tuple(model.respond(k, level, r) for k, level in enumerate(t))
             table[key] = table.get(key, 0.0) + mass
-        distributions[t] = JointPmf(design.n, table)
-    return System(design, distributions)
+        JointPmf(design.n, table)

@@ -20,7 +20,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import UsageError
-from .model import Design, Level, OutputSpec, System, Value
+from .model import Design, Level, OutputSpec, System, Value, _check_finite
 from .report import CONSISTENT, INAPPLICABLE, RULED_OUT, TestReport
 
 
@@ -98,9 +98,10 @@ def apply_transform(system: System, spec: TransformSpec) -> System:
     treatment's masses along the axis are summed into its level's images by
     one product with a 0/1 index matrix, on a C-ordered copy of the array
     with that axis last.  A system whose every axis is kept shares the
-    parent's array and pair table (``System.with_design``); otherwise it is
-    made from the pushed array alone, C-ordered, and its tables are built
-    only if a caller reads them.  Its design shares the parent's inputs and
+    parent's array and pair table (``System.with_design``); otherwise it
+    holds the pushed array itself, C-ordered, with ``from_array``'s
+    finiteness check and clipping but no copy, and its tables are built only
+    if a caller reads them.  Its design shares the parent's inputs and
     treatments, which are not checked again.  UsageError unless ``spec``
     has one transform per output, each mapping every value at every level
     of its input into its target values.
@@ -125,7 +126,9 @@ def apply_transform(system: System, spec: TransformSpec) -> System:
         array = pushed.reshape(*shape[: k + 1], w, *shape[k + 2 :])
     if array is system.array:
         return system.with_design(new_design)
-    return System.from_array(new_design, array)
+    array = np.ascontiguousarray(array)  # the library's own: copied only if a swap left it strided
+    _check_finite(new_design, array)  # a grouping may sum masses past the float range
+    return System._adopt(new_design, array)
 
 
 def run_battery(

@@ -149,3 +149,40 @@ with tempfile.TemporaryDirectory() as tmp:
         sys.exit(f"selinf exited {[r.returncode for r in runs]} on d1-strings.json, expected 1")
     if runs[0].stdout != runs[1].stdout:
         sys.exit("d1-strings.json reports differ between PYTHONHASHSEED=0 and 1")
+    # A generated system's document must not depend on the hash seed
+    # either: a three-input design that is not fully crossed, with string
+    # levels, values and latent values, written by system_to_dict in two
+    # fresh processes.
+    with open(f"{tmp}/generated.py", "w", encoding="utf-8") as fh:
+        fh.write(
+            "import itertools, json, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import numpy as np\n"
+            "from selinf import Design, InputSpec, JointPmf, LatentModel, OutputSpec, generate_system\n"
+            "from selinf.io import system_to_dict\n"
+            "rng = np.random.default_rng(8)\n"
+            "inputs = tuple(InputSpec(f'x{k}', tuple(f'l{i}' for i in range(m)))\n"
+            "               for k, m in enumerate((2, 3, 2)))\n"
+            "outputs = tuple(OutputSpec(f'A{k}', tuple(f'v{i}' for i in range(v)))\n"
+            "                for k, v in enumerate((3, 2, 4)))\n"
+            "treatments = list(itertools.product(*(spec.levels for spec in inputs)))[:-2]\n"
+            "masses = rng.dirichlet(np.ones(7))\n"
+            "latent = JointPmf(1, {(f'r{r}',): float(m) for r, m in enumerate(masses)})\n"
+            "responses = tuple({(level, f'r{r}'): out.values[int(rng.integers(len(out.values)))]\n"
+            "                   for level in spec.levels for r in range(7)}\n"
+            "                  for spec, out in zip(inputs, outputs))\n"
+            "system = generate_system(Design(inputs, outputs, treatments), LatentModel(latent, responses))\n"
+            "print(json.dumps(system_to_dict(system)))\n"
+        )
+    runs = [
+        subprocess.run(
+            [sys.executable, f"{tmp}/generated.py"],
+            env={**os.environ, "PYTHONHASHSEED": seed},
+            capture_output=True, check=False, timeout=120,
+        )
+        for seed in ("0", "1")
+    ]
+    if [r.returncode for r in runs] != [0, 0]:
+        sys.exit(f"writing a generated system exited {[r.returncode for r in runs]}, expected 0")
+    if runs[0].stdout != runs[1].stdout:
+        sys.exit("a generated system's document differs between PYTHONHASHSEED=0 and 1")

@@ -221,6 +221,18 @@ class TestValidateSystem:
         with pytest.raises(UsageError, match="unknown value"):
             OutputSpec("A", (0, 1), (0.0, 1.0)).numeric_value(7)
 
+    def test_an_integer_mass_beyond_the_float_range_is_named(self):
+        with pytest.raises(UsageError, match=r"^non-finite mass inf at \(0,\)$"):
+            JointPmf(1, {(0,): 10**400})
+        with pytest.raises(UsageError, match=r"^non-finite mass -inf at \(1,\)$"):
+            JointPmf(1, {(0,): 0.5, (1,): -(10**400)})
+
+    def test_an_integer_payload_beyond_the_float_range_is_named(self):
+        with pytest.raises(UsageError, match=r"^output 'A': non-finite payload inf$"):
+            OutputSpec("A", (0,), (10**400,))
+        with pytest.raises(UsageError, match=r"^output 'A': non-finite payload -inf$"):
+            OutputSpec("A", (0, 1), (0.0, -(10**400)))
+
 
 LEVELS = (InputSpec("l1", (1, 2)), InputSpec("l2", (1, 2)))
 OUTPUTS = (OutputSpec("A1", (0, 1)), OutputSpec("A2", (0, 1)))
