@@ -8,7 +8,8 @@ pairing holds.
 
 The library reads a system as one dense array of masses; ``JointPmf``
 label tables are the boundary form that documents, latent models and
-callers write and read, and a system derives either form from the other.
+callers write and read.  A system keeps only the array, built where the
+system is made, and derives its tables from it on request.
 
 In measure-theoretic terms each ``JointPmf`` is a distribution (S, Sigma, p)
 with S a finite product of value sets and Sigma implicitly the power set;
@@ -271,28 +272,68 @@ class JointPmf:
 class System:
     """A design together with one joint output pmf per allowable treatment.
 
-    The library reads ``array``; ``distributions`` holds the ``JointPmf``
-    tables.  A system keeps the form it was made from, tables
-    (``System(design, distributions)``) or an array (``from_array``,
-    ``generate_system``, ``io.system_from_dict``, battery members), and
-    derives the other on first use, checking the tables' structure as it
-    builds the array; ``with_design`` shares another system's array.
-    Neither may be mutated.  Every mass is finite: ``JointPmf`` refuses a
-    non-finite mass and every array-form constructor a non-finite cell, so
-    no reader of ``array`` checks again.
+    A system holds one representation, ``array``, which every constructor
+    builds or adopts where the system is made: ``System(design,
+    distributions)`` from ``JointPmf`` tables, ``from_array``,
+    ``generate_system``, ``io.system_from_dict`` and battery members;
+    ``with_design`` shares another system's array.  No constructor keeps a
+    caller's tables: ``distributions`` and ``pmf`` are read off the array
+    when first asked for.  Neither may be mutated.  Every mass is finite:
+    ``JointPmf`` refuses a non-finite mass and every constructor given an
+    array a non-finite cell, so no reader of ``array`` checks again.
     """
 
+    #: Read-only float64 masses of shape (treatments, *outcome shape):
+    #: ``array[b][o]`` is the mass of the outcome with value indices ``o`` at
+    #: ``design.treatments[b]``.
+    array: np.ndarray
     #: The system whose ``array`` this one shares (``with_design``), if any.
     _source: System | None = None
 
     def __init__(self, design: Design, distributions: Mapping[Treatment, JointPmf]):
-        self.design = design
-        self.distributions = dict(distributions)
+        """The system of ``distributions``, one table per treatment of
+        ``design``, whose masses are copied into ``array``; the mapping and
+        its tables are not kept.  UsageError for a table of an undeclared
+        treatment, a missing table, a wrong arity or an undeclared value;
+        CapacityError, before allocating, above ARRAY_BYTE_CAP."""
+        outputs = design.outputs
+        shape = _shape(design)
+        _check_capacity(shape)
+        declared = set(design.treatments)
+        for t in distributions:
+            if t not in declared:
+                raise UsageError(f"distribution given for undeclared treatment {t!r}")
+        positions = [{v: i for i, v in enumerate(out.values)} for out in outputs]
+        index: list[list[int]] = [[] for _ in shape]
+        masses: list[float] = []
+        for b, t in enumerate(design.treatments):
+            if t not in distributions:
+                raise UsageError(f"treatment {t!r} has no distribution")
+            pmf = distributions[t]
+            if pmf.arity != design.n:
+                raise UsageError(
+                    f"treatment {t!r}: pmf arity {pmf.arity} != number of outputs {design.n}"
+                )
+            for key, mass in pmf.items():
+                index[0].append(b)
+                for k, value in enumerate(key):
+                    try:
+                        index[k + 1].append(positions[k][value])
+                    except KeyError:
+                        raise UsageError(
+                            f"treatment {t!r}: undeclared value {value!r} "
+                            f"for output {outputs[k].name!r}"
+                        ) from None
+                masses.append(mass)
+        array = np.zeros(shape)
+        array[tuple(index)] = masses
+        array.flags.writeable = False
+        self.design, self.array = design, array
 
     @classmethod
     def from_array(cls, design: Design, array: np.ndarray) -> "System":
         """The system whose ``array`` is a float64 copy of ``array`` (shaped
-        as that property describes), stored C-contiguous whatever the strides
+        as that attribute describes), stored C-contiguous whatever the strides
         given, since the screens sum in memory order; the caller's array is
         neither kept nor changed.  Masses in (-EPS_PROB, 0) become 0, as
         ``JointPmf`` clips them.  UsageError unless ``array`` has the design's
@@ -334,8 +375,9 @@ class System:
 
     @functools.cached_property
     def distributions(self) -> dict[Treatment, JointPmf]:
-        """The tables, read off ``array``'s nonzero cells in one pass if not
-        given: each lists its cells in C order, keyed by declared labels."""
+        """The tables, read off ``array``'s nonzero cells in one pass when
+        first asked for: each lists its cells in C order, keyed by declared
+        labels."""
         design = self.design
         cells = np.nonzero(self.array)
         labels = [map(out.values.__getitem__, index.tolist()) for out, index in zip(design.outputs, cells[1:])]
@@ -349,48 +391,6 @@ class System:
             pmfs[t] = pmf = object.__new__(JointPmf)
             pmf.__dict__.update(arity=design.n, table=table)
         return pmfs
-
-    @functools.cached_property
-    def array(self) -> np.ndarray:
-        """Read-only float64 masses of shape (treatments, *outcome shape):
-        ``array[b][o]`` is the mass of the outcome with value indices ``o`` at
-        ``design.treatments[b]``.  UsageError for a table of an undeclared
-        treatment, a missing table, a wrong arity or an undeclared value;
-        CapacityError, before allocating, above ARRAY_BYTE_CAP."""
-        design = self.design
-        outputs = design.outputs
-        shape = _shape(design)
-        _check_capacity(shape)
-        declared = set(design.treatments)
-        for t in self.distributions:
-            if t not in declared:
-                raise UsageError(f"distribution given for undeclared treatment {t!r}")
-        positions = [{v: i for i, v in enumerate(out.values)} for out in outputs]
-        index: list[list[int]] = [[] for _ in shape]
-        masses: list[float] = []
-        for b, t in enumerate(design.treatments):
-            if t not in self.distributions:
-                raise UsageError(f"treatment {t!r} has no distribution")
-            pmf = self.distributions[t]
-            if pmf.arity != design.n:
-                raise UsageError(
-                    f"treatment {t!r}: pmf arity {pmf.arity} != number of outputs {design.n}"
-                )
-            for key, mass in pmf.items():
-                index[0].append(b)
-                for k, value in enumerate(key):
-                    try:
-                        index[k + 1].append(positions[k][value])
-                    except KeyError:
-                        raise UsageError(
-                            f"treatment {t!r}: undeclared value {value!r} "
-                            f"for output {outputs[k].name!r}"
-                        ) from None
-                masses.append(mass)
-        array = np.zeros(shape)
-        array[tuple(index)] = masses
-        array.flags.writeable = False
-        return array
 
     @functools.cached_property
     def pair_table(self) -> np.ndarray:
@@ -681,20 +681,18 @@ def marginalize(pmf: JointPmf, indices: Sequence[int]) -> JointPmf:
 def validate_system(system: System, eps_prob: float = EPS_PROB) -> list[str]:
     """Collect invariant violations; an empty list means the system is valid.
 
-    A structural defect, found as ``system.array`` is built, is the only
-    violation returned; otherwise each mass below -eps_prob and each mass
-    sum off 1 by more than eps_prob is read from the array and reported,
-    treatments in declared order.  A valid array costs one vectorized
-    check; only a flagged one is walked treatment by treatment.  Violations are data, not exceptions: ingested
-    tables often carry rounding defects that the caller wants reported in
-    bulk.
+    Structure is checked where a system is made, so every violation is read
+    from ``system.array``: each mass below -eps_prob and each mass sum off 1
+    by more than eps_prob (a sum past the float range is ``inf``, or ``nan``
+    where such sums of both signs meet), reported treatments in declared
+    order.  A valid array costs one vectorized check;
+    only a flagged one is walked treatment by treatment.  Violations are
+    data, not exceptions: ingested tables often carry rounding defects that
+    the caller wants reported in bulk.
     """
-    try:
-        array = system.array
-    except UsageError as exc:
-        return [str(exc)]
-    design = system.design
-    totals = array.reshape(len(design.treatments), -1).sum(axis=1)
+    array, design = system.array, system.design
+    with np.errstate(over="ignore", invalid="ignore"):  # reported as inf or nan
+        totals = array.reshape(len(design.treatments), -1).sum(axis=1)
     if array.min() >= -eps_prob and (np.abs(totals - 1.0) <= eps_prob).all():
         return []
     totals = totals.tolist()
@@ -704,7 +702,7 @@ def validate_system(system: System, eps_prob: float = EPS_PROB) -> list[str]:
         for _, *cell in [c for c in flagged if c[0] == b]:
             key = tuple(out.values[i] for out, i in zip(design.outputs, cell))
             violations.append(f"treatment {t!r}: negative mass {array[(b, *cell)]} at {key!r}")
-        if abs(total - 1.0) > eps_prob:
+        if not abs(total - 1.0) <= eps_prob:  # NaN included
             violations.append(f"treatment {t!r}: mass sum {total:.10g} != 1")
     return violations
 

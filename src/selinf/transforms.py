@@ -122,7 +122,8 @@ def apply_transform(system: System, spec: TransformSpec) -> System:
         shape = array.shape
         before, after = math.prod(shape[1 : k + 1]), math.prod(shape[k + 2 :])
         moved = array.reshape(t, before, v, after).swapaxes(2, 3).reshape(t, -1, v)
-        pushed = (moved @ onehot).reshape(t, before, after, w).swapaxes(2, 3)
+        with np.errstate(over="ignore", invalid="ignore"):  # _check_finite names the fault
+            pushed = (moved @ onehot).reshape(t, before, after, w).swapaxes(2, 3)
         array = pushed.reshape(*shape[: k + 1], w, *shape[k + 2 :])
     if array is system.array:
         return system.with_design(new_design)

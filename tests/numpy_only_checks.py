@@ -38,6 +38,21 @@ with tempfile.TemporaryDirectory() as tmp:
     code = main([f"{tmp}/rt.json"])
     if code != 2:
         sys.exit(f"selinf exited {code} on a NaN cdf entry, expected 2")
+    # A treatment whose masses sum past the float range is a usage error,
+    # also with warnings as errors (pytest's filters do not reach a
+    # subprocess): no numpy overflow warning may precede the message.
+    overflow = {"inputs": [{"name": "x", "levels": [1, 2]}],
+                "outputs": [{"name": "A", "values": ["a", "b"]}],
+                "treatments": [{"levels": {"x": x}, "pmf": [{"tuple": [v], "p": p} for v in "ab"]}
+                               for x, p in ((1, 0.5), (2, 1e308))]}
+    with open(f"{tmp}/overflow.json", "w", encoding="utf-8") as fh:
+        json.dump(overflow, fh)
+    run = subprocess.run([sys.executable, "-W", "error", "-m", "selinf.cli", f"{tmp}/overflow.json"],
+                         capture_output=True, text=True, check=False, timeout=120)
+    if (run.returncode != 2 or "treatment (2,): mass sum inf != 1" not in run.stderr
+            or "Traceback" in run.stderr):
+        sys.exit(f"selinf -W error exited {run.returncode} on a mass sum past the float range, "
+                 f"expected 2 and the mass-sum message:\n{run.stderr}")
     # A transform entry that maps one output twice is a usage error.
     with open(f"{tmp}/d1.json", "w", encoding="utf-8") as fh:
         json.dump(system_to_dict(d1_system()), fh)

@@ -358,8 +358,15 @@ def test_pushed_members_keep_the_pushed_array_and_check_it_once():
     )
     system = System.from_array(design, np.array([[0.25, 0.25, 0.5], [1e308, 1e308, 0.0]]))
     merge = TransformSpec((OutputTransform(OutputSpec("A", ("lo", "hi")), {None: {0: "lo", 1: "lo", 2: "hi"}}),))
-    with np.errstate(over="ignore"), pytest.raises(UsageError, match=r"^non-finite mass at treatment \(2,\)$"):
+    with pytest.raises(UsageError, match=r"^non-finite mass at treatment \(2,\)$"):
         apply_transform(system, merge)
+    # the second pushed axis multiplies the first one's overflow by 0
+    twice = Design((*design.inputs, InputSpec("y", (1,))), (*design.outputs, OutputSpec("B", (0, 1, 2))),
+                   ((1, 1), (2, 1)))
+    array = np.full((2, 3, 3), 1 / 9)
+    array[1] = [[1e308, 0.0, 0.0], [1e308, 0.0, 0.0], [0.0, 0.0, 0.0]]
+    with pytest.raises(UsageError, match=r"^non-finite mass at treatment \(2, 1\)$"):
+        apply_transform(System.from_array(twice, array), TransformSpec(merge.outputs * 2))
     fine = System.from_array(design, np.array([[0.25, 0.25, 0.5], [0.5, -0.5 - 1e-13, 1.0]]))
     member = apply_transform(fine, merge)
     assert member.array.tolist() == [[0.5, 0.5], [0.0, 1.0]]

@@ -8,7 +8,10 @@ exactly.
 """
 
 import itertools
+import json
 import re
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -51,7 +54,9 @@ from selinf import (
     run_distance_test,
 )
 from selinf import cosphericity, distances, model
+from selinf.io import system_to_dict
 from selinf.tolerances import VAR_RTOL
+from test_array_construction import table_to_dict
 from test_distances import random_class_metric
 from test_marginal import _oracle_discrepancy, perturbed
 
@@ -61,6 +66,11 @@ from test_marginal import _oracle_discrepancy, perturbed
 def pr_mixture(system, weight):
     """Mix a PR box on outputs 1 and 2 into ``system``: output 2 copies output
     1, shifted by one value at treatments above both inputs' first levels."""
+    return system_from_tables(system.design, pr_tables(system, weight))
+
+
+def pr_tables(system, weight):
+    """The tables of ``pr_mixture(system, weight)``."""
     design = system.design
     v1, v2 = design.outputs[0].values, design.outputs[1].values
     v = min(len(v1), len(v2))
@@ -75,7 +85,7 @@ def pr_mixture(system, weight):
                 key = (v1[i], v2[(i + shift) % v]) + tail
                 table[key] = table.get(key, 0.0) + weight / v / len(rest)
         tables[t] = table
-    return system_from_tables(design, tables)
+    return tables
 
 
 def with_outputs(system, outputs):
@@ -428,12 +438,11 @@ def test_array_rejects_undeclared_values_and_oversized_shapes(monkeypatch):
     design = Design(
         (InputSpec("l1", (1,)),), (OutputSpec("A1", (0, 1)),), ((1,),)
     )
-    bad = System(design, {(1,): JointPmf(1, {(2,): 1.0})})
     with pytest.raises(UsageError, match="undeclared value"):
-        bad.array
+        System(design, {(1,): JointPmf(1, {(2,): 1.0})})
     monkeypatch.setattr(model, "ARRAY_BYTE_CAP", 8)
     with pytest.raises(CapacityError):
-        System(design, {(1,): JointPmf(1, {(0,): 1.0})}).array
+        System(design, {(1,): JointPmf(1, {(0,): 1.0})})
 
 
 # --------------------------------------------------- the single representation
@@ -527,26 +536,57 @@ def test_validation_reads_the_array_as_the_tables_read():
 
 
 def test_structural_defects_keep_their_messages():
+    """A structural defect is raised where the system is made, with the
+    message the table walk gives it."""
     one = Design((InputSpec("l1", (1, 2)),), (OutputSpec("A1", (1, 2)),), ((1,), (2,)))
     only_first = Design(one.inputs, one.outputs, ((1,),))
     fine = JointPmf(1, {(1,): 1.0})
     cases = {
-        "distribution given for undeclared treatment (2,)": System(
+        "distribution given for undeclared treatment (2,)": (
             only_first, {(1,): fine, (2,): fine}
         ),
-        "treatment (2,) has no distribution": System(one, {(1,): fine}),
-        "treatment (1,): pmf arity 2 != number of outputs 1": System(
+        "treatment (2,) has no distribution": (one, {(1,): fine}),
+        "treatment (1,): pmf arity 2 != number of outputs 1": (
             one, {(1,): JointPmf(2, {(1, 1): 1.0}), (2,): fine}
         ),
-        "treatment (2,): undeclared value 3 for output 'A1'": System(
+        "treatment (2,): undeclared value 3 for output 'A1'": (
             one, {(1,): fine, (2,): JointPmf(1, {(3,): 1.0})}
         ),
     }
-    for message, system in cases.items():
-        assert model.validate_system(system) == [message]
-        assert message in dict_validate(system)
-        with pytest.raises(UsageError, match=re.escape(message)):
-            build_feasibility_system(system)
+    for message, (design, tables) in cases.items():
+        assert message in dict_validate(SimpleNamespace(design=design, distributions=tables))
+        with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+            System(design, tables)
+
+
+def test_table_built_systems_keep_only_their_array():
+    """A PR mixture made from tables holds its array and nothing of the
+    tables it was given: traced memory grows by the array and under 1 KB of
+    objects.  The tables it derives on request equal the given ones, and
+    its document is the one the table writer gives."""
+    rng = np.random.default_rng(53)
+    cases = []
+    while len(cases) < 12:
+        system = random_selective_system(rng, column_cap=3000, allow_partial=True)
+        if system.design.n >= 2:
+            cases.append((system.design, pr_tables(system, float(rng.uniform(0.5, 1.0)))))
+    made, retained = [], []
+    tracemalloc.start()
+    try:
+        for design, tables in cases:  # fills the interpreter's free lists with traced blocks
+            system_from_tables(design, tables)
+        for design, tables in cases:
+            before = tracemalloc.get_traced_memory()[0]
+            system = system_from_tables(design, tables)
+            retained.append(tracemalloc.get_traced_memory()[0] - before)
+            made.append(system)
+    finally:
+        tracemalloc.stop()
+    for system, (_, tables), size in zip(made, cases, retained):
+        assert system.array.nbytes <= size <= system.array.nbytes + 1024
+        document = json.dumps(system_to_dict(system))
+        assert {t: pmf.table for t, pmf in system.distributions.items()} == tables
+        assert json.dumps(system_to_dict(system)) == document == json.dumps(table_to_dict(system))
 
 
 def test_battery_members_build_no_tables(monkeypatch):

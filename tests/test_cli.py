@@ -2,7 +2,9 @@
 
 import itertools
 import json
+import warnings
 
+import numpy as np
 import pytest
 
 from fixtures import (
@@ -15,6 +17,7 @@ from fixtures import (
 from selinf.cli import build_parser, main
 from selinf.io import rt_from_dict, system_from_dict, system_to_dict
 from selinf import UsageError, check_marginal_selectivity, lp_report, run_distance_test
+from selinf import Design, InputSpec, OutputSpec, System
 from selinf import PowerMetric
 
 
@@ -62,6 +65,18 @@ def test_empty_treatments_exit_two(tmp_path, capsys):
     code = main([str(path)])
     assert code == 2
     assert "treatment" in capsys.readouterr().err
+
+
+def test_a_mass_sum_past_the_float_range_exit_two_without_a_warning(tmp_path, capsys):
+    """At treatment (2,) two finite masses of 1e308 sum past the float range."""
+    design = Design((InputSpec("x", (1, 2)),), (OutputSpec("A", ("a", "b")),), ((1,), (2,)))
+    path = write_system(tmp_path, System.from_array(design, np.array([[0.5, 0.5], [1e308, 1e308]])))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([path])
+    assert code == 2
+    assert capsys.readouterr().err == "error: treatment (2,): mass sum inf != 1\n"
+    assert caught == []
 
 
 def test_malformed_json_exit_two_with_location(tmp_path, capsys):
